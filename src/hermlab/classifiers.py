@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lie_hermitian as lh
 from . import torsion_engine as te
+from .tensor_algebra import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -35,20 +35,19 @@ class ClassificationReport:
     nilpotent_J_witness: tuple | None = None
 
 
-def lck_torsion(eta, n=None):
+def lck_torsion(eta):
     """The locally-conformally-Kaehler torsion shape determined by eta:
 
     T^j_{ik} = 1/(n-1) (delta_{ij} eta_k - delta_{kj} eta_i).
+
+    For n = 1 the bracket vanishes (torsion is antisymmetric in its lower
+    pair), so the divisor is taken as 1 and the shape is zero.
     """
     eta = np.asarray(eta, dtype=complex)
-    n = eta.shape[0] if n is None else n
-    T = np.zeros((n, n, n), dtype=complex)
+    n = eta.shape[0]
     eye = np.eye(n)
-    for j in range(n):
-        for i in range(n):
-            for k in range(n):
-                T[j, i, k] = (eye[i, j] * eta[k] - eye[k, j] * eta[i]) / (n - 1)
-    return T
+    T = np.einsum("ij,k->jik", eye, eta) - np.einsum("kj,i->jik", eye, eta)
+    return T / max(n - 1, 1)
 
 
 def lck_closed_forms(eta):
@@ -63,14 +62,14 @@ def lck_closed_forms(eta):
     return A, B, norm_T2
 
 
-def lck_check(pkg, tol=1e-9):
+def lck_check(pkg, tol=DEFAULT_TOL):
     """Is the torsion of the exact LCK shape built from its own trace?"""
-    residual = float(np.abs(pkg.T - lck_torsion(pkg.eta, pkg.n)).max())
+    residual = float(np.abs(pkg.T - lck_torsion(pkg.eta)).max())
     return residual <= tol, residual
 
 
-def stp_identity_residuals(T, gamma, eta):
-    """Residuals of the parallel-torsion identities.
+def stp_identity_residuals(pkg):
+    """Residuals of the parallel-torsion identities of an analyzed metric.
 
     Keys:
       nabla_s_hol / nabla_s_bar -- components of the Strominger-connection
@@ -80,32 +79,30 @@ def stp_identity_residuals(T, gamma, eta):
       eta_contraction -- sum_r eta_r T^r_{ik};
       phi_xi_vs_BA -- phi - xi - (B - A).
     """
-    DT = te.covariant_derivative_T(T, gamma)
-    Thol = te.holomorphic_derivative_T(T, gamma)
+    T, eta = pkg.T, pkg.eta
+    Thol = te.holomorphic_derivative_T(T, pkg.gamma)
     r1 = np.einsum("jrk,ril->jikl", T, T)
     r1 += np.einsum("jir,rkl->jikl", T, T)
     r1 -= np.einsum("rik,jrl->jikl", T, T)
     r2 = -np.einsum("jrk,irl->jikl", T, T.conj())
     r2 -= np.einsum("jir,krl->jikl", T, T.conj())
     r2 += np.einsum("rik,rjl->jikl", T, T.conj())
-    A, B = te.ab_tensors(T)
-    phi, xi, _ = te.phi_xi_tensors(T, DT, eta)
     return {
         "nabla_s_hol": float(np.abs(Thol - r1).max()),
-        "nabla_s_bar": float(np.abs(DT - r2).max()),
+        "nabla_s_bar": float(np.abs(pkg.DT - r2).max()),
         "quadratic_hol": float(np.abs(r1).max()),
         "eta_contraction": float(np.abs(np.einsum("r,rik->ik", eta, T)).max()),
-        "phi_xi_vs_BA": float(np.abs((phi - xi) - (B - A)).max()),
+        "phi_xi_vs_BA": float(np.abs((pkg.phi - pkg.xi) - (pkg.B - pkg.A)).max()),
     }
 
 
-def stp_check(pkg, tol=1e-9):
+def stp_check(pkg, tol=DEFAULT_TOL):
     """Strominger torsion parallel: max |nabla^s T| <= tol.
 
     Decided directly from the Strominger-connection derivative; the derived
     quadratic identities are reported as residuals for cross-validation.
     """
-    residuals = stp_identity_residuals(pkg.T, pkg.gamma, pkg.eta)
+    residuals = stp_identity_residuals(pkg)
     flag = max(residuals["nabla_s_hol"], residuals["nabla_s_bar"]) <= tol
     return flag, residuals
 
@@ -143,15 +140,22 @@ def nilpotent_J_check(sc, tol=1e-12):
 
 
 def pluriclosed_residual(pkg):
-    """Norm of del delbar omega in the unitary frame."""
-    n = pkg.n
-    omega = te.omega_form(n)
-    delbar_omega = lh.exterior_d(omega, pkg.sc_u).bidegree_part(1, 2)
-    ddbar = lh.exterior_d(delbar_omega, pkg.sc_u).bidegree_part(2, 2)
-    return ddbar.norm()
+    """Norm of del delbar omega in the unitary frame.
+
+    delbar omega = 1/2 sum B[a,b,c] phi_a ^ phibar_b ^ phibar_c with
+    B = -i conj(T).  Applying del gives the (2,2)-form whose coefficients,
+    antisymmetrized in both pairs, are K[p,q,r,s]; its norm over canonical
+    terms is |K| / 2.
+    """
+    B = -1j * pkg.T.conj()
+    W = -0.25 * np.einsum("ars,apq->pqrs", B, pkg.sc_u.C)
+    W -= np.einsum("pbs,rbq->pqrs", B, pkg.sc_u.D)
+    K = W - W.swapaxes(0, 1)
+    K = K - K.swapaxes(2, 3)
+    return 0.5 * float(np.linalg.norm(K))
 
 
-def classify(pkg, hs, tol=1e-9):
+def classify(pkg, hs, tol=DEFAULT_TOL):
     """Full classification of an analyzed Hermitian structure."""
     max_T = float(np.abs(pkg.T).max())
     max_eta = float(np.abs(pkg.eta).max())

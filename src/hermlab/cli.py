@@ -2,9 +2,11 @@
 
 Commands: analyze, check-critical, variation-check, optimize, catalog.
 
-Exit codes: 0 success; 1 invalid input (schema, non-positive-definite metric,
-failed structure validation, unknown catalog name); 2 numerical failure;
-3 "not critical" / "not converged" / "deviation above tolerance" outcomes.
+Exit codes: 0 success; 1 invalid input (schema, non-finite numbers,
+non-positive-definite metric, failed structure validation, unknown catalog
+name, a malformed HERMLAB_TOL); 2 numerical failure, including a report that
+would contain a non-finite number; 3 "not critical" / "not converged" /
+"deviation above tolerance" outcomes.
 
 Input documents are JSON with exactly one of:
   * ``"catalog": "<name>"``
@@ -15,9 +17,10 @@ Input documents are JSON with exactly one of:
 plus an optional ``"metric"`` given as an n x n array of [re, im] pairs
 (default: identity).
 
-The environment variable HERMLAB_TOL overrides the default tolerance 1e-9.
-Seeded randomness uses numpy's default_rng (PCG64), so traces are
-reproducible across platforms.
+The environment variable HERMLAB_TOL overrides the default tolerance,
+``tensor_algebra.DEFAULT_TOL`` (shown in ``--help``).  Seeded randomness
+uses numpy's default_rng (PCG64), so traces are reproducible across
+platforms.
 """
 
 from __future__ import annotations
@@ -34,10 +37,9 @@ from . import classifiers as cl
 from . import functionals as fn
 from . import lie_hermitian as lh
 from . import optimizer as op
+from . import tensor_algebra as ta
 from . import torsion_engine as te
 from .errors import HermlabError, NotPositiveDefinite, NumericalFailure, UnknownCatalogEntry
-
-DEFAULT_TOL = 1e-9
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -57,10 +59,12 @@ def _parse_metric(doc, n):
     if "metric" not in doc or doc["metric"] is None:
         return np.eye(n)
     m = doc["metric"]
-    if len(m) != n or any(len(row) != n for row in m):
-        raise InputError(f"metric must be {n}x{n}")
-    H = np.array([[complex(c[0], c[1]) for c in row] for row in m])
-    return H
+    try:
+        if len(m) != n or any(len(row) != n for row in m):
+            raise InputError(f"metric must be {n}x{n}")
+        return np.array([[complex(c[0], c[1]) for c in row] for row in m])
+    except (TypeError, IndexError, KeyError) as exc:
+        raise InputError(f"metric entries must be [re, im] pairs: {exc}") from exc
 
 
 def _parse_tensor_terms(terms, n, name):
@@ -81,6 +85,13 @@ def _parse_tensor_terms(terms, n, name):
 
 def parse_input(doc):
     """Build a HermitianStructure from an input document."""
+    try:
+        return _parse_structure(doc)
+    except ValueError as exc:  # non-finite numbers, impossible sizes
+        raise InputError(f"invalid input: {exc}") from exc
+
+
+def _parse_structure(doc):
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
     sources = [k for k in ("catalog", "real_algebra", "C") if k in doc]
@@ -183,11 +194,10 @@ def _classification_dict(rep):
     }
 
 
-def build_report(hs, doc, tol):
-    vrep = lh.validate(hs.sc)
-    pkg = te.analyze(hs)
+def build_report(hs, pkg, vrep, doc, tol):
+    """The report of ``hs``, from its analysis ``pkg`` and validation ``vrep``."""
     crep = cl.classify(pkg, hs, tol)
-    rrep = fn.residual_report(hs)
+    rrep = fn.residual_report(pkg)
     return {
         "tool": {"name": "hermlab", "version": __version__},
         "tolerances": {"tol": tol},
@@ -278,7 +288,10 @@ def render_text(report):
 
 def emit(report, args):
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        try:
+            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise NumericalFailure(f"report contains a non-finite number ({exc})") from exc
     else:
         text = render_text(report)
     if args.output:
@@ -302,19 +315,19 @@ def _load_structure(args):
             "structure constants failed validation: "
             + ", ".join(f"{c.name}={c.residual:.3e}" for c in vrep.checks if not c.passed)
         )
-    return hs, doc
+    return hs, doc, vrep
 
 
 def cmd_analyze(args):
-    hs, doc = _load_structure(args)
-    report = build_report(hs, doc, args.tol)
+    hs, doc, vrep = _load_structure(args)
+    report = build_report(hs, te.analyze(hs), vrep, doc, args.tol)
     emit(report, args)
     return EXIT_OK
 
 
 def cmd_check_critical(args):
-    hs, doc = _load_structure(args)
-    report = build_report(hs, doc, args.tol)
+    hs, doc, vrep = _load_structure(args)
+    report = build_report(hs, te.analyze(hs), vrep, doc, args.tol)
     if args.functional == "torsion":
         norm = report["residuals"]["norm_Q_F"]
     else:
@@ -330,7 +343,8 @@ def cmd_check_critical(args):
 
 
 def cmd_variation_check(args):
-    hs, doc = _load_structure(args)
+    hs, doc, vrep = _load_structure(args)
+    pkg = te.analyze(hs)
     rng = np.random.default_rng(args.seed)
     n = hs.n
     rel_tol, abs_tol = 1e-5, 1e-9
@@ -340,7 +354,7 @@ def cmd_variation_check(args):
     for _ in range(args.directions):
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h = (x + x.conj().T) / 2
-        analytic = fn.first_variation(hs, h)
+        analytic = fn.first_variation(pkg, h)
         fd = fn.fd_first_variation(hs, h, step=args.fd_step)
         dev = abs(analytic - fd)
         denom = max(abs(analytic), abs(fd))
@@ -352,7 +366,7 @@ def cmd_variation_check(args):
             ok = dev <= abs_tol
         passed = passed and ok
         rows.append({"analytic": analytic, "fd": fd, "deviation": dev, "ok": ok})
-    report = build_report(hs, doc, args.tol)
+    report = build_report(hs, pkg, vrep, doc, args.tol)
     report["variation_check"] = {
         "directions": args.directions,
         "fd_step": args.fd_step,
@@ -366,7 +380,7 @@ def cmd_variation_check(args):
 
 
 def cmd_optimize(args):
-    hs, doc = _load_structure(args)
+    hs, doc, vrep = _load_structure(args)
     cfg = op.OptimConfig(
         objective=args.objective,
         max_iter=args.max_iter,
@@ -383,7 +397,7 @@ def cmd_optimize(args):
         S0 *= args.perturb / np.linalg.norm(S0)
     trace = op.minimize(hs, cfg, S0=S0)
     hs_star = lh.HermitianStructure(hs.sc, trace.H_star)
-    report = build_report(hs_star, doc, args.tol)
+    report = build_report(hs_star, te.analyze(hs_star), vrep, doc, args.tol)
     last = trace.iterations[-1]
     report["optimization"] = {
         "objective": args.objective,
@@ -426,7 +440,10 @@ def cmd_catalog(args):
 
 def _add_common(p):
     p.add_argument("input", help="path to a JSON input document")
-    p.add_argument("--tol", type=float, default=None, help="tolerance (default 1e-9)")
+    p.add_argument(
+        "--tol", type=float, default=None,
+        help=f"tolerance (default {ta.DEFAULT_TOL:g}, or HERMLAB_TOL when set)",
+    )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None, help="write the report to a file")
 
@@ -480,12 +497,23 @@ def make_parser():
     return parser
 
 
+def _env_tol():
+    text = os.environ.get("HERMLAB_TOL", str(ta.DEFAULT_TOL))
+    try:
+        tol = float(text)
+        if np.isfinite(tol):
+            return tol
+    except ValueError:
+        pass
+    raise InputError(f"HERMLAB_TOL must be a finite number, got {text!r}")
+
+
 def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol", None) is None and hasattr(args, "tol"):
-        args.tol = float(os.environ.get("HERMLAB_TOL", DEFAULT_TOL))
     try:
+        if getattr(args, "tol", None) is None and hasattr(args, "tol"):
+            args.tol = _env_tol()
         return args.func(args)
     except (InputError, FileNotFoundError, json.JSONDecodeError, NotPositiveDefinite) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -16,7 +16,12 @@ first-variation (1,1)-form of F:
 
 zero exactly at torsion-critical metrics.  The Gauduchon residual Q_G is the
 coefficient matrix of i(del etabar - delbar eta - eta ^ etabar) - a Id, zero
-exactly at critical points of G.
+exactly at critical points of G; it is contracted directly from eta and the
+unitary-frame D.
+
+Every quantity here is evaluated at one metric and takes that metric's
+:class:`~hermlab.torsion_engine.TorsionPackage`; only
+:func:`fd_first_variation`, which builds new metrics, takes a structure.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lie_hermitian as lh
-from . import tensor_algebra as ta
 from . import torsion_engine as te
 
 
@@ -43,33 +47,33 @@ class ResidualReport:
     norm_Q_G: float
 
 
-def volume(hs):
-    v = np.linalg.det(np.asarray(hs.H, dtype=complex))
-    return float(v.real)
-
-
-def torsion_functional(hs):
+def torsion_functional(pkg):
     """F = V^(1/n) |T|^2; invariant under H -> c H."""
-    pkg = te.analyze(hs)
-    return volume(hs) ** (1.0 / hs.n) * pkg.norm_T2
+    return pkg.volume ** (1.0 / pkg.n) * pkg.norm_T2
 
 
-def gauduchon_functional(hs):
+def gauduchon_functional(pkg):
     """G = V^(1/n) |eta|^2; invariant under H -> c H."""
-    pkg = te.analyze(hs)
-    return volume(hs) ** (1.0 / hs.n) * pkg.norm_eta2
+    return pkg.volume ** (1.0 / pkg.n) * pkg.norm_eta2
 
 
 def _herm(M):
     return M + M.conj().T
 
 
-def residual_from_tensors(T, gamma, b=None):
+def _assemble_Q_F(A, B, phi, xi, norm_T2):
+    n = A.shape[0]
+    Q = 2 * A - B + 2 * _herm(phi) - 2 * _herm(xi)
+    Q -= (norm_T2 - (n - 1) / n * norm_T2) * np.eye(n)  # b = |T|^2
+    return Q
+
+
+def residual_from_tensors(T, gamma):
     """Q_F assembled from raw unitary-frame tensors.
 
-    Used both by :func:`torsion_critical_residual` and for evaluating pure
-    torsion shapes (e.g. the locally-conformally-Kaehler shape) that are not
-    attached to a particular group; in the latter case pass ``gamma = 0``.
+    For pure torsion shapes (e.g. the locally-conformally-Kaehler shape)
+    that are not attached to a particular group; pass ``gamma = None`` for
+    a vanishing connection.
     """
     n = T.shape[0]
     gamma = np.zeros((n, n, n), dtype=complex) if gamma is None else gamma
@@ -78,107 +82,63 @@ def residual_from_tensors(T, gamma, b=None):
     DT = te.covariant_derivative_T(T, gamma)
     phi, xi, _ = te.phi_xi_tensors(T, DT, eta)
     norm_T2 = float(np.sum(np.abs(T) ** 2))
-    if b is None:
-        b = norm_T2
-    Q = 2 * A - B + 2 * _herm(phi) - 2 * _herm(xi)
-    Q -= (norm_T2 - (n - 1) / n * b) * np.eye(n)
-    return Q
+    return _assemble_Q_F(A, B, phi, xi, norm_T2)
 
 
-def torsion_critical_residual(hs):
+def torsion_critical_residual(pkg):
     """Euler-Lagrange residual of F; returns (Q_F, Frobenius norm)."""
-    pkg = te.analyze(hs)
-    Q = residual_from_tensors(pkg.T, pkg.gamma)
+    Q = _assemble_Q_F(pkg.A, pkg.B, pkg.phi, pkg.xi, pkg.norm_T2)
     return Q, float(np.linalg.norm(Q))
 
 
-def gauduchon_critical_residual(hs):
+def gauduchon_critical_residual(pkg):
     """Euler-Lagrange residual of G; returns (Q_G, Frobenius norm).
 
     Q_G is the coefficient matrix of i(del etabar - delbar eta
-    - eta ^ etabar) minus a * Id with a = |eta|^2 / n.
+    - eta ^ etabar) minus a * Id with a = |eta|^2 / n.  With
+    E_ik = sum_j eta_j conj(D^i_{jk}) this is E + E* - eta eta* - a Id.
     """
-    pkg = te.analyze(hs)
     n = pkg.n
-    eta_form = ta.InvariantForm(n)
-    for i in range(n):
-        eta_form._insert((i,), pkg.eta[i])
-    delbar_eta = lh.exterior_d(eta_form, pkg.sc_u).bidegree_part(1, 1)
-    del_etabar = delbar_eta.conjugate()
-    eta_wedge = eta_form.wedge(eta_form.conjugate())
-    L = 1j * (del_etabar - delbar_eta - eta_wedge)
-    M = te.form_coefficient_matrix(L, n)
+    E = np.einsum("j,ijk->ik", pkg.eta, pkg.sc_u.D.conj())
     a = pkg.norm_eta2 / n
-    Q = M - a * np.eye(n)
+    Q = _herm(E) - np.outer(pkg.eta, pkg.eta.conj()) - a * np.eye(n)
     return Q, float(np.linalg.norm(Q))
 
 
-def conformal_trace_residual(hs):
-    """Residual of the conformal-class criticality equation, 4(|eta|^2 - chi).
-
-    With the invariant-case b = |T|^2 this equals the trace of Q_F.
-    """
-    pkg = te.analyze(hs)
-    return 4.0 * (pkg.norm_eta2 - pkg.chi)
-
-
-def _variation_in_unitary_frame(hs, h):
-    """(pkg, h_u): the analysis package and h expressed in its unitary frame."""
-    pkg = te.analyze(hs)
-    h = np.asarray(h, dtype=complex)
-    h_u = pkg.P.T @ h @ pkg.P.conj()
-    return pkg, h_u
-
-
-def torsion_variation(hs, h):
-    """First variation of the torsion tensor along the metric direction h.
-
-    Tdot^j_{ik} = h_{k jbar, i} - h_{i jbar, k} in the unitary frame of H,
-    with covariant derivatives taken through the Chern connection.  Matches
-    central finite differences of the torsion pulled back to that frame.
-    """
-    pkg, h_u = _variation_in_unitary_frame(hs, h)
-    g = pkg.gamma
-    # nabla_h[k,l,i] = h_{k lbar, i}
-    nabla_h = -np.einsum("rki,rl->kli", g, h_u) + np.einsum("lri,kr->kli", g, h_u)
-    return np.einsum("kji->jik", nabla_h) - np.einsum("ijk->jik", nabla_h)
-
-
-def first_variation(hs, h):
+def first_variation(pkg, h):
     """Analytic derivative d/dt F(H + t h) at t = 0.
 
-    Equals V^(1/n) * Re tr(h_u @ Q) with Q = -Q_F the variational tensor in
-    the unitary frame; the normalization is pinned by agreement with central
-    finite differences of :func:`torsion_functional`.
+    Equals V^(1/n) * Re tr(h_u @ Q) with Q = -Q_F the variational tensor and
+    h_u the direction h expressed in the unitary frame; the normalization is
+    pinned by agreement with central finite differences of
+    :func:`torsion_functional`.
     """
-    pkg, h_u = _variation_in_unitary_frame(hs, h)
-    Q = -residual_from_tensors(pkg.T, pkg.gamma)
-    v = volume(hs) ** (1.0 / hs.n)
-    return float(v * np.trace(h_u @ Q).real)
+    h_u = pkg.P.T @ np.asarray(h, dtype=complex) @ pkg.P.conj()
+    Q_F, _ = torsion_critical_residual(pkg)
+    v = pkg.volume ** (1.0 / pkg.n)
+    return float(v * np.trace(h_u @ -Q_F).real)
 
 
 def fd_first_variation(hs, h, step=1e-4, functional=torsion_functional):
     """Central finite difference of a functional along H + t h."""
     h = np.asarray(h, dtype=complex)
-    plus = lh.HermitianStructure(hs.sc, hs.H + step * h)
-    minus = lh.HermitianStructure(hs.sc, hs.H - step * h)
+    plus = te.analyze(lh.HermitianStructure(hs.sc, hs.H + step * h))
+    minus = te.analyze(lh.HermitianStructure(hs.sc, hs.H - step * h))
     return (functional(plus) - functional(minus)) / (2 * step)
 
 
-def residual_report(hs):
-    """Evaluate both functionals and both residuals in one pass."""
-    pkg = te.analyze(hs)
-    v = volume(hs) ** (1.0 / hs.n)
-    Q_F = residual_from_tensors(pkg.T, pkg.gamma)
-    Q_G, norm_Q_G = gauduchon_critical_residual(hs)
+def residual_report(pkg):
+    """Evaluate both functionals and both residuals of one analyzed metric."""
+    Q_F, norm_Q_F = torsion_critical_residual(pkg)
+    Q_G, norm_Q_G = gauduchon_critical_residual(pkg)
     return ResidualReport(
-        F_value=v * pkg.norm_T2,
-        G_value=v * pkg.norm_eta2,
+        F_value=torsion_functional(pkg),
+        G_value=gauduchon_functional(pkg),
         b=pkg.norm_T2,
         a=pkg.norm_eta2 / pkg.n,
         Q_F=Q_F,
         Q_G=Q_G,
         trace_residual=4.0 * (pkg.norm_eta2 - pkg.chi),
-        norm_Q_F=float(np.linalg.norm(Q_F)),
+        norm_Q_F=norm_Q_F,
         norm_Q_G=norm_Q_G,
     )

@@ -26,7 +26,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import tensor_algebra as ta
 from .errors import (
@@ -169,16 +168,25 @@ def exterior_d(a, sc):
 
 
 def validate(sc, tol=1e-10):
-    """Consistency checks: C antisymmetry and d(d phi_j) = 0 for all j."""
+    """Consistency checks: C antisymmetry and d(d phi_j) = 0 for all j.
+
+    Over the 2n generators e = (phi, phibar), d e_p = 1/2 sum N[p,r,s]
+    e_r ^ e_s; the coefficients of d(d e_p) are the Jacobi cyclic sum of
+    N contracted with itself.
+    """
     n = sc.n
     antisym = float(np.abs(sc.C + np.swapaxes(sc.C, 1, 2)).max())
-    dd_hol = 0.0
-    dd_anti = 0.0
-    for j in range(n):
-        dd_hol = max(dd_hol, exterior_d(coframe_differential(sc, j), sc).max_abs())
-        dd_anti = max(
-            dd_anti, exterior_d(coframe_differential(sc, j, True), sc).max_abs()
-        )
+    N = np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)
+    N[:n, :n, :n] = -sc.C
+    X = -sc.D.conj().transpose(1, 0, 2)
+    N[:n, :n, n:] = X
+    N[:n, n:, :n] = -X.swapaxes(1, 2)
+    swap = np.r_[n : 2 * n, 0:n]  # phi <-> phibar in both form slots
+    N[n:] = N[:n].conj()[:, swap][:, :, swap]
+    Z = np.tensordot(N, N, ([1], [0]))
+    A = Z + Z.transpose(0, 2, 3, 1) + Z.transpose(0, 3, 1, 2)
+    dd_hol = float(np.abs(A[:n]).max())
+    dd_anti = float(np.abs(A[n:]).max())
     checks = (
         Check("C_antisymmetry", antisym <= tol, antisym),
         Check("dd_phi", dd_hol <= tol, dd_hol),
@@ -206,6 +214,8 @@ def complexify(rl, tol=1e-10):
     :class:`JacobiViolation` when the real constants fail Jacobi or the
     resulting d fails d*d = 0.
     """
+    import scipy.linalg  # deferred: only this function needs scipy
+
     dim, f, J = rl.dim, rl.f, rl.J
     n = dim // 2
     jj = float(np.abs(J @ J + np.eye(dim)).max())
@@ -266,8 +276,8 @@ def frame_change(sc, P):
     if np.linalg.cond(P) > _COND_LIMIT:
         raise SingularFrame("frame-change matrix is numerically singular")
     Pinv = np.linalg.inv(P)
-    C = np.einsum("aj,ib,kc,jik->abc", Pinv, P, P, sc.C)
-    D = np.einsum("ib,aj,kc,ijk->bac", P.conj(), Pinv.conj(), P, sc.D)
+    C = np.tensordot(Pinv, P.T @ sc.C @ P, 1)
+    D = np.tensordot(P.conj().T, Pinv.conj() @ sc.D @ P, 1)
     return StructureConstants(n, C, D)
 
 
@@ -281,12 +291,6 @@ def unitary_reduction(hs):
     L = ta.cholesky(hs.H)
     P = np.linalg.inv(L.T)
     return P, frame_change(hs.sc, P)
-
-
-def gram_matrix(H, P):
-    """Gram matrix of the frame e @ P when the reference Gram matrix is H."""
-    P = np.asarray(P, dtype=complex)
-    return P.T @ np.asarray(H, dtype=complex) @ P.conj()
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,7 @@
 The cone is parametrized through the chart H(S) = H0^(1/2) exp(S) H0^(1/2)
 with S Hermitian, which is positive definite for every S and reduces to the
 anchor metric at S = 0.  Gradients are central finite differences over an
-orthonormal real basis of Hermitian matrices; for the torsion functional the
-analytic representative built from Q_F is available as a cross-check.
+orthonormal real basis of Hermitian matrices.
 """
 
 from __future__ import annotations
@@ -12,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import functionals as fn
+from . import torsion_engine as te
 from .errors import NumericalFailure
 from .lie_hermitian import HermitianStructure
 
@@ -112,28 +111,30 @@ class _Problem:
         S = _project(S, self.cfg.det_normalized)
         return self.root @ _herm_expm(S) @ self.root
 
-    def structure(self, S):
-        return HermitianStructure(self.sc, self.metric(S))
+    def analyze(self, S):
+        return te.analyze(HermitianStructure(self.sc, self.metric(S)))
 
     def objective(self, S):
-        hs = self.structure(S)
+        return self.value(self.analyze(S))
+
+    def value(self, pkg):
+        """The objective at an analyzed metric."""
         if self.cfg.objective == "torsion_functional":
-            val = fn.torsion_functional(hs)
+            val = fn.torsion_functional(pkg)
         elif self.cfg.objective == "gauduchon_functional":
-            val = fn.gauduchon_functional(hs)
+            val = fn.gauduchon_functional(pkg)
         else:
-            _, norm = fn.torsion_critical_residual(hs)
+            _, norm = fn.torsion_critical_residual(pkg)
             val = norm**2
         if not np.isfinite(val):
             raise NumericalFailure("objective evaluated to a non-finite value")
         return val
 
-    def residual_norm(self, S):
-        hs = self.structure(S)
+    def residual_norm(self, pkg):
         if self.cfg.objective == "gauduchon_functional":
-            _, norm = fn.gauduchon_critical_residual(hs)
+            _, norm = fn.gauduchon_critical_residual(pkg)
         else:
-            _, norm = fn.torsion_critical_residual(hs)
+            _, norm = fn.torsion_critical_residual(pkg)
         return norm
 
 
@@ -156,28 +157,6 @@ def gradient(hs0, cfg, S=None):
     return _project(G, cfg.det_normalized)
 
 
-def analytic_gradient(hs0, cfg, S=None):
-    """Analytic chart gradient for the torsion functional, from Q_F.
-
-    The chain rule through the chart uses the Frechet derivative of the
-    matrix exponential; serves as the cross-check of the FD gradient.
-    """
-    if cfg.objective != "torsion_functional":
-        raise ValueError("analytic gradient is defined for the torsion functional")
-    prob = _Problem(hs0, cfg)
-    n = hs0.n
-    S = np.zeros((n, n), dtype=complex) if S is None else np.asarray(S, dtype=complex)
-    S = _project(S, cfg.det_normalized)
-    hs = prob.structure(S)
-    G = np.zeros((n, n), dtype=complex)
-    for K in hermitian_basis(n):
-        Kp = _project(K, cfg.det_normalized)
-        _, dE = scipy.linalg.expm_frechet(S, Kp)
-        dH = prob.root @ dE @ prob.root
-        G += fn.first_variation(hs, dH) * K
-    return _project(G, cfg.det_normalized)
-
-
 def minimize(hs0, cfg, S0=None):
     """Gradient descent with Armijo backtracking in the S-chart."""
     prob = _Problem(hs0, cfg)
@@ -186,11 +165,12 @@ def minimize(hs0, cfg, S0=None):
         np.asarray(S0, dtype=complex), cfg.det_normalized
     )
     trace = OptimTrace()
-    obj = prob.objective(S)
+    pkg = prob.analyze(S)
+    obj = prob.value(pkg)
     for it in range(cfg.max_iter + 1):
         G = gradient(hs0, cfg, S)
         gnorm = float(np.linalg.norm(G))
-        trace.iterations.append((it, obj, gnorm, prob.residual_norm(S)))
+        trace.iterations.append((it, obj, gnorm, prob.residual_norm(pkg)))
         if gnorm <= cfg.grad_tol:
             trace.converged = True
             trace.reason = "gradient_tolerance"
@@ -208,16 +188,15 @@ def minimize(hs0, cfg, S0=None):
         accepted = False
         while step * gnorm > 1e-16:
             cand = _project(S - step * G, cfg.det_normalized)
-            cand_obj = prob.objective(cand)
+            cand_pkg = prob.analyze(cand)
+            cand_obj = prob.value(cand_pkg)
             if cand_obj <= obj - cfg.sufficient_decrease * step * g2:
-                S, obj = cand, cand_obj
+                S, obj, pkg = cand, cand_obj, cand_pkg
                 accepted = True
                 break
             step *= cfg.shrink
         if not accepted:
             trace.reason = "stagnated"
             break
-    else:  # pragma: no cover
-        trace.reason = "max_iterations"
     trace.H_star = prob.metric(S)
     return trace

@@ -5,6 +5,9 @@ All forms live over a frame of ``2n`` generators: indices ``0..n-1`` are the
 :class:`InvariantForm` stores a map from strictly increasing index tuples to
 complex coefficients; the reordering sign is folded into the coefficient at
 insertion time, so form equality reduces to comparing coefficient maps.
+The library's numbers are tensor contractions; :class:`InvariantForm` is the
+algebra for rendering structure equations and for the test oracles that
+those contractions are checked against.
 
 Tensor index conventions used throughout the package:
 

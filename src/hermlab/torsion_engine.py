@@ -6,6 +6,10 @@ such a frame the Chern connection coefficients are Gamma^j_{ik} = D^j_{ik}
 and the torsion is T^j_{ik} = -C^j_{ik} - D^j_{ik} + D^j_{ki}.  Because the
 frame is left-invariant, frame derivatives of tensor components vanish and
 covariant derivatives are pure Gamma-contractions.
+
+:func:`analyze` is the one place a metric is analyzed: every quantity
+evaluated at a metric (functionals, residuals, classification) reads the
+:class:`TorsionPackage` it returns.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lie_hermitian as lh
-from . import tensor_algebra as ta
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,7 @@ class TorsionPackage:
     norm_T2: float
     norm_eta2: float
     lee: np.ndarray        # (1,0)-part of the Lee form theta = -(eta + etabar)
+    volume: float          # det H, the volume of the metric
 
 
 def chern_connection(sc_u):
@@ -52,15 +56,6 @@ def chern_torsion(sc_u):
 def torsion_one_form(T):
     """The torsion 1-form, eta_i = sum_r T^r_{ri}."""
     return np.einsum("rri->i", T)
-
-
-def connection_trace_one_form(sc_u):
-    """Trace of the connection, sum_s D^s_{is}.
-
-    Agrees with :func:`torsion_one_form` on unimodular inputs (all catalog
-    entries); used as a cross-check there.
-    """
-    return np.einsum("sis->i", sc_u.D)
 
 
 def ab_tensors(T):
@@ -102,55 +97,6 @@ def phi_xi_tensors(T, DT, eta):
     return phi, xi, chi
 
 
-def xi_closed_form(sc_u, T, phi):
-    """Independent route to xi from the structure constants.
-
-    xi_i^j = sum_{r,s} ( T^j_{rs} conj(D^i_{rs}) - T^r_{is} conj(D^r_{js}) )
-             + phi_i^j,
-    with phi built from the connection-trace form.  Cross-checks the
-    derivative route on every input.
-    """
-    D = sc_u.D
-    out = np.einsum("jrs,irs->ij", T, D.conj())
-    out -= np.einsum("ris,rjs->ij", T, D.conj())
-    return out + phi
-
-
-def omega_form(n):
-    """The Kaehler form of the identity metric, i * sum phi_s ^ phibar_s."""
-    w = ta.InvariantForm(n)
-    for s in range(n):
-        w._insert((s, n + s), 1j)
-    return w
-
-
-def del_omega(T):
-    """The (2,1)-form i * sum T^j_{ik} phi_i ^ phi_k ^ phibar_j.
-
-    The sum runs over both orders of the antisymmetric pair (i,k), so the
-    result equals exactly twice the (2,1)-part of d(omega); the squared form
-    norm of that (2,1)-part is |T|^2 / 2.
-    """
-    n = T.shape[0]
-    out = ta.InvariantForm(n)
-    for j in range(n):
-        for i in range(n):
-            for k in range(n):
-                if T[j, i, k] != 0:
-                    out._insert((i, k, n + j), 1j * T[j, i, k])
-    return out
-
-
-def form_coefficient_matrix(form, n):
-    """Matrix M with form = i * sum M[i,k] phi_i ^ phibar_k, for (1,1)-forms."""
-    M = np.zeros((n, n), dtype=complex)
-    for idx, c in form.terms.items():
-        if len(idx) != 2 or idx[0] >= n or idx[1] < n:
-            raise ValueError("not a (1,1)-form")
-        M[idx[0], idx[1] - n] = -1j * c
-    return M
-
-
 def analyze(hs):
     """Run the full unitary-frame pipeline on a Hermitian structure."""
     P, sc_u = lh.unitary_reduction(hs)
@@ -179,4 +125,5 @@ def analyze(hs):
         norm_T2=norm_T2,
         norm_eta2=norm_eta2,
         lee=-eta,
+        volume=float(np.linalg.det(np.asarray(hs.H, dtype=complex)).real),
     )

@@ -1,0 +1,179 @@
+"""Independent routes to library quantities, kept as test oracles.
+
+The library computes every report quantity by tensor contractions.  The
+routes here reach the same numbers another way, most of them through the
+dict-based exterior algebra (``InvariantForm`` with ``exterior_d``), and the
+tests compare the two.
+"""
+
+import numpy as np
+import scipy.linalg
+
+import hermlab.functionals as fn
+import hermlab.lie_hermitian as lh
+import hermlab.optimizer as op
+import hermlab.tensor_algebra as ta
+
+
+# ---------------------------------------------------------------------------
+# forms over the unitary coframe
+
+
+def omega_form(n):
+    """The Kaehler form of the identity metric, i * sum phi_s ^ phibar_s."""
+    w = ta.InvariantForm(n)
+    for s in range(n):
+        w._insert((s, n + s), 1j)
+    return w
+
+
+def del_omega(T):
+    """The (2,1)-form i * sum T^j_{ik} phi_i ^ phi_k ^ phibar_j.
+
+    The sum runs over both orders of the antisymmetric pair (i,k), so the
+    result equals exactly twice the (2,1)-part of d(omega); the squared form
+    norm of that (2,1)-part is |T|^2 / 2.
+    """
+    n = T.shape[0]
+    out = ta.InvariantForm(n)
+    for j in range(n):
+        for i in range(n):
+            for k in range(n):
+                if T[j, i, k] != 0:
+                    out._insert((i, k, n + j), 1j * T[j, i, k])
+    return out
+
+
+def form_coefficient_matrix(form, n):
+    """Matrix M with form = i * sum M[i,k] phi_i ^ phibar_k, for (1,1)-forms."""
+    M = np.zeros((n, n), dtype=complex)
+    for idx, c in form.terms.items():
+        if len(idx) != 2 or idx[0] >= n or idx[1] < n:
+            raise ValueError("not a (1,1)-form")
+        M[idx[0], idx[1] - n] = -1j * c
+    return M
+
+
+# ---------------------------------------------------------------------------
+# oracles of the closed forms in the library
+
+
+def dd_residuals(sc):
+    """(max |d d phi_j|, max |d d phibar_j|) through ``exterior_d``."""
+    n = sc.n
+    dd_hol = 0.0
+    dd_anti = 0.0
+    for j in range(n):
+        dd_hol = max(dd_hol, lh.exterior_d(lh.coframe_differential(sc, j), sc).max_abs())
+        dd_anti = max(
+            dd_anti, lh.exterior_d(lh.coframe_differential(sc, j, True), sc).max_abs()
+        )
+    return dd_hol, dd_anti
+
+
+def gauduchon_residual(pkg):
+    """Q_G as the coefficient matrix of i(del etabar - delbar eta - eta ^ etabar) - a Id."""
+    n = pkg.n
+    eta_form = ta.InvariantForm(n)
+    for i in range(n):
+        eta_form._insert((i,), pkg.eta[i])
+    delbar_eta = lh.exterior_d(eta_form, pkg.sc_u).bidegree_part(1, 1)
+    del_etabar = delbar_eta.conjugate()
+    eta_wedge = eta_form.wedge(eta_form.conjugate())
+    L = 1j * (del_etabar - delbar_eta - eta_wedge)
+    M = form_coefficient_matrix(L, n)
+    return M - (pkg.norm_eta2 / n) * np.eye(n)
+
+
+def pluriclosed_residual(pkg):
+    """Norm of del delbar omega in the unitary frame, through ``exterior_d``."""
+    omega = omega_form(pkg.n)
+    delbar_omega = lh.exterior_d(omega, pkg.sc_u).bidegree_part(1, 2)
+    ddbar = lh.exterior_d(delbar_omega, pkg.sc_u).bidegree_part(2, 2)
+    return ddbar.norm()
+
+
+def frame_change(sc, P):
+    """Structure constants of the frame ``e @ P``, by the transformation laws."""
+    P = np.asarray(P, dtype=complex)
+    Pinv = np.linalg.inv(P)
+    C = np.einsum("aj,ib,kc,jik->abc", Pinv, P, P, sc.C)
+    D = np.einsum("ib,aj,kc,ijk->bac", P.conj(), Pinv.conj(), P, sc.D)
+    return C, D
+
+
+# ---------------------------------------------------------------------------
+# cross-check routes
+
+
+def connection_trace_one_form(sc_u):
+    """Trace of the connection, sum_s D^s_{is}.
+
+    Agrees with the torsion one-form on unimodular inputs (all catalog
+    entries); used as a cross-check there.
+    """
+    return np.einsum("sis->i", sc_u.D)
+
+
+def xi_closed_form(sc_u, T, phi):
+    """Independent route to xi from the structure constants.
+
+    xi_i^j = sum_{r,s} ( T^j_{rs} conj(D^i_{rs}) - T^r_{is} conj(D^r_{js}) )
+             + phi_i^j,
+    with phi built from the connection-trace form.  Cross-checks the
+    derivative route on every input.
+    """
+    D = sc_u.D
+    out = np.einsum("jrs,irs->ij", T, D.conj())
+    out -= np.einsum("ris,rjs->ij", T, D.conj())
+    return out + phi
+
+
+def gram_matrix(H, P):
+    """Gram matrix of the frame e @ P when the reference Gram matrix is H."""
+    P = np.asarray(P, dtype=complex)
+    return P.T @ np.asarray(H, dtype=complex) @ P.conj()
+
+
+def conformal_trace_residual(pkg):
+    """Residual of the conformal-class criticality equation, 4(|eta|^2 - chi).
+
+    With the invariant-case b = |T|^2 this equals the trace of Q_F.
+    """
+    return 4.0 * (pkg.norm_eta2 - pkg.chi)
+
+
+def torsion_variation(pkg, h):
+    """First variation of the torsion tensor along the metric direction h.
+
+    Tdot^j_{ik} = h_{k jbar, i} - h_{i jbar, k} in the unitary frame of H,
+    with covariant derivatives taken through the Chern connection.  Matches
+    central finite differences of the torsion pulled back to that frame.
+    """
+    h_u = pkg.P.T @ np.asarray(h, dtype=complex) @ pkg.P.conj()
+    g = pkg.gamma
+    # nabla_h[k,l,i] = h_{k lbar, i}
+    nabla_h = -np.einsum("rki,rl->kli", g, h_u) + np.einsum("lri,kr->kli", g, h_u)
+    return np.einsum("kji->jik", nabla_h) - np.einsum("ijk->jik", nabla_h)
+
+
+def analytic_gradient(hs0, cfg, S=None):
+    """Analytic chart gradient for the torsion functional, from Q_F.
+
+    The chain rule through the chart uses the Frechet derivative of the
+    matrix exponential; serves as the cross-check of the FD gradient.
+    """
+    if cfg.objective != "torsion_functional":
+        raise ValueError("analytic gradient is defined for the torsion functional")
+    prob = op._Problem(hs0, cfg)
+    n = hs0.n
+    S = np.zeros((n, n), dtype=complex) if S is None else np.asarray(S, dtype=complex)
+    S = op._project(S, cfg.det_normalized)
+    pkg = prob.analyze(S)
+    G = np.zeros((n, n), dtype=complex)
+    for K in op.hermitian_basis(n):
+        Kp = op._project(K, cfg.det_normalized)
+        _, dE = scipy.linalg.expm_frechet(S, Kp)
+        dH = prob.root @ dE @ prob.root
+        G += fn.first_variation(pkg, dH) * K
+    return op._project(G, cfg.det_normalized)

@@ -28,7 +28,7 @@ def _report(num, label, ok):
 
 def test_acceptance_01_so3c_reference_values():
     pkg = te.analyze(lh.catalog("so3c"))
-    _, qnorm = fn.torsion_critical_residual(lh.catalog("so3c"))
+    _, qnorm = fn.torsion_critical_residual(pkg)
     ok = (
         abs(pkg.norm_T2 - 6.0) <= 1e-12
         and np.abs(pkg.A - 2 * np.eye(3)).max() <= 1e-12
@@ -46,8 +46,9 @@ def test_acceptance_02_sokc_family_balanced_stp_critical():
     ok = True
     for name in ("sokc-3", "sokc-4"):
         hs = lh.catalog(name)
-        rep = cl.classify(te.analyze(hs), hs)
-        _, qnorm = fn.torsion_critical_residual(hs)
+        pkg = te.analyze(hs)
+        rep = cl.classify(pkg, hs)
+        _, qnorm = fn.torsion_critical_residual(pkg)
         ok = ok and rep.balanced and rep.stp and qnorm <= 1e-10
     _report(2, "sokc-3/sokc-4 balanced, parallel torsion, critical", ok)
 
@@ -78,7 +79,7 @@ def test_acceptance_04_trace_identities():
         n = int(rng.integers(2, 5))
         hs = lh.HermitianStructure(random_structure(rng, n), random_hpd(rng, n))
         pkg = te.analyze(hs)
-        Q, _ = fn.torsion_critical_residual(hs)
+        Q, _ = fn.torsion_critical_residual(pkg)
         ok = ok and abs(np.trace(pkg.A).real - pkg.norm_T2) <= 1e-10
         ok = ok and abs(np.trace(pkg.B).real - pkg.norm_T2) <= 1e-10
         ok = ok and abs(np.trace(pkg.phi).real - pkg.norm_eta2) <= 1e-10
@@ -92,10 +93,11 @@ def test_acceptance_05_first_variation_agreement():
     ok = True
     for name in ("abelian-3", "so3c", "iwasawa", "kodaira-thurston"):
         hs = lh.catalog(name)
+        pkg = te.analyze(hs)
         for _ in range(20):
             h = random_hermitian(rng, hs.n)
             h /= np.linalg.norm(h)
-            analytic = fn.first_variation(hs, h)
+            analytic = fn.first_variation(pkg, h)
             fd = fn.fd_first_variation(hs, h, step=1e-5)
             denom = max(abs(analytic), abs(fd))
             if denom > 1e-9:
@@ -115,16 +117,16 @@ def test_acceptance_06_gauduchon_critical_points_are_balanced():
             S0 = random_hermitian(rng, hs.n)
             S0 *= 0.2 / max(np.linalg.norm(S0), 1e-12)
             trace = op.minimize(hs, cfg, S0=S0)
-            hs_star = lh.HermitianStructure(hs.sc, trace.H_star)
-            _, qg = fn.gauduchon_critical_residual(hs_star)
+            pkg = te.analyze(lh.HermitianStructure(hs.sc, trace.H_star))
+            _, qg = fn.gauduchon_critical_residual(pkg)
             if qg <= 1e-8:
-                eta = te.analyze(hs_star).eta
+                eta = pkg.eta
                 ok = ok and np.linalg.norm(eta) <= 1e-4
     _report(6, "near-critical one-form energy points are near balanced", ok)
 
 
 def test_acceptance_07_non_criticality_witnesses():
-    _, qnorm = fn.torsion_critical_residual(lh.catalog("iwasawa"))
+    _, qnorm = fn.torsion_critical_residual(te.analyze(lh.catalog("iwasawa")))
     ok = qnorm >= 0.1
     rng = np.random.default_rng(RNG_SEED + 3)
     for _ in range(20):
@@ -168,10 +170,11 @@ def test_acceptance_09_scale_invariance():
     ok = True
     for name in CATALOG_SAMPLE:
         hs = lh.catalog(name)
-        F0 = fn.torsion_functional(hs)
-        G0 = fn.gauduchon_functional(hs)
+        base = te.analyze(hs)
+        F0 = fn.torsion_functional(base)
+        G0 = fn.gauduchon_functional(base)
         for c in (0.5, 2.0, 10.0):
-            scaled = lh.HermitianStructure(hs.sc, c * np.asarray(hs.H))
+            scaled = te.analyze(lh.HermitianStructure(hs.sc, c * np.asarray(hs.H)))
             F = fn.torsion_functional(scaled)
             G = fn.gauduchon_functional(scaled)
             ok = ok and abs(F - F0) <= 1e-10 * max(abs(F0), 1.0)
@@ -198,7 +201,9 @@ def test_acceptance_10_optimizer_sanity():
         objective="residual_norm", max_iter=500, grad_tol=1e-10, objective_tol=1e-13
     )
     trace = op.minimize(hs, cfg, S0=S0)
-    _, qnorm = fn.torsion_critical_residual(lh.HermitianStructure(hs.sc, trace.H_star))
+    _, qnorm = fn.torsion_critical_residual(
+        te.analyze(lh.HermitianStructure(hs.sc, trace.H_star))
+    )
     ok = ok and trace.converged and qnorm <= 1e-6 and len(trace.iterations) <= 501
     objs = [row[1] for row in trace.iterations]
     ok = ok and all(b <= a + 1e-14 for a, b in zip(objs, objs[1:]))

@@ -157,7 +157,7 @@ def test_stp_balanced_with_zero_residual_gives_proportional_B():
         hs = lh.catalog(name)
         pkg = te.analyze(hs)
         flag, _ = cl.stp_check(pkg)
-        _, qnorm = fn.torsion_critical_residual(hs)
+        _, qnorm = fn.torsion_critical_residual(pkg)
         assert flag and qnorm <= 1e-10
         assert np.abs(pkg.eta).max() <= 1e-12
         c = np.trace(pkg.B).real / pkg.n

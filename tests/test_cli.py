@@ -1,11 +1,21 @@
 """Command-line interface: parsing, reports, exit codes, golden stability."""
 
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import hermlab
 import hermlab.cli as cli
+import hermlab.lie_hermitian as lh
+import hermlab.torsion_engine as te
+
+NAN = float("nan")
+KT_J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
 
 
 def _write(tmp_path, doc, name="input.json"):
@@ -139,6 +149,94 @@ def test_analyze_invalid_inputs_exit_1(tmp_path, capsys):
     garbled.write_text("{not json")
     code, _, _ = _run(capsys, "analyze", str(garbled))
     assert code == cli.EXIT_INVALID_INPUT
+
+
+@pytest.mark.parametrize(
+    "doc, env_tol",
+    [
+        ({"n": 3, "C": [{"up": 1, "lo": [2, 3], "re": NAN}]}, None),
+        ({"n": 2, "D": [{"up": 2, "lo": [1, 1], "im": NAN}]}, None),
+        ({"catalog": "abelian-2",
+          "metric": [[[NAN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, None),
+        ({"real_algebra": {"dim": 4, "f": [{"up": 3, "lo": [1, 2], "val": NAN}], "J": KT_J}},
+         None),
+        ({"real_algebra": {"dim": 4, "f": [], "J": KT_J},
+          "metric": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [NAN, 0.0]]]}, None),
+        ({"catalog": "abelian-2", "metric": [["a", "b"], [1, 2]]}, None),
+        ({"catalog": "so3c"}, "abc"),
+        ({"catalog": "so3c"}, "nan"),
+    ],
+    ids=["nan-C", "nan-D", "nan-metric", "nan-real-f", "nan-real-metric",
+         "malformed-metric", "tol-abc", "tol-nan"],
+)
+def test_bad_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch, doc, env_tol):
+    if env_tol is not None:
+        monkeypatch.setenv("HERMLAB_TOL", env_tol)
+    code, out, err = _run(capsys, "analyze", _write(tmp_path, doc), "--format", "json")
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name}")
+
+
+def test_abelian_1_report_is_strict_json(tmp_path, capsys):
+    path = _write(tmp_path, {"catalog": "abelian-1"})
+    code, out, _ = _run(capsys, "analyze", path, "--format", "json")
+    assert code == cli.EXIT_OK
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["classification"]["lck_shape"] == {"flag": True, "residual": 0.0}
+
+
+def test_non_finite_report_exits_2(tmp_path, capsys, monkeypatch):
+    real = cli.build_report
+    monkeypatch.setattr(cli, "build_report", lambda *a: {**real(*a), "bad": NAN})
+    path = _write(tmp_path, {"catalog": "so3c"})
+    code, out, err = _run(capsys, "analyze", path, "--format", "json")
+    assert code == cli.EXIT_NUMERICAL
+    assert out == "" and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, analyses",
+    [
+        (["analyze"], 1),
+        (["check-critical"], 1),
+        (["check-critical", "--functional", "gauduchon"], 1),
+        (["variation-check", "--directions", "3"], 1 + 2 * 3),
+    ],
+)
+def test_one_analysis_and_validation_per_report(tmp_path, capsys, monkeypatch, argv, analyses):
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(te, "analyze")
+    count(lh, "validate")
+    path = _write(tmp_path, {"catalog": "iwasawa"})
+    code, _, _ = _run(capsys, argv[0], path, *argv[1:])
+    assert code in (cli.EXIT_OK, cli.EXIT_NOT_SATISFIED)
+    assert calls == {"analyze": analyses, "validate": 1}
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(hermlab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, hermlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_golden_reports_byte_stable(tmp_path, capsys):

@@ -7,6 +7,7 @@ import hermlab.functionals as fn
 import hermlab.lie_hermitian as lh
 import hermlab.torsion_engine as te
 
+import oracles
 from conftest import random_hermitian, random_hpd, random_structure
 
 
@@ -17,30 +18,35 @@ def _hs(name, H=None):
     return lh.catalog(name, metric=H)
 
 
+def _pkg(name, H=None):
+    return te.analyze(_hs(name, H))
+
+
 # ---------------------------------------------------------------------------
 # functional values
 
 
 def test_torsion_functional_values():
-    assert fn.torsion_functional(_hs("abelian-3")) == 0.0
-    assert fn.torsion_functional(_hs("so3c")) == pytest.approx(6.0)
-    assert fn.torsion_functional(_hs("iwasawa")) == pytest.approx(2.0)
+    assert fn.torsion_functional(_pkg("abelian-3")) == 0.0
+    assert fn.torsion_functional(_pkg("so3c")) == pytest.approx(6.0)
+    assert fn.torsion_functional(_pkg("iwasawa")) == pytest.approx(2.0)
 
 
 def test_gauduchon_functional_values():
-    assert fn.gauduchon_functional(_hs("so3c")) == 0.0
-    assert fn.gauduchon_functional(_hs("iwasawa")) == 0.0
-    assert fn.gauduchon_functional(_hs("kodaira-thurston")) == pytest.approx(1.0)
+    assert fn.gauduchon_functional(_pkg("so3c")) == 0.0
+    assert fn.gauduchon_functional(_pkg("iwasawa")) == 0.0
+    assert fn.gauduchon_functional(_pkg("kodaira-thurston")) == pytest.approx(1.0)
 
 
 def test_scale_invariance(rng):
     for name in ("so3c", "iwasawa", "kodaira-thurston"):
         hs = _hs(name)
         H = random_hpd(rng, hs.n)
-        base_F = fn.torsion_functional(lh.HermitianStructure(hs.sc, H))
-        base_G = fn.gauduchon_functional(lh.HermitianStructure(hs.sc, H))
+        base = te.analyze(lh.HermitianStructure(hs.sc, H))
+        base_F = fn.torsion_functional(base)
+        base_G = fn.gauduchon_functional(base)
         for c in (0.5, 2.0, 10.0):
-            scaled = lh.HermitianStructure(hs.sc, c * H)
+            scaled = te.analyze(lh.HermitianStructure(hs.sc, c * H))
             assert fn.torsion_functional(scaled) == pytest.approx(base_F, rel=1e-12)
             assert fn.gauduchon_functional(scaled) == pytest.approx(base_G, rel=1e-12)
 
@@ -51,12 +57,12 @@ def test_scale_invariance(rng):
 
 def test_QF_zero_for_kahler_and_so3c():
     for name in ("abelian-3", "so3c", "sokc-4"):
-        _, norm = fn.torsion_critical_residual(_hs(name))
+        _, norm = fn.torsion_critical_residual(_pkg(name))
         assert norm <= 1e-12
 
 
 def test_QF_iwasawa_frozen_values():
-    Q, norm = fn.torsion_critical_residual(_hs("iwasawa"))
+    Q, norm = fn.torsion_critical_residual(_pkg("iwasawa"))
     assert np.abs(Q - np.diag([4.0 / 3, 4.0 / 3, -8.0 / 3])).max() <= 1e-12
     assert norm == pytest.approx(SQRT96_OVER_3, abs=1e-12)
 
@@ -65,21 +71,21 @@ def test_QF_hermitian_and_trace_identity(rng):
     for _ in range(20):
         n = int(rng.integers(2, 5))
         hs = lh.HermitianStructure(random_structure(rng, n), random_hpd(rng, n))
-        Q, _ = fn.torsion_critical_residual(hs)
         pkg = te.analyze(hs)
+        Q, _ = fn.torsion_critical_residual(pkg)
         assert np.abs(Q - Q.conj().T).max() <= 1e-10
         assert np.trace(Q).real == pytest.approx(
             4 * (pkg.norm_eta2 - pkg.chi), abs=1e-9
         )
         assert abs(np.trace(Q).imag) <= 1e-10
-        assert fn.conformal_trace_residual(hs) == pytest.approx(
+        assert oracles.conformal_trace_residual(pkg) == pytest.approx(
             np.trace(Q).real, abs=1e-9
         )
 
 
 def test_conformal_trace_residual_values():
-    assert fn.conformal_trace_residual(_hs("so3c")) == pytest.approx(0.0, abs=1e-14)
-    assert fn.conformal_trace_residual(_hs("kodaira-thurston")) == pytest.approx(
+    assert oracles.conformal_trace_residual(_pkg("so3c")) == pytest.approx(0.0, abs=1e-14)
+    assert oracles.conformal_trace_residual(_pkg("kodaira-thurston")) == pytest.approx(
         0.0, abs=1e-12
     )
 
@@ -90,12 +96,12 @@ def test_conformal_trace_residual_values():
 
 def test_QG_zero_for_balanced():
     for name in ("abelian-2", "so3c", "iwasawa"):
-        _, norm = fn.gauduchon_critical_residual(_hs(name))
+        _, norm = fn.gauduchon_critical_residual(_pkg(name))
         assert norm <= 1e-13
 
 
 def test_QG_nilmanifold_frozen_values():
-    Q, norm = fn.gauduchon_critical_residual(_hs("kodaira-thurston"))
+    Q, norm = fn.gauduchon_critical_residual(_pkg("kodaira-thurston"))
     assert np.abs(Q - np.diag([1.5, -1.5])).max() <= 1e-12
     assert norm == pytest.approx(np.sqrt(4.5), abs=1e-12)
 
@@ -104,7 +110,7 @@ def test_QG_hermitian(rng):
     for _ in range(10):
         n = int(rng.integers(2, 4))
         hs = lh.HermitianStructure(random_structure(rng, n), random_hpd(rng, n))
-        Q, _ = fn.gauduchon_critical_residual(hs)
+        Q, _ = fn.gauduchon_critical_residual(te.analyze(hs))
         assert np.abs(Q - Q.conj().T).max() <= 1e-10
 
 
@@ -120,13 +126,13 @@ def _pullback_torsion(hs):
 
 
 def test_torsion_variation_zero_direction():
-    hs = _hs("iwasawa")
-    assert np.abs(fn.torsion_variation(hs, np.zeros((3, 3)))).max() == 0.0
+    pkg = _pkg("iwasawa")
+    assert np.abs(oracles.torsion_variation(pkg, np.zeros((3, 3)))).max() == 0.0
 
 
 def test_torsion_variation_abelian_is_zero(rng):
-    hs = _hs("abelian-3")
-    assert np.abs(fn.torsion_variation(hs, random_hermitian(rng, 3))).max() == 0.0
+    pkg = _pkg("abelian-3")
+    assert np.abs(oracles.torsion_variation(pkg, random_hermitian(rng, 3))).max() == 0.0
 
 
 def test_torsion_variation_matches_finite_differences(rng):
@@ -142,14 +148,14 @@ def test_torsion_variation_matches_finite_differences(rng):
             pkg = te.analyze(hs0)
             Pinv = np.linalg.inv(pkg.P)
             analytic = np.einsum(
-                "ja,abc,bi,ck->jik", pkg.P, fn.torsion_variation(hs0, h), Pinv, Pinv
+                "ja,abc,bi,ck->jik", pkg.P, oracles.torsion_variation(pkg, h), Pinv, Pinv
             )
             assert np.abs(fd - analytic).max() <= 1e-7
 
 
 def test_torsion_variation_antisymmetric(rng):
     hs = lh.HermitianStructure(random_structure(rng, 3), random_hpd(rng, 3))
-    Td = fn.torsion_variation(hs, random_hermitian(rng, 3))
+    Td = oracles.torsion_variation(te.analyze(hs), random_hermitian(rng, 3))
     assert np.abs(Td + np.swapaxes(Td, 1, 2)).max() <= 1e-12
 
 
@@ -166,17 +172,17 @@ def _agree(analytic, fd, rel=1e-6, abs_tol=1e-9):
 
 def test_first_variation_zero_at_critical_points(rng):
     for name in ("abelian-3", "so3c"):
-        hs = _hs(name)
+        pkg = _pkg(name)
         for _ in range(5):
-            h = random_hermitian(rng, hs.n)
-            assert abs(fn.first_variation(hs, h)) <= 1e-10
+            h = random_hermitian(rng, pkg.n)
+            assert abs(fn.first_variation(pkg, h)) <= 1e-10
 
 
 def test_first_variation_sign_iwasawa():
     # growing the first metric direction lowers the torsion energy
     hs = _hs("iwasawa")
     h = np.diag([1.0, 0.0, 0.0])
-    val = fn.first_variation(hs, h)
+    val = fn.first_variation(te.analyze(hs), h)
     assert val == pytest.approx(-4.0 / 3.0, rel=1e-12)
     fd = fn.fd_first_variation(hs, h)
     assert _agree(val, fd)
@@ -185,11 +191,12 @@ def test_first_variation_sign_iwasawa():
 def test_first_variation_matches_finite_differences(rng):
     for name in ("abelian-3", "so3c", "iwasawa", "kodaira-thurston"):
         hs0 = _hs(name)
+        pkg = te.analyze(hs0)
         for _ in range(10):
             h = random_hermitian(rng, hs0.n)
             h /= np.linalg.norm(h)
             assert _agree(
-                fn.first_variation(hs0, h), fn.fd_first_variation(hs0, h, step=1e-5)
+                fn.first_variation(pkg, h), fn.fd_first_variation(hs0, h, step=1e-5)
             ), name
 
 
@@ -198,15 +205,15 @@ def test_first_variation_matches_fd_at_generic_metric(rng):
         n = int(rng.integers(2, 4))
         hs = lh.HermitianStructure(random_structure(rng, n), random_hpd(rng, n))
         h = random_hermitian(rng, n)
-        assert _agree(fn.first_variation(hs, h), fn.fd_first_variation(hs, h))
+        assert _agree(fn.first_variation(te.analyze(hs), h), fn.fd_first_variation(hs, h))
 
 
 def test_first_variation_linear_in_direction(rng):
-    hs = _hs("iwasawa")
+    pkg = _pkg("iwasawa")
     h1 = random_hermitian(rng, 3)
     h2 = random_hermitian(rng, 3)
-    lhs = fn.first_variation(hs, 2.0 * h1 + h2)
-    rhs = 2.0 * fn.first_variation(hs, h1) + fn.first_variation(hs, h2)
+    lhs = fn.first_variation(pkg, 2.0 * h1 + h2)
+    rhs = 2.0 * fn.first_variation(pkg, h1) + fn.first_variation(pkg, h2)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -216,12 +223,12 @@ def test_first_variation_linear_in_direction(rng):
 
 def test_residual_report_consistency(rng):
     hs = lh.HermitianStructure(random_structure(rng, 3), random_hpd(rng, 3))
-    rep = fn.residual_report(hs)
     pkg = te.analyze(hs)
+    rep = fn.residual_report(pkg)
     assert rep.b == pytest.approx(pkg.norm_T2)
     assert rep.a == pytest.approx(pkg.norm_eta2 / 3)
-    assert rep.F_value == pytest.approx(fn.torsion_functional(hs), rel=1e-12)
-    assert rep.G_value == pytest.approx(fn.gauduchon_functional(hs), rel=1e-12)
+    assert rep.F_value == pytest.approx(fn.torsion_functional(pkg), rel=1e-12)
+    assert rep.G_value == pytest.approx(fn.gauduchon_functional(pkg), rel=1e-12)
     assert rep.norm_Q_F == pytest.approx(np.linalg.norm(rep.Q_F))
     assert rep.norm_Q_G == pytest.approx(np.linalg.norm(rep.Q_G))
     assert rep.trace_residual == pytest.approx(np.trace(rep.Q_F).real, abs=1e-9)

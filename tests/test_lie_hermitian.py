@@ -11,6 +11,7 @@ from hermlab.errors import (
     UnknownCatalogEntry,
 )
 
+import oracles
 from conftest import (
     CATALOG_SAMPLE,
     random_gl,
@@ -239,7 +240,7 @@ def test_unitary_reduction_gram_is_identity(rng):
         n = int(rng.integers(2, 5))
         hs = lh.HermitianStructure(random_structure(rng, n), random_hpd(rng, n))
         P, sc_u = lh.unitary_reduction(hs)
-        assert np.abs(lh.gram_matrix(hs.H, P) - np.eye(n)).max() <= 1e-10
+        assert np.abs(oracles.gram_matrix(hs.H, P) - np.eye(n)).max() <= 1e-10
         assert lh.validate(sc_u).ok
 
 
@@ -255,7 +256,7 @@ def test_unitary_frame_invariant_under_unitary_rotation(rng):
     hs = lh.catalog("iwasawa")
     _, sc_u = lh.unitary_reduction(hs)
     U = random_unitary(rng, 3)
-    assert np.abs(lh.gram_matrix(np.eye(3), U) - np.eye(3)).max() <= 1e-12
+    assert np.abs(oracles.gram_matrix(np.eye(3), U) - np.eye(3)).max() <= 1e-12
     assert lh.validate(lh.frame_change(sc_u, U)).ok
 
 
