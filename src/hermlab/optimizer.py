@@ -14,7 +14,7 @@ import numpy as np
 
 from . import functionals as fn
 from . import torsion_engine as te
-from .errors import NumericalFailure
+from .errors import NotPositiveDefinite, NumericalFailure
 from .lie_hermitian import HermitianStructure
 
 OBJECTIVES = ("torsion_functional", "gauduchon_functional", "residual_norm")
@@ -112,13 +112,18 @@ class _Problem:
         return self.root @ _herm_expm(S) @ self.root
 
     def analyze(self, S):
-        return te.analyze(HermitianStructure(self.sc, self.metric(S)))
+        H = self.metric(S)
+        if not np.isfinite(H).all():
+            raise NumericalFailure("metric overflowed in the exponential chart")
+        return te.analyze(HermitianStructure(self.sc, H))
 
     def objective(self, S):
         return self.value(self.analyze(S))
 
     def value(self, pkg):
         """The objective at an analyzed metric."""
+        if pkg.volume <= 0:
+            raise NumericalFailure("metric has non-positive determinant")
         if self.cfg.objective == "torsion_functional":
             val = fn.torsion_functional(pkg)
         elif self.cfg.objective == "gauduchon_functional":
@@ -158,7 +163,13 @@ def gradient(hs0, cfg, S=None):
 
 
 def minimize(hs0, cfg, S0=None):
-    """Gradient descent with Armijo backtracking in the S-chart."""
+    """Gradient descent with Armijo backtracking in the S-chart.
+
+    A trial step whose metric cannot be analyzed (overflowing chart, not
+    positive definite in floating point, non-positive determinant,
+    non-finite objective) counts as a rejected trial and the step shrinks;
+    failures at the start point or in a gradient still raise.
+    """
     prob = _Problem(hs0, cfg)
     n = hs0.n
     S = np.zeros((n, n), dtype=complex) if S0 is None else _project(
@@ -188,8 +199,15 @@ def minimize(hs0, cfg, S0=None):
         accepted = False
         while step * gnorm > 1e-16:
             cand = _project(S - step * G, cfg.det_normalized)
-            cand_pkg = prob.analyze(cand)
-            cand_obj = prob.value(cand_pkg)
+            # a long trial step can leave the numerically valid cone: the
+            # chart overflows or H stops being positive definite in floats
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    cand_pkg = prob.analyze(cand)
+                    cand_obj = prob.value(cand_pkg)
+            except (NotPositiveDefinite, NumericalFailure):
+                step *= cfg.shrink
+                continue
             if cand_obj <= obj - cfg.sufficient_decrease * step * g2:
                 S, obj, pkg = cand, cand_obj, cand_pkg
                 accepted = True

@@ -6,6 +6,8 @@ dict-based exterior algebra (``InvariantForm`` with ``exterior_d``), and the
 tests compare the two.
 """
 
+import itertools
+
 import numpy as np
 import scipy.linalg
 
@@ -177,3 +179,35 @@ def analytic_gradient(hs0, cfg, S=None):
         dH = prob.root @ dE @ prob.root
         G += fn.first_variation(pkg, dH) * K
     return op._project(G, cfg.det_normalized)
+
+
+def nilpotent_J_permutation_search(sc, tol=1e-12):
+    """Search frame permutations for the nilpotent-J triangular pattern:
+
+    C^j_{ik} = D^i_{jk} = 0 unless j > i and j > k.
+
+    Returns (flag, witness) with the witness a 0-based permutation sigma,
+    meaning the relabeled frame phi'_a = phi_{sigma(a)} is triangular.  Only
+    permutations of the given frame are searched, not general frame changes.
+    """
+    n = sc.n
+    for sigma in itertools.permutations(range(n)):
+        ok = True
+        for j in range(n):
+            for i in range(n):
+                for k in range(n):
+                    if j > i and j > k:
+                        continue
+                    if (
+                        abs(sc.C[sigma[j], sigma[i], sigma[k]]) > tol
+                        or abs(sc.D[sigma[i], sigma[j], sigma[k]]) > tol
+                    ):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if ok:
+            return True, sigma
+    return False, None

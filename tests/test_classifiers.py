@@ -1,6 +1,7 @@
 """Metric-class predicates: balanced, Gauduchon, pluriclosed, LCK, STP, nilpotent J."""
 
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import hermlab.functionals as fn
 import hermlab.lie_hermitian as lh
 import hermlab.torsion_engine as te
 
+import oracles
 from conftest import random_hpd, random_unitary
 
 
@@ -185,6 +187,56 @@ def test_nilpotent_J_needs_relabeling():
 def test_nilpotent_J_rejects_so3c():
     flag, witness = cl.nilpotent_J_check(lh.catalog("so3c").sc)
     assert not flag and witness is None
+
+
+def _hidden_triangular(rng, n):
+    """Sparse C/D triangular under a random hidden relabeling, with noise.
+
+    Some structures also get stray entries that may break the pattern:
+    anywhere at random, on a self-dependency (C[j,j,k] or D[i,j,j]), or as
+    a 2-cycle between two generators.  Entries below the tolerance are
+    sprinkled over C and must be ignored.
+    """
+    C = np.zeros((n, n, n), dtype=complex)
+    D = np.zeros((n, n, n), dtype=complex)
+    density = rng.uniform(0.05, 0.6)
+    for j in range(n):
+        for i in range(j):
+            for k in range(j):
+                if rng.uniform() < density:
+                    C[j, i, k] = rng.standard_normal() + 1j * rng.standard_normal()
+                if rng.uniform() < density:
+                    D[i, j, k] = rng.standard_normal()
+    pi = rng.permutation(n)
+    C = C[np.ix_(pi, pi, pi)]
+    D = D[np.ix_(pi, pi, pi)]
+    C += 1e-13 * (rng.uniform(size=C.shape) < 0.2)
+    kind = rng.integers(4)
+    a, b, c = rng.integers(n, size=3)
+    if kind == 1:
+        (C if rng.integers(2) else D)[a, b, c] = 1.0
+    elif kind == 2:
+        if rng.integers(2):
+            C[a, a, b] = 0.5
+        else:
+            D[a, b, b] = 0.5
+    elif kind == 3 and a != b:
+        C[a, b, c] = 1.0
+        D[c, b, a] = 1.0
+    return types.SimpleNamespace(n=n, C=C, D=D)
+
+
+def test_nilpotent_J_matches_permutation_search(rng):
+    cases = [lh.catalog(name).sc for name in lh.catalog_names()]
+    cases.append(lh.frame_change(lh.catalog("iwasawa").sc, np.eye(3)[::-1]))
+    cases += [_hidden_triangular(rng, int(rng.integers(1, 7))) for _ in range(240)]
+    flags = Counter()
+    for sc in cases:
+        got = cl.nilpotent_J_check(sc)
+        assert got == oracles.nilpotent_J_permutation_search(sc)
+        assert got[1] is None or all(type(v) is int for v in got[1])
+        flags[got[0]] += 1
+    assert flags[True] >= 50 and flags[False] >= 50
 
 
 # ---------------------------------------------------------------------------

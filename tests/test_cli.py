@@ -229,14 +229,46 @@ def test_one_analysis_and_validation_per_report(tmp_path, capsys, monkeypatch, a
     assert calls == {"analyze": analyses, "validate": 1}
 
 
-def test_cli_import_does_not_load_scipy():
+def _python(*args):
+    """Run a fresh interpreter on the hermlab under test."""
     src = os.path.dirname(os.path.dirname(hermlab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_cli_import_does_not_load_scipy():
     code = "import sys, hermlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
+    proc = _python("-c", code)
+    assert proc.returncode == 0
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_analyze_sokc_ladder_rungs(tmp_path, k):
+    # n = 10 and n = 15: semisimple, so no relabeling is triangular
+    path = _write(tmp_path, {"catalog": f"sokc-{k}"})
+    proc = _python("-m", "hermlab.cli", "analyze", path, "--format", "json")
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    report = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert report["classification"]["nilpotent_J"] == {"flag": False, "witness": None}
+    assert report["residuals"]["norm_Q_F"] <= 1e-8
+
+
+def test_analyze_heisenberg_centre_first_witness(tmp_path):
+    # d z = -sum x_i ^ y_i with z listed first: z must move to the end
+    m = 4
+    C = []
+    for i in range(m):
+        x, y = 2 + i, 2 + m + i
+        C += [{"up": 1, "lo": [x, y], "re": 1.0}, {"up": 1, "lo": [y, x], "re": -1.0}]
+    path = _write(tmp_path, {"n": 2 * m + 1, "C": C, "D": []})
+    proc = _python("-m", "hermlab.cli", "analyze", path, "--format", "json")
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    report = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert report["classification"]["nilpotent_J"] == {
+        "flag": True, "witness": [1, 2, 3, 4, 5, 6, 7, 8, 0]}
 
 
 def test_golden_reports_byte_stable(tmp_path, capsys):
@@ -338,6 +370,19 @@ def test_optimize_so3c_residual_norm(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["optimization"]["converged"] is True
     assert rep["residuals"]["norm_Q_F"] <= 1e-6
+
+
+@pytest.mark.parametrize("perturb, seed", [("2.0", "2"), ("3.0", "0"), ("10.0", "0")])
+def test_optimize_far_start_rejects_invalid_trial_steps(tmp_path, perturb, seed):
+    # long Armijo trials from these starts leave the numerically valid cone:
+    # det H rounds negative, the Cholesky factorization fails, exp(S) overflows
+    path = _write(tmp_path, {"catalog": "so3c"})
+    proc = _python("-m", "hermlab.cli", "optimize", path, "--perturb", perturb,
+                   "--seed", seed, "--format", "json")
+    assert proc.returncode in (cli.EXIT_OK, cli.EXIT_NOT_SATISFIED), proc.stderr
+    assert proc.stderr == ""
+    rep = json.loads(proc.stdout, parse_constant=_reject_constant)["optimization"]
+    assert abs(rep["final_objective"] - 6.0) <= 1e-8
 
 
 def test_optimize_not_converged_exit_3(tmp_path, capsys):
