@@ -22,7 +22,7 @@ from .lie_hermitian import (
     validate,
 )
 from .optimizer import OptimConfig, OptimTrace, minimize
-from .tensor_algebra import InvariantForm, bidegree_part, cholesky, conjugate_form, wedge
+from .tensor_algebra import InvariantForm, cholesky
 from .torsion_engine import TorsionPackage, analyze
 
 __version__ = "0.1.0"
@@ -38,12 +38,10 @@ __all__ = [
     "StructureConstants",
     "TorsionPackage",
     "analyze",
-    "bidegree_part",
     "catalog",
     "cholesky",
     "classify",
     "complexify",
-    "conjugate_form",
     "exterior_d",
     "first_variation",
     "frame_change",
@@ -55,6 +53,5 @@ __all__ = [
     "torsion_functional",
     "unitary_reduction",
     "validate",
-    "wedge",
     "__version__",
 ]

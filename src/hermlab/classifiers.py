@@ -56,18 +56,6 @@ def lck_torsion(eta):
     return T / max(n - 1, 1)
 
 
-def lck_closed_forms(eta):
-    """Closed forms of A, B, |T|^2 for an LCK torsion shape."""
-    eta = np.asarray(eta, dtype=complex)
-    n = eta.shape[0]
-    e2 = float(np.sum(np.abs(eta) ** 2))
-    outer = np.outer(eta, eta.conj())
-    A = (e2 * np.eye(n) + (n - 2) * outer) / (n - 1) ** 2
-    B = 2.0 * (e2 * np.eye(n) - outer) / (n - 1) ** 2
-    norm_T2 = 2.0 * e2 / (n - 1)
-    return A, B, norm_T2
-
-
 def lck_check(pkg, tol=DEFAULT_TOL):
     """Is the torsion of the exact LCK shape built from its own trace?"""
     residual = float(np.abs(pkg.T - lck_torsion(pkg.eta)).max())
@@ -86,17 +74,12 @@ def stp_identity_residuals(pkg):
       phi_xi_vs_BA -- phi - xi - (B - A).
     """
     T, eta = pkg.T, pkg.eta
-    Thol = te.holomorphic_derivative_T(T, pkg.gamma)
-    r1 = np.einsum("jrk,ril->jikl", T, T)
-    r1 += np.einsum("jir,rkl->jikl", T, T)
-    r1 -= np.einsum("rik,jrl->jikl", T, T)
-    r2 = -np.einsum("jrk,irl->jikl", T, T.conj())
-    r2 -= np.einsum("jir,krl->jikl", T, T.conj())
-    r2 += np.einsum("rik,rjl->jikl", T, T.conj())
+    # the T*T terms of nabla^s T are the Chern-derivative templates with Gamma := T
+    Q = te.holomorphic_derivative_T(T, T)
     return {
-        "nabla_s_hol": float(np.abs(Thol - r1).max()),
-        "nabla_s_bar": float(np.abs(pkg.DT - r2).max()),
-        "quadratic_hol": float(np.abs(r1).max()),
+        "nabla_s_hol": float(np.abs(te.holomorphic_derivative_T(T, pkg.sc_u.D) + Q).max()),
+        "nabla_s_bar": float(np.abs(pkg.DT + te.covariant_derivative_T(T, T)).max()),
+        "quadratic_hol": float(np.abs(Q).max()),
         "eta_contraction": float(np.abs(np.einsum("r,rik->ik", eta, T)).max()),
         "phi_xi_vs_BA": float(np.abs((pkg.phi - pkg.xi) - (pkg.B - pkg.A)).max()),
     }

@@ -4,9 +4,10 @@ Commands: analyze, check-critical, variation-check, optimize, catalog.
 
 Exit codes: 0 success; 1 invalid input (schema, non-finite numbers,
 non-positive-definite metric, failed structure validation, unknown catalog
-name, a malformed HERMLAB_TOL); 2 numerical failure, including a report that
-would contain a non-finite number; 3 "not critical" / "not converged" /
-"deviation above tolerance" outcomes.
+name, a malformed HERMLAB_TOL, an optimize start metric that cannot be
+analyzed); 2 numerical failure, including a report that would contain a
+non-finite number; 3 "not critical" / "not converged" / "deviation above
+tolerance" outcomes.
 
 Input documents are JSON with exactly one of:
   * ``"catalog": "<name>"``
@@ -39,7 +40,8 @@ from . import lie_hermitian as lh
 from . import optimizer as op
 from . import tensor_algebra as ta
 from . import torsion_engine as te
-from .errors import HermlabError, NotPositiveDefinite, NumericalFailure, UnknownCatalogEntry
+from .errors import (HermlabError, InvalidStartPoint, NotPositiveDefinite, NumericalFailure,
+                     UnknownCatalogEntry)
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -67,19 +69,29 @@ def _parse_metric(doc, n):
         raise InputError(f"metric entries must be [re, im] pairs: {exc}") from exc
 
 
-def _parse_tensor_terms(terms, n, name):
-    t = np.zeros((n, n, n), dtype=complex)
-    for entry in terms:
+def _read_terms(entries, size, name, value):
+    """0-based (up, i, k, value(entry)) of each ``{"up", "lo"}`` term entry."""
+    for entry in entries:
         try:
             up = int(entry["up"])
             i, k = (int(v) for v in entry["lo"])
-            val = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+            val = value(entry)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed {name} entry: {entry!r}") from exc
         for idx in (up, i, k):
-            if not 1 <= idx <= n:
-                raise InputError(f"{name} index out of range 1..{n}: {entry!r}")
-        t[up - 1, i - 1, k - 1] = val
+            if not 1 <= idx <= size:
+                raise InputError(f"{name} index out of range 1..{size}: {entry!r}")
+        yield up - 1, i - 1, k - 1, val
+
+
+def _complex_value(entry):
+    return complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+
+
+def _parse_tensor_terms(terms, n, name):
+    t = np.zeros((n, n, n), dtype=complex)
+    for up, i, k, val in _read_terms(terms, n, name, _complex_value):
+        t[up, i, k] = val
     return t
 
 
@@ -118,18 +130,9 @@ def _parse_structure(doc):
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError("malformed real_algebra block") from exc
         f = np.zeros((dim, dim, dim))
-        for entry in ra.get("f", []):
-            try:
-                c = int(entry["up"])
-                a, b = (int(v) for v in entry["lo"])
-                val = float(entry["val"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"malformed f entry: {entry!r}") from exc
-            for idx in (c, a, b):
-                if not 1 <= idx <= dim:
-                    raise InputError(f"f index out of range 1..{dim}: {entry!r}")
-            f[c - 1, a - 1, b - 1] = val
-            f[c - 1, b - 1, a - 1] = -val
+        for c, a, b, val in _read_terms(ra.get("f", []), dim, "f", lambda e: float(e["val"])):
+            f[c, a, b] = val
+            f[c, b, a] = -val
         try:
             rl = lh.RealLieData(dim, f, J)
             sc = lh.complexify(rl)
@@ -209,7 +212,7 @@ def build_report(hs, pkg, vrep, doc, tol):
             "norm_eta2": pkg.norm_eta2,
             "chi": pkg.chi,
             "eta": _vec(pkg.eta),
-            "lee": _vec(pkg.lee),
+            "lee": _vec(-pkg.eta),  # (1,0)-part of the Lee form -(eta + etabar)
             "A": _mat(pkg.A),
             "B": _mat(pkg.B),
             "phi": _mat(pkg.phi),
@@ -395,9 +398,12 @@ def cmd_optimize(args):
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         S0 = (x + x.conj().T) / 2
         S0 *= args.perturb / np.linalg.norm(S0)
-    trace = op.minimize(hs, cfg, S0=S0)
+    try:
+        trace = op.minimize(hs, cfg, S0=S0)
+    except InvalidStartPoint as exc:
+        raise InputError(f"start metric from --perturb {args.perturb:g} is unusable: {exc}") from exc
     hs_star = lh.HermitianStructure(hs.sc, trace.H_star)
-    report = build_report(hs_star, te.analyze(hs_star), vrep, doc, args.tol)
+    report = build_report(hs_star, trace.pkg_star, vrep, doc, args.tol)
     last = trace.iterations[-1]
     report["optimization"] = {
         "objective": args.objective,

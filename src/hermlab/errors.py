@@ -31,3 +31,7 @@ class UnknownCatalogEntry(HermlabError):
 
 class NumericalFailure(HermlabError):
     """A numerical evaluation produced non-finite values."""
+
+
+class InvalidStartPoint(HermlabError):
+    """The start metric of a descent cannot be analyzed."""

@@ -61,33 +61,11 @@ def _herm(M):
     return M + M.conj().T
 
 
-def _assemble_Q_F(A, B, phi, xi, norm_T2):
-    n = A.shape[0]
-    Q = 2 * A - B + 2 * _herm(phi) - 2 * _herm(xi)
-    Q -= (norm_T2 - (n - 1) / n * norm_T2) * np.eye(n)  # b = |T|^2
-    return Q
-
-
-def residual_from_tensors(T, gamma):
-    """Q_F assembled from raw unitary-frame tensors.
-
-    For pure torsion shapes (e.g. the locally-conformally-Kaehler shape)
-    that are not attached to a particular group; pass ``gamma = None`` for
-    a vanishing connection.
-    """
-    n = T.shape[0]
-    gamma = np.zeros((n, n, n), dtype=complex) if gamma is None else gamma
-    eta = te.torsion_one_form(T)
-    A, B = te.ab_tensors(T)
-    DT = te.covariant_derivative_T(T, gamma)
-    phi, xi, _ = te.phi_xi_tensors(T, DT, eta)
-    norm_T2 = float(np.sum(np.abs(T) ** 2))
-    return _assemble_Q_F(A, B, phi, xi, norm_T2)
-
-
 def torsion_critical_residual(pkg):
     """Euler-Lagrange residual of F; returns (Q_F, Frobenius norm)."""
-    Q = _assemble_Q_F(pkg.A, pkg.B, pkg.phi, pkg.xi, pkg.norm_T2)
+    n = pkg.n
+    Q = 2 * pkg.A - pkg.B + 2 * _herm(pkg.phi) - 2 * _herm(pkg.xi)
+    Q -= (pkg.norm_T2 - (n - 1) / n * pkg.norm_T2) * np.eye(n)  # b = |T|^2
     return Q, float(np.linalg.norm(Q))
 
 

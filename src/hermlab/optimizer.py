@@ -2,8 +2,12 @@
 
 The cone is parametrized through the chart H(S) = H0^(1/2) exp(S) H0^(1/2)
 with S Hermitian, which is positive definite for every S and reduces to the
-anchor metric at S = 0.  Gradients are central finite differences over an
-orthonormal real basis of Hermitian matrices.
+anchor metric at S = 0; :meth:`_Problem.metric` is the chart.  Gradients are
+central finite differences of step ``FD_STEP`` over an orthonormal real basis
+of Hermitian matrices.  The descent is steepest descent with Armijo
+backtracking: each line search starts at ``INITIAL_STEP``, multiplies the
+step by ``SHRINK`` after a rejected trial and accepts a trial that lowers the
+objective by at least ``SUFFICIENT_DECREASE * step * |G|^2``.
 """
 
 from __future__ import annotations
@@ -13,11 +17,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import functionals as fn
+from . import tensor_algebra as ta
 from . import torsion_engine as te
-from .errors import NotPositiveDefinite, NumericalFailure
+from .errors import InvalidStartPoint, NotPositiveDefinite, NumericalFailure
 from .lie_hermitian import HermitianStructure
 
 OBJECTIVES = ("torsion_functional", "gauduchon_functional", "residual_norm")
+
+FD_STEP = 1e-5
+INITIAL_STEP = 1.0
+SHRINK = 0.5
+SUFFICIENT_DECREASE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -25,26 +35,21 @@ class OptimConfig:
     objective: str = "torsion_functional"
     max_iter: int = 200
     grad_tol: float = 1e-8
-    fd_step: float = 1e-5
-    initial_step: float = 1.0
-    shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
     det_normalized: bool = False
     objective_tol: float = 0.0  # extra stop: objective at or below this value
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.fd_step <= 0 or self.grad_tol <= 0:
-            raise ValueError("fd_step and grad_tol must be positive")
-        if not 0 < self.shrink < 1:
-            raise ValueError("shrink factor must lie in (0, 1)")
+        if self.grad_tol <= 0:
+            raise ValueError("grad_tol must be positive")
 
 
 @dataclass
 class OptimTrace:
     iterations: list = field(default_factory=list)  # (it, obj, gnorm, qnorm)
     H_star: np.ndarray | None = None
+    pkg_star: te.TorsionPackage | None = None  # the analysis of H_star
     converged: bool = False
     reason: str = ""
 
@@ -69,16 +74,6 @@ def hermitian_basis(n):
     return basis
 
 
-def _herm_expm(S):
-    vals, vecs = np.linalg.eigh(S)
-    return (vecs * np.exp(vals)) @ vecs.conj().T
-
-
-def _sqrtm_hpd(H):
-    vals, vecs = np.linalg.eigh(H)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
 def _project(S, det_normalized):
     S = (S + S.conj().T) / 2
     if det_normalized:
@@ -87,29 +82,24 @@ def _project(S, det_normalized):
     return S
 
 
-def parametrize(S, H0=None, det_normalized=False):
-    """H(S) = H0^(1/2) exp(S) H0^(1/2), always positive definite.
-
-    With ``det_normalized`` the chart parameter is projected to trace zero
-    first, so det H(S) = det H0 (since det exp(S) = exp(tr S)).
-    """
-    S = _project(np.asarray(S, dtype=complex), det_normalized)
-    if H0 is None:
-        return _herm_expm(S)
-    root = _sqrtm_hpd(np.asarray(H0, dtype=complex))
-    return root @ _herm_expm(S) @ root
-
-
 class _Problem:
+    """The objective of a descent from ``hs0`` as a function of the chart S."""
+
     def __init__(self, hs0, cfg):
         self.sc = hs0.sc
-        self.H0 = np.asarray(hs0.H, dtype=complex)
-        self.root = _sqrtm_hpd(self.H0)
+        ta.cholesky(hs0.H)  # the anchor metric must be positive definite
+        vals, vecs = np.linalg.eigh(np.asarray(hs0.H, dtype=complex))
+        self.root = (vecs * np.sqrt(vals)) @ vecs.conj().T  # H0^(1/2)
         self.cfg = cfg
 
     def metric(self, S):
-        S = _project(S, self.cfg.det_normalized)
-        return self.root @ _herm_expm(S) @ self.root
+        """H(S) = H0^(1/2) exp(S) H0^(1/2), always positive definite.
+
+        With ``det_normalized`` S is projected to trace zero first, so
+        det H(S) = det H0 (since det exp(S) = exp(tr S)).
+        """
+        vals, vecs = np.linalg.eigh(_project(S, self.cfg.det_normalized))
+        return self.root @ ((vecs * np.exp(vals)) @ vecs.conj().T) @ self.root
 
     def analyze(self, S):
         H = self.metric(S)
@@ -143,23 +133,21 @@ class _Problem:
         return norm
 
 
-def gradient(hs0, cfg, S=None):
-    """FD gradient of the objective in the S-chart at the given point.
+def gradient(prob, S):
+    """FD gradient of the objective of ``prob`` (a :class:`_Problem`) at S.
 
     Returns the Riesz representative G: for every Hermitian K,
     d/dt objective(S + t K) at 0 equals Re tr(K @ G).
     """
-    prob = _Problem(hs0, cfg)
-    n = hs0.n
-    S = np.zeros((n, n), dtype=complex) if S is None else np.asarray(S, dtype=complex)
-    step = cfg.fd_step
+    S = np.asarray(S, dtype=complex)
+    n = S.shape[0]
     G = np.zeros((n, n), dtype=complex)
     for K in hermitian_basis(n):
-        d = (prob.objective(S + step * K) - prob.objective(S - step * K)) / (2 * step)
+        d = (prob.objective(S + FD_STEP * K) - prob.objective(S - FD_STEP * K)) / (2 * FD_STEP)
         if not np.isfinite(d):
             raise NumericalFailure("non-finite finite-difference evaluation")
         G += d * K
-    return _project(G, cfg.det_normalized)
+    return _project(G, prob.cfg.det_normalized)
 
 
 def minimize(hs0, cfg, S0=None):
@@ -167,8 +155,9 @@ def minimize(hs0, cfg, S0=None):
 
     A trial step whose metric cannot be analyzed (overflowing chart, not
     positive definite in floating point, non-positive determinant,
-    non-finite objective) counts as a rejected trial and the step shrinks;
-    failures at the start point or in a gradient still raise.
+    non-finite objective) counts as a rejected trial and the step shrinks.
+    A start point that cannot be analyzed raises :class:`InvalidStartPoint`;
+    a failure in a gradient raises as it is.
     """
     prob = _Problem(hs0, cfg)
     n = hs0.n
@@ -176,10 +165,13 @@ def minimize(hs0, cfg, S0=None):
         np.asarray(S0, dtype=complex), cfg.det_normalized
     )
     trace = OptimTrace()
-    pkg = prob.analyze(S)
-    obj = prob.value(pkg)
+    try:
+        pkg = prob.analyze(S)
+        obj = prob.value(pkg)
+    except (NotPositiveDefinite, NumericalFailure) as exc:
+        raise InvalidStartPoint(str(exc)) from exc
     for it in range(cfg.max_iter + 1):
-        G = gradient(hs0, cfg, S)
+        G = gradient(prob, S)
         gnorm = float(np.linalg.norm(G))
         trace.iterations.append((it, obj, gnorm, prob.residual_norm(pkg)))
         if gnorm <= cfg.grad_tol:
@@ -194,7 +186,7 @@ def minimize(hs0, cfg, S0=None):
             trace.reason = "max_iterations"
             break
         # Armijo backtracking along -G
-        step = cfg.initial_step
+        step = INITIAL_STEP
         g2 = gnorm**2
         accepted = False
         while step * gnorm > 1e-16:
@@ -206,15 +198,16 @@ def minimize(hs0, cfg, S0=None):
                     cand_pkg = prob.analyze(cand)
                     cand_obj = prob.value(cand_pkg)
             except (NotPositiveDefinite, NumericalFailure):
-                step *= cfg.shrink
+                step *= SHRINK
                 continue
-            if cand_obj <= obj - cfg.sufficient_decrease * step * g2:
+            if cand_obj <= obj - SUFFICIENT_DECREASE * step * g2:
                 S, obj, pkg = cand, cand_obj, cand_pkg
                 accepted = True
                 break
-            step *= cfg.shrink
+            step *= SHRINK
         if not accepted:
             trace.reason = "stagnated"
             break
     trace.H_star = prob.metric(S)
+    trace.pkg_star = pkg
     return trace

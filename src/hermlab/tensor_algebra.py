@@ -222,17 +222,3 @@ class InvariantForm:
             bits.append(f"({self.terms[idx]:.6g}) {gens}" if gens else f"{self.terms[idx]:.6g}")
         return f"InvariantForm(n={self.n}, " + " + ".join(bits) + ")"
 
-
-def wedge(a, b):
-    """Exterior product of two invariant forms."""
-    return a.wedge(b)
-
-
-def conjugate_form(a):
-    """Complex conjugate of an invariant form (an involution)."""
-    return a.conjugate()
-
-
-def bidegree_part(a, p, q):
-    """Extract the (p,q)-component of an invariant form."""
-    return a.bidegree_part(p, q)

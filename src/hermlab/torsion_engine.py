@@ -27,8 +27,7 @@ class TorsionPackage:
 
     n: int
     P: np.ndarray          # frame change to the unitary frame
-    sc_u: lh.StructureConstants
-    gamma: np.ndarray      # Gamma[j,i,k] = Gamma^j_{ik}
+    sc_u: lh.StructureConstants  # sc_u.D[j,i,k] = Gamma^j_{ik}, the Chern connection
     T: np.ndarray          # T[j,i,k] = T^j_{ik}
     DT: np.ndarray         # DT[j,i,k,l] = T^j_{ik, lbar}
     eta: np.ndarray        # eta[i]
@@ -39,13 +38,7 @@ class TorsionPackage:
     chi: float
     norm_T2: float
     norm_eta2: float
-    lee: np.ndarray        # (1,0)-part of the Lee form theta = -(eta + etabar)
     volume: float          # det H, the volume of the metric
-
-
-def chern_connection(sc_u):
-    """Connection coefficients in a unitary frame: Gamma = D."""
-    return sc_u.D.copy()
 
 
 def chern_torsion(sc_u):
@@ -101,9 +94,8 @@ def analyze(hs):
     """Run the full unitary-frame pipeline on a Hermitian structure."""
     P, sc_u = lh.unitary_reduction(hs)
     n = sc_u.n
-    gamma = chern_connection(sc_u)
     T = chern_torsion(sc_u)
-    DT = covariant_derivative_T(T, gamma)
+    DT = covariant_derivative_T(T, sc_u.D)
     eta = torsion_one_form(T)
     A, B = ab_tensors(T)
     phi, xi, chi = phi_xi_tensors(T, DT, eta)
@@ -113,7 +105,6 @@ def analyze(hs):
         n=n,
         P=P,
         sc_u=sc_u,
-        gamma=gamma,
         T=T,
         DT=DT,
         eta=eta,
@@ -124,6 +115,5 @@ def analyze(hs):
         chi=chi,
         norm_T2=norm_T2,
         norm_eta2=norm_eta2,
-        lee=-eta,
         volume=float(np.linalg.det(np.asarray(hs.H, dtype=complex)).real),
     )

@@ -15,6 +15,7 @@ import hermlab.functionals as fn
 import hermlab.lie_hermitian as lh
 import hermlab.optimizer as op
 import hermlab.tensor_algebra as ta
+import hermlab.torsion_engine as te
 
 
 # ---------------------------------------------------------------------------
@@ -153,25 +154,24 @@ def torsion_variation(pkg, h):
     central finite differences of the torsion pulled back to that frame.
     """
     h_u = pkg.P.T @ np.asarray(h, dtype=complex) @ pkg.P.conj()
-    g = pkg.gamma
+    g = pkg.sc_u.D  # the Chern connection in the unitary frame
     # nabla_h[k,l,i] = h_{k lbar, i}
     nabla_h = -np.einsum("rki,rl->kli", g, h_u) + np.einsum("lri,kr->kli", g, h_u)
     return np.einsum("kji->jik", nabla_h) - np.einsum("ijk->jik", nabla_h)
 
 
-def analytic_gradient(hs0, cfg, S=None):
+def analytic_gradient(prob, S):
     """Analytic chart gradient for the torsion functional, from Q_F.
 
     The chain rule through the chart uses the Frechet derivative of the
     matrix exponential; serves as the cross-check of the FD gradient.
     """
+    cfg = prob.cfg
     if cfg.objective != "torsion_functional":
         raise ValueError("analytic gradient is defined for the torsion functional")
-    prob = op._Problem(hs0, cfg)
-    n = hs0.n
-    S = np.zeros((n, n), dtype=complex) if S is None else np.asarray(S, dtype=complex)
-    S = op._project(S, cfg.det_normalized)
+    S = op._project(np.asarray(S, dtype=complex), cfg.det_normalized)
     pkg = prob.analyze(S)
+    n = S.shape[0]
     G = np.zeros((n, n), dtype=complex)
     for K in op.hermitian_basis(n):
         Kp = op._project(K, cfg.det_normalized)
@@ -179,6 +179,41 @@ def analytic_gradient(hs0, cfg, S=None):
         dH = prob.root @ dE @ prob.root
         G += fn.first_variation(pkg, dH) * K
     return op._project(G, cfg.det_normalized)
+
+
+def lck_closed_forms(eta):
+    """Closed forms of A, B, |T|^2 for an LCK torsion shape."""
+    eta = np.asarray(eta, dtype=complex)
+    n = eta.shape[0]
+    e2 = float(np.sum(np.abs(eta) ** 2))
+    outer = np.outer(eta, eta.conj())
+    A = (e2 * np.eye(n) + (n - 2) * outer) / (n - 1) ** 2
+    B = 2.0 * (e2 * np.eye(n) - outer) / (n - 1) ** 2
+    norm_T2 = 2.0 * e2 / (n - 1)
+    return A, B, norm_T2
+
+
+def stp_identity_residuals(pkg):
+    """The parallel-torsion residuals with the T*T terms written out.
+
+    nabla^s T is nabla^c T plus T*T terms; here those terms are hand-written
+    contractions, where the library reuses the Chern-derivative templates.
+    """
+    T, eta = pkg.T, pkg.eta
+    Thol = te.holomorphic_derivative_T(T, pkg.sc_u.D)
+    r1 = np.einsum("jrk,ril->jikl", T, T)
+    r1 += np.einsum("jir,rkl->jikl", T, T)
+    r1 -= np.einsum("rik,jrl->jikl", T, T)
+    r2 = -np.einsum("jrk,irl->jikl", T, T.conj())
+    r2 -= np.einsum("jir,krl->jikl", T, T.conj())
+    r2 += np.einsum("rik,rjl->jikl", T, T.conj())
+    return {
+        "nabla_s_hol": float(np.abs(Thol - r1).max()),
+        "nabla_s_bar": float(np.abs(pkg.DT - r2).max()),
+        "quadratic_hol": float(np.abs(r1).max()),
+        "eta_contraction": float(np.abs(np.einsum("r,rik->ik", eta, T)).max()),
+        "phi_xi_vs_BA": float(np.abs((pkg.phi - pkg.xi) - (pkg.B - pkg.A)).max()),
+    }
 
 
 def nilpotent_J_permutation_search(sc, tol=1e-12):

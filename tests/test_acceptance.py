@@ -132,8 +132,10 @@ def test_acceptance_07_non_criticality_witnesses():
     for _ in range(20):
         eta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         eta *= rng.uniform(0.5, 2.0) / np.linalg.norm(eta)
-        Q = fn.residual_from_tensors(cl.lck_torsion(eta), None)
-        ok = ok and np.linalg.norm(Q) >= 0.1
+        T = cl.lck_torsion(eta)  # the torsion of C = -T, D = 0 under the identity metric
+        sc = lh.StructureConstants(3, -T, np.zeros((3, 3, 3)))
+        _, qnorm = fn.torsion_critical_residual(te.analyze(lh.HermitianStructure(sc, np.eye(3))))
+        ok = ok and qnorm >= 0.1
     _report(7, "nilpotent-J and non-balanced LCK shapes are not critical", ok)
 
 

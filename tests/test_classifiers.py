@@ -94,7 +94,7 @@ def test_lck_shape_closed_forms(rng):
         # the shape reproduces its own trace
         assert np.abs(te.torsion_one_form(T) - eta).max() <= 1e-12
         A, B = te.ab_tensors(T)
-        A_ref, B_ref, t2_ref = cl.lck_closed_forms(eta)
+        A_ref, B_ref, t2_ref = oracles.lck_closed_forms(eta)
         assert np.abs(A - A_ref).max() <= 1e-12
         assert np.abs(B - B_ref).max() <= 1e-12
         assert float(np.sum(np.abs(T) ** 2)) == pytest.approx(t2_ref, rel=1e-12)
@@ -117,13 +117,20 @@ def test_lck_shape_rejected_for_so3c():
     assert rep.lck_residual > 0.5
 
 
+def _lck_shape_residual(eta):
+    """|Q_F| of the LCK torsion shape of eta, as the torsion of C = -T, D = 0."""
+    T = cl.lck_torsion(eta)
+    n = T.shape[0]
+    sc = lh.StructureConstants(n, -T, np.zeros((n, n, n)))
+    return fn.torsion_critical_residual(te.analyze(lh.HermitianStructure(sc, np.eye(n))))[1]
+
+
 def test_lck_shape_never_torsion_critical(rng):
     # non-balanced LCK shapes always carry a visible residual
     for _ in range(20):
         eta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         eta *= (0.5 + rng.uniform()) / np.linalg.norm(eta)
-        Q = fn.residual_from_tensors(cl.lck_torsion(eta), None)
-        assert np.linalg.norm(Q) >= 0.1
+        assert _lck_shape_residual(eta) >= 0.1
 
 
 # ---------------------------------------------------------------------------

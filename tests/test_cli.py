@@ -163,11 +163,15 @@ def test_analyze_invalid_inputs_exit_1(tmp_path, capsys):
         ({"real_algebra": {"dim": 4, "f": [], "J": KT_J},
           "metric": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [NAN, 0.0]]]}, None),
         ({"catalog": "abelian-2", "metric": [["a", "b"], [1, 2]]}, None),
+        ({"real_algebra": {"dim": 4, "f": [{"up": 3, "lo": [1], "val": 1.0}], "J": KT_J}},
+         None),
+        ({"real_algebra": {"dim": 4, "f": [{"up": 5, "lo": [1, 2], "val": 1.0}], "J": KT_J}},
+         None),
         ({"catalog": "so3c"}, "abc"),
         ({"catalog": "so3c"}, "nan"),
     ],
     ids=["nan-C", "nan-D", "nan-metric", "nan-real-f", "nan-real-metric",
-         "malformed-metric", "tol-abc", "tol-nan"],
+         "malformed-metric", "malformed-real-f", "range-real-f", "tol-abc", "tol-nan"],
 )
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch, doc, env_tol):
     if env_tol is not None:
@@ -383,6 +387,27 @@ def test_optimize_far_start_rejects_invalid_trial_steps(tmp_path, perturb, seed)
     assert proc.stderr == ""
     rep = json.loads(proc.stdout, parse_constant=_reject_constant)["optimization"]
     assert abs(rep["final_objective"] - 6.0) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_optimize_unusable_perturbed_start_exits_1(tmp_path, seed):
+    # exp(S0) with |S0| = 40 is not positive definite (seed 0) or has a
+    # determinant that rounds to a non-positive number (seed 1)
+    path = _write(tmp_path, {"catalog": "so3c"})
+    proc = _python("-m", "hermlab.cli", "optimize", path, "--perturb", "40",
+                   "--seed", seed, "--format", "json")
+    assert proc.returncode == cli.EXIT_INVALID_INPUT
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: start metric from --perturb 40 is unusable: ")
+
+
+def test_optimize_non_positive_definite_metric_exits_1(tmp_path, capsys):
+    bad = {"catalog": "abelian-2",
+           "metric": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}
+    code, out, err = _run(capsys, "optimize", _write(tmp_path, bad))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out == "" and err == "error: Matrix is not positive definite\n"
 
 
 def test_optimize_not_converged_exit_3(tmp_path, capsys):

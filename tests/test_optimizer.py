@@ -27,20 +27,33 @@ def test_hermitian_basis_orthonormal():
                 assert ip == pytest.approx(1.0 if a == b else 0.0, abs=1e-14)
 
 
+def _chart(S, H0=None, det_normalized=False):
+    """H(S) through the descent's chart anchored at H0 (default: identity)."""
+    n = np.shape(S)[0]
+    H0 = np.eye(n) if H0 is None else H0
+    hs = lh.HermitianStructure(lh.StructureConstants.zero(n), H0)
+    return op._Problem(hs, op.OptimConfig(det_normalized=det_normalized)).metric(S)
+
+
+def _gradient(hs, cfg, S=None):
+    S = np.zeros((hs.n, hs.n), dtype=complex) if S is None else S
+    return op.gradient(op._Problem(hs, cfg), S)
+
+
 def test_parametrize_at_origin(rng):
     H0 = random_hpd(rng, 3)
-    assert np.abs(op.parametrize(np.zeros((3, 3)), H0) - H0).max() <= 1e-12
+    assert np.abs(_chart(np.zeros((3, 3)), H0) - H0).max() <= 1e-12
 
 
 def test_parametrize_diagonal():
-    H = op.parametrize(np.diag([np.log(2.0), 0.0]))
+    H = _chart(np.diag([np.log(2.0), 0.0]))
     assert np.abs(H - np.diag([2.0, 1.0])).max() <= 1e-12
 
 
 def test_parametrize_always_positive_definite(rng):
     for _ in range(20):
         S = 3.0 * random_hermitian(rng, 3)
-        H = op.parametrize(S, random_hpd(rng, 3))
+        H = _chart(S, random_hpd(rng, 3))
         assert np.linalg.eigvalsh(H).min() > 0
 
 
@@ -48,7 +61,7 @@ def test_parametrize_det_normalized(rng):
     H0 = random_hpd(rng, 3)
     d0 = np.linalg.det(H0).real
     for _ in range(10):
-        H = op.parametrize(random_hermitian(rng, 3), H0, det_normalized=True)
+        H = _chart(random_hermitian(rng, 3), H0, det_normalized=True)
         assert np.linalg.det(H).real == pytest.approx(d0, rel=1e-10)
 
 
@@ -56,9 +69,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         op.OptimConfig(objective="nope")
     with pytest.raises(ValueError):
-        op.OptimConfig(fd_step=0.0)
-    with pytest.raises(ValueError):
-        op.OptimConfig(shrink=1.5)
+        op.OptimConfig(grad_tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -67,30 +78,30 @@ def test_config_validation():
 
 def test_gradient_zero_for_abelian():
     hs = lh.catalog("abelian-3")
-    G = op.gradient(hs, op.OptimConfig())
+    G = _gradient(hs, op.OptimConfig())
     assert np.abs(G).max() <= 1e-10
 
 
 def test_gradient_zero_at_critical_point():
     hs = lh.catalog("so3c")
-    G = op.gradient(hs, op.OptimConfig())
+    G = _gradient(hs, op.OptimConfig())
     assert np.linalg.norm(G) <= 1e-6
 
 
 def test_gradient_nonzero_off_critical():
     hs = lh.catalog("iwasawa")
-    G = op.gradient(hs, op.OptimConfig())
+    G = _gradient(hs, op.OptimConfig())
     assert np.linalg.norm(G) > 0.1
 
 
 def test_gradient_matches_analytic(rng):
-    cfg = op.OptimConfig(objective="torsion_functional", fd_step=1e-5)
+    cfg = op.OptimConfig(objective="torsion_functional")
     for name in ("iwasawa", "kodaira-thurston"):
-        hs = lh.catalog(name)
+        prob = op._Problem(lh.catalog(name), cfg)
         for _ in range(3):
-            S = 0.3 * random_hermitian(rng, hs.n)
-            G_fd = op.gradient(hs, cfg, S)
-            G_an = oracles.analytic_gradient(hs, cfg, S)
+            S = 0.3 * random_hermitian(rng, prob.sc.n)
+            G_fd = op.gradient(prob, S)
+            G_an = oracles.analytic_gradient(prob, S)
             scale = max(np.linalg.norm(G_an), 1e-12)
             assert np.linalg.norm(G_fd - G_an) / scale <= 1e-5
 
@@ -100,8 +111,8 @@ def test_gradient_directional_derivative(rng):
     hs = lh.catalog("iwasawa")
     cfg = op.OptimConfig()
     S = 0.2 * random_hermitian(rng, 3)
-    G = op.gradient(hs, cfg, S)
     prob = op._Problem(hs, cfg)
+    G = op.gradient(prob, S)
     K = random_hermitian(rng, 3)
     step = 1e-6
     fd = (prob.objective(S + step * K) - prob.objective(S - step * K)) / (2 * step)
@@ -142,6 +153,15 @@ def test_minimize_recovers_so3c_critical_point(rng):
         te.analyze(lh.HermitianStructure(hs.sc, trace.H_star))
     )
     assert qnorm <= 1e-6
+
+
+def test_minimize_returns_analysis_of_final_metric(rng):
+    hs = lh.catalog("iwasawa")
+    trace = op.minimize(hs, op.OptimConfig(max_iter=5), S0=0.2 * random_hermitian(rng, 3))
+    want = te.analyze(lh.HermitianStructure(hs.sc, trace.H_star))
+    for name in ("T", "DT", "A", "B", "phi", "xi"):
+        assert np.array_equal(getattr(trace.pkg_star, name), getattr(want, name))
+    assert trace.pkg_star.volume == want.volume
 
 
 def test_minimize_descent_is_monotone(rng):

@@ -1,7 +1,7 @@
 """The library's tensor-contraction closed forms against their oracles.
 
 Each closed form (validation's d(d e) = 0 residuals, Q_G, the pluriclosed
-residual, frame changes) is compared with the route in ``oracles`` on
+residual, frame changes, the Strominger-parallel residuals) is compared with the route in ``oracles`` on
 seeded random valid structures under random metrics, on catalog entries,
 and, for validation, on random C/D that fail the Jacobi identity.
 """
@@ -87,6 +87,19 @@ def test_frame_change_matches_transformation_laws():
         C, D = oracles.frame_change(hs.sc, P)
         assert _close(got.C, C)
         assert _close(got.D, D)
+
+
+def test_stp_residuals_equal_written_out_contractions():
+    # the same arithmetic in the same order, so the values agree exactly
+    structures = [lh.catalog(name) for name in lh.catalog_names()]
+    structures += _random_metric_structures(107, count=120)
+    nonzero = 0
+    for hs in structures:
+        pkg = te.analyze(hs)
+        got = cl.stp_identity_residuals(pkg)
+        assert got == oracles.stp_identity_residuals(pkg)
+        nonzero += got["nabla_s_hol"] > 1e-3 and got["nabla_s_bar"] > 1e-3
+    assert nonzero >= 10
 
 
 @pytest.mark.parametrize("name", ["abelian-1", "abelian-2", "so3c", "kodaira-thurston"])

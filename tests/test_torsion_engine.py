@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hermlab.cli as cli
 import hermlab.lie_hermitian as lh
 import hermlab.tensor_algebra as ta
 import hermlab.torsion_engine as te
@@ -24,13 +25,13 @@ def test_connection_vanishes_for_holomorphic_complexification():
     # D = 0 (complex Lie groups): the identity metric is Chern-flat territory
     for name in ("so3c", "iwasawa", "abelian-3"):
         pkg = _analyze(name)
-        assert np.abs(pkg.gamma).max() <= 1e-15
+        assert np.abs(pkg.sc_u.D).max() <= 1e-15
 
 
 def test_connection_equals_D_for_nilmanifold():
     pkg = _analyze("kodaira-thurston")
-    assert pkg.gamma[0, 1, 0] == pytest.approx(-1.0)
-    assert np.count_nonzero(pkg.gamma) == 1
+    assert pkg.sc_u.D[0, 1, 0] == pytest.approx(-1.0)
+    assert np.count_nonzero(pkg.sc_u.D) == 1
 
 
 def test_torsion_abelian_is_zero():
@@ -66,7 +67,10 @@ def test_torsion_one_form_values():
     assert pkg.eta[0] == pytest.approx(0.0)
     assert abs(pkg.eta[1]) == pytest.approx(1.0)
     assert pkg.norm_eta2 == pytest.approx(1.0)
-    assert np.abs(pkg.lee + pkg.eta).max() == 0.0
+    # the report's Lee (1,0)-part is the negated torsion one-form
+    hs = lh.catalog("kodaira-thurston")
+    torsion = cli.build_report(hs, pkg, lh.validate(hs.sc), {}, 1e-9)["torsion"]
+    assert torsion["lee"] == [[-re, -im] for re, im in torsion["eta"]]
 
 
 def test_connection_trace_crosscheck_on_unimodular_entries(rng):
