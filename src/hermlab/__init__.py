@@ -1,8 +1,7 @@
 """hermlab: a numerical laboratory for left-invariant Hermitian geometry."""
 
-from .classifiers import ClassificationReport, classify
+from .classifiers import classify
 from .functionals import (
-    ResidualReport,
     first_variation,
     gauduchon_critical_residual,
     gauduchon_functional,
@@ -28,13 +27,11 @@ from .torsion_engine import TorsionPackage, analyze
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassificationReport",
     "HermitianStructure",
     "InvariantForm",
     "OptimConfig",
     "OptimTrace",
     "RealLieData",
-    "ResidualReport",
     "StructureConstants",
     "TorsionPackage",
     "analyze",

@@ -2,7 +2,10 @@
 
 All checks run on the unitary-frame tensors of a TorsionPackage and report
 both a boolean flag and the residual magnitude that was thresholded, so
-callers can judge borderline cases themselves.
+callers can judge borderline cases themselves.  :func:`classify` returns
+them as the report's ``classification`` block: each class maps to
+``{"flag", "residual"}``, ``stp`` to ``{"flag", "residuals"}`` and
+``nilpotent_J`` to ``{"flag", "witness"}``, next to the ``tol`` used.
 
 The exception is the nilpotent-J check, a combinatorial test on the
 structure constants in the given frame: it asks whether some relabeling of
@@ -14,31 +17,11 @@ dependency graph between generators and answers with a topological sort
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import torsion_engine as te
 from .tensor_algebra import DEFAULT_TOL
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    tol: float
-    kahler: bool
-    kahler_residual: float
-    balanced: bool
-    balanced_residual: float
-    gauduchon: bool
-    gauduchon_residual: float
-    pluriclosed: bool
-    pluriclosed_residual: float
-    lck_shape: bool
-    lck_residual: float
-    stp: bool
-    stp_residuals: dict = field(default_factory=dict)
-    nilpotent_J: bool = False
-    nilpotent_J_witness: tuple | None = None
 
 
 def lck_torsion(eta):
@@ -153,29 +136,26 @@ def pluriclosed_residual(pkg):
     return 0.5 * float(np.linalg.norm(K))
 
 
-def classify(pkg, hs, tol=DEFAULT_TOL):
-    """Full classification of an analyzed Hermitian structure."""
-    max_T = float(np.abs(pkg.T).max())
-    max_eta = float(np.abs(pkg.eta).max())
-    gaud = abs(pkg.norm_eta2 - pkg.chi)
-    plc = pluriclosed_residual(pkg)
+def classify(pkg, sc, tol=DEFAULT_TOL):
+    """The classification block of a report: flags, residuals and ``tol``.
+
+    ``pkg`` is the analysis of a metric on the structure ``sc``; the
+    nilpotent-J check reads ``sc`` in its given frame.
+    """
+
+    def thresholded(residual):
+        return {"flag": residual <= tol, "residual": residual}
+
     lck_flag, lck_res = lck_check(pkg, tol)
     stp_flag, stp_res = stp_check(pkg, tol)
-    nilp_flag, witness = nilpotent_J_check(hs.sc)
-    return ClassificationReport(
-        tol=tol,
-        kahler=max_T <= tol,
-        kahler_residual=max_T,
-        balanced=max_eta <= tol,
-        balanced_residual=max_eta,
-        gauduchon=gaud <= tol,
-        gauduchon_residual=gaud,
-        pluriclosed=plc <= tol,
-        pluriclosed_residual=plc,
-        lck_shape=lck_flag,
-        lck_residual=lck_res,
-        stp=stp_flag,
-        stp_residuals=stp_res,
-        nilpotent_J=nilp_flag,
-        nilpotent_J_witness=witness,
-    )
+    nilp_flag, witness = nilpotent_J_check(sc)
+    return {
+        "tol": tol,
+        "kahler": thresholded(float(np.abs(pkg.T).max())),
+        "balanced": thresholded(float(np.abs(pkg.eta).max())),
+        "gauduchon": thresholded(abs(pkg.norm_eta2 - pkg.chi)),
+        "pluriclosed": thresholded(pluriclosed_residual(pkg)),
+        "lck_shape": {"flag": lck_flag, "residual": lck_res},
+        "stp": {"flag": stp_flag, "residuals": stp_res},
+        "nilpotent_J": {"flag": nilp_flag, "witness": witness},
+    }

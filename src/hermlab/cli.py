@@ -18,6 +18,12 @@ Input documents are JSON with exactly one of:
 plus an optional ``"metric"`` given as an n x n array of [re, im] pairs
 (default: identity).
 
+A report is one dict: ``build_report`` places the torsion tensors as numpy
+arrays and takes the ``classification`` and ``residuals`` blocks as
+``classifiers.classify`` and ``functionals.residual_report`` return them.
+``emit`` is the one encoder: JSON output writes every array as nested
+[re, im] pairs, and the text output formats the arrays directly.
+
 The environment variable HERMLAB_TOL overrides the default tolerance,
 ``tensor_algebra.DEFAULT_TOL`` (shown in ``--help``).  Seeded randomness
 uses numpy's default_rng (PCG64), so traces are reproducible across
@@ -153,20 +159,7 @@ def _parse_structure(doc):
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def _pair(z):
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def _vec(v):
-    return [_pair(z) for z in np.asarray(v)]
-
-
-def _mat(m):
-    return [[_pair(z) for z in row] for row in np.asarray(m)]
+# reports
 
 
 def _validation_dict(rep):
@@ -179,28 +172,9 @@ def _validation_dict(rep):
     }
 
 
-def _classification_dict(rep):
-    return {
-        "tol": rep.tol,
-        "kahler": {"flag": rep.kahler, "residual": rep.kahler_residual},
-        "balanced": {"flag": rep.balanced, "residual": rep.balanced_residual},
-        "gauduchon": {"flag": rep.gauduchon, "residual": rep.gauduchon_residual},
-        "pluriclosed": {"flag": rep.pluriclosed, "residual": rep.pluriclosed_residual},
-        "lck_shape": {"flag": rep.lck_shape, "residual": rep.lck_residual},
-        "stp": {"flag": rep.stp, "residuals": rep.stp_residuals},
-        "nilpotent_J": {
-            "flag": rep.nilpotent_J,
-            "witness": list(rep.nilpotent_J_witness)
-            if rep.nilpotent_J_witness is not None
-            else None,
-        },
-    }
-
-
-def build_report(hs, pkg, vrep, doc, tol):
-    """The report of ``hs``, from its analysis ``pkg`` and validation ``vrep``."""
-    crep = cl.classify(pkg, hs, tol)
-    rrep = fn.residual_report(pkg)
+def build_report(sc, pkg, vrep, doc, tol):
+    """The report of a metric on ``sc``, from its analysis ``pkg`` and the
+    validation ``vrep`` of ``sc``; arrays stay numpy arrays until :func:`emit`."""
     return {
         "tool": {"name": "hermlab", "version": __version__},
         "tolerances": {"tol": tol},
@@ -211,25 +185,15 @@ def build_report(hs, pkg, vrep, doc, tol):
             "norm_T2": pkg.norm_T2,
             "norm_eta2": pkg.norm_eta2,
             "chi": pkg.chi,
-            "eta": _vec(pkg.eta),
-            "lee": _vec(-pkg.eta),  # (1,0)-part of the Lee form -(eta + etabar)
-            "A": _mat(pkg.A),
-            "B": _mat(pkg.B),
-            "phi": _mat(pkg.phi),
-            "xi": _mat(pkg.xi),
+            "eta": pkg.eta,
+            "lee": -pkg.eta,  # (1,0)-part of the Lee form -(eta + etabar)
+            "A": pkg.A,
+            "B": pkg.B,
+            "phi": pkg.phi,
+            "xi": pkg.xi,
         },
-        "classification": _classification_dict(crep),
-        "residuals": {
-            "F_value": rrep.F_value,
-            "G_value": rrep.G_value,
-            "a": rrep.a,
-            "b": rrep.b,
-            "trace_residual": rrep.trace_residual,
-            "Q_F": _mat(rrep.Q_F),
-            "Q_G": _mat(rrep.Q_G),
-            "norm_Q_F": rrep.norm_Q_F,
-            "norm_Q_G": rrep.norm_Q_G,
-        },
+        "classification": cl.classify(pkg, sc, tol),
+        "residuals": fn.residual_report(pkg),
     }
 
 
@@ -263,12 +227,8 @@ def render_text(report):
     for key in ("kahler", "balanced", "gauduchon", "pluriclosed", "lck_shape", "nilpotent_J"):
         lines.append(f"  {key:12s} {c[key]['flag']}")
     lines.append(f"  {'stp':12s} {c['stp']['flag']}")
-    for name, mkey in (("A", "A"), ("B", "B"), ("Q_F", None)):
-        lines.append("")
-        lines.append(f"{name}:")
-        src = t[mkey] if mkey else r["Q_F"]
-        mat = np.array([[complex(p[0], p[1]) for p in row] for row in src])
-        lines.append(_fmt_mat_text(mat))
+    for name, mat in (("A", t["A"]), ("B", t["B"]), ("Q_F", r["Q_F"])):
+        lines += ["", f"{name}:", _fmt_mat_text(mat)]
     if "optimization" in report:
         o = report["optimization"]
         lines += [
@@ -289,10 +249,20 @@ def render_text(report):
     return "\n".join(lines) + "\n"
 
 
+def _encode(obj):
+    """JSON form of a numpy array: nested [re, im] pairs."""
+    if isinstance(obj, np.ndarray):
+        a = obj.astype(complex)
+        return np.stack([a.real, a.imag], axis=-1).tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def emit(report, args):
+    """Write ``report`` as JSON or text to ``args.output`` or stdout."""
     if args.format == "json":
         try:
-            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
+                              default=_encode) + "\n"
         except ValueError as exc:
             raise NumericalFailure(f"report contains a non-finite number ({exc})") from exc
     else:
@@ -323,14 +293,14 @@ def _load_structure(args):
 
 def cmd_analyze(args):
     hs, doc, vrep = _load_structure(args)
-    report = build_report(hs, te.analyze(hs), vrep, doc, args.tol)
+    report = build_report(hs.sc, te.analyze(hs), vrep, doc, args.tol)
     emit(report, args)
     return EXIT_OK
 
 
 def cmd_check_critical(args):
     hs, doc, vrep = _load_structure(args)
-    report = build_report(hs, te.analyze(hs), vrep, doc, args.tol)
+    report = build_report(hs.sc, te.analyze(hs), vrep, doc, args.tol)
     if args.functional == "torsion":
         norm = report["residuals"]["norm_Q_F"]
     else:
@@ -369,7 +339,7 @@ def cmd_variation_check(args):
             ok = dev <= abs_tol
         passed = passed and ok
         rows.append({"analytic": analytic, "fd": fd, "deviation": dev, "ok": ok})
-    report = build_report(hs, pkg, vrep, doc, args.tol)
+    report = build_report(hs.sc, pkg, vrep, doc, args.tol)
     report["variation_check"] = {
         "directions": args.directions,
         "fd_step": args.fd_step,
@@ -402,8 +372,7 @@ def cmd_optimize(args):
         trace = op.minimize(hs, cfg, S0=S0)
     except InvalidStartPoint as exc:
         raise InputError(f"start metric from --perturb {args.perturb:g} is unusable: {exc}") from exc
-    hs_star = lh.HermitianStructure(hs.sc, trace.H_star)
-    report = build_report(hs_star, trace.pkg_star, vrep, doc, args.tol)
+    report = build_report(hs.sc, trace.pkg_star, vrep, doc, args.tol)
     last = trace.iterations[-1]
     report["optimization"] = {
         "objective": args.objective,
@@ -414,7 +383,7 @@ def cmd_optimize(args):
         "final_objective": last[1],
         "final_gradient_norm": last[2],
         "final_residual_norm": last[3],
-        "H_star": _mat(trace.H_star),
+        "H_star": trace.H_star,
         "trace": [
             {"iteration": it, "objective": obj, "gradient_norm": gn, "residual_norm": qn}
             for it, obj, gn, qn in trace.iterations

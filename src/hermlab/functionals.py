@@ -22,29 +22,16 @@ unitary-frame D.
 Every quantity here is evaluated at one metric and takes that metric's
 :class:`~hermlab.torsion_engine.TorsionPackage`; only
 :func:`fd_first_variation`, which builds new metrics, takes a structure.
+:func:`residual_report` gathers both functionals and both residuals into the
+report's ``residuals`` block, a dict whose matrices stay numpy arrays.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import lie_hermitian as lh
 from . import torsion_engine as te
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    F_value: float
-    G_value: float
-    b: float
-    a: float
-    Q_F: np.ndarray
-    Q_G: np.ndarray
-    trace_residual: float
-    norm_Q_F: float
-    norm_Q_G: float
 
 
 def torsion_functional(pkg):
@@ -106,17 +93,22 @@ def fd_first_variation(hs, h, step=1e-4, functional=torsion_functional):
 
 
 def residual_report(pkg):
-    """Evaluate both functionals and both residuals of one analyzed metric."""
+    """The residuals block of a report: both functionals and both residuals.
+
+    Keys: ``F_value``, ``G_value``, ``b`` = |T|^2, ``a`` = |eta|^2 / n,
+    ``trace_residual`` = 4(|eta|^2 - chi), the matrices ``Q_F`` and ``Q_G``
+    and their Frobenius norms ``norm_Q_F`` and ``norm_Q_G``.
+    """
     Q_F, norm_Q_F = torsion_critical_residual(pkg)
     Q_G, norm_Q_G = gauduchon_critical_residual(pkg)
-    return ResidualReport(
-        F_value=torsion_functional(pkg),
-        G_value=gauduchon_functional(pkg),
-        b=pkg.norm_T2,
-        a=pkg.norm_eta2 / pkg.n,
-        Q_F=Q_F,
-        Q_G=Q_G,
-        trace_residual=4.0 * (pkg.norm_eta2 - pkg.chi),
-        norm_Q_F=norm_Q_F,
-        norm_Q_G=norm_Q_G,
-    )
+    return {
+        "F_value": torsion_functional(pkg),
+        "G_value": gauduchon_functional(pkg),
+        "b": pkg.norm_T2,
+        "a": pkg.norm_eta2 / pkg.n,
+        "trace_residual": 4.0 * (pkg.norm_eta2 - pkg.chi),
+        "Q_F": Q_F,
+        "Q_G": Q_G,
+        "norm_Q_F": norm_Q_F,
+        "norm_Q_G": norm_Q_G,
+    }

@@ -209,10 +209,12 @@ def _real_jacobi_residual(f):
 def complexify(rl, tol=1e-10):
     """Structure constants of the (1,0)-frame induced by (f, J).
 
-    Raises :class:`NotIntegrable` when the bracket of two (1,0)-fields has a
-    (0,1)-component exceeding ``tol`` (Nijenhuis obstruction), and
-    :class:`JacobiViolation` when the real constants fail Jacobi or the
-    resulting d fails d*d = 0.
+    Raises ``ValueError`` when J*J = -I fails or ``f`` is not antisymmetric
+    in its lower pair beyond ``tol``, :class:`JacobiViolation` when the real
+    constants fail Jacobi, and :class:`NotIntegrable` when the bracket of two
+    (1,0)-fields has a (0,1)-component exceeding ``tol`` (Nijenhuis
+    obstruction).  The result is not passed through :func:`validate`; callers
+    that need d*d = 0 checked validate it themselves, as the CLI does.
     """
     import scipy.linalg  # deferred: only this function needs scipy
 
@@ -221,6 +223,9 @@ def complexify(rl, tol=1e-10):
     jj = float(np.abs(J @ J + np.eye(dim)).max())
     if jj > 1e-12:
         raise ValueError(f"J*J = -I fails with residual {jj:.3e}")
+    asym = float(np.abs(f + f.swapaxes(1, 2)).max())
+    if asym > tol:
+        raise ValueError(f"f is not antisymmetric in its lower pair: residual {asym:.3e}")
     jac = _real_jacobi_residual(f)
     if jac > tol:
         raise JacobiViolation(f"real Jacobi residual {jac:.3e}")
@@ -255,12 +260,7 @@ def complexify(rl, tol=1e-10):
             # [e_a, ebar_b] = sum_j mu^j e_j + ...  with conj(D^a_{jb}) = mu^j
             D[a, :, b] = coef[:n].conj()
 
-    sc = StructureConstants(n, C, D)
-    rep = validate(sc, tol=tol)
-    if not rep.ok:
-        worst = max(c.residual for c in rep.checks)
-        raise JacobiViolation(f"d*d = 0 fails after complexification ({worst:.3e})")
-    return sc
+    return StructureConstants(n, C, D)
 
 
 # ---------------------------------------------------------------------------

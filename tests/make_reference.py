@@ -31,8 +31,10 @@ REFERENCE = Path(__file__).parent / "reference" / "reports.json"
 SEED = 20261018
 RANDOM_COUNT = 20
 FLAGS = ("kahler", "balanced", "gauduchon", "pluriclosed", "lck_shape", "stp", "nilpotent_J")
-FLAG_RESIDUALS = ("kahler_residual", "balanced_residual", "gauduchon_residual",
-                  "pluriclosed_residual", "lck_residual")
+# pinned scalar -> the classification class whose residual it is
+FLAG_RESIDUALS = {"kahler_residual": "kahler", "balanced_residual": "balanced",
+                  "gauduchon_residual": "gauduchon", "pluriclosed_residual": "pluriclosed",
+                  "lck_residual": "lck_shape"}
 
 
 def pairs(a):
@@ -72,18 +74,18 @@ def inputs():
 def observed(hs):
     """The pinned values of one structure, as the library computes them."""
     pkg = te.analyze(hs)
-    crep = cl.classify(pkg, hs)
-    rrep = fn.residual_report(pkg)
-    witness = crep.nilpotent_J_witness
+    classes = cl.classify(pkg, hs.sc)
+    residuals = fn.residual_report(pkg)
+    witness = classes["nilpotent_J"]["witness"]
     return {
         "scalars": {
             "norm_T2": pkg.norm_T2,
             "norm_eta2": pkg.norm_eta2,
             "chi": pkg.chi,
-            "F": rrep.F_value,
-            "G": rrep.G_value,
-            **{f"stp.{k}": v for k, v in crep.stp_residuals.items()},
-            **{name: getattr(crep, name) for name in FLAG_RESIDUALS},
+            "F": residuals["F_value"],
+            "G": residuals["G_value"],
+            **{f"stp.{k}": v for k, v in classes["stp"]["residuals"].items()},
+            **{key: classes[name]["residual"] for key, name in FLAG_RESIDUALS.items()},
         },
         "tensors": {
             "eta": pairs(pkg.eta),
@@ -91,10 +93,10 @@ def observed(hs):
             "B": pairs(pkg.B),
             "phi": pairs(pkg.phi),
             "xi": pairs(pkg.xi),
-            "Q_F": pairs(rrep.Q_F),
-            "Q_G": pairs(rrep.Q_G),
+            "Q_F": pairs(residuals["Q_F"]),
+            "Q_G": pairs(residuals["Q_G"]),
         },
-        "flags": {name: getattr(crep, name) for name in FLAGS},
+        "flags": {name: classes[name]["flag"] for name in FLAGS},
         "nilpotent_J_witness": None if witness is None else list(witness),
     }
 

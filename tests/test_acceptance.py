@@ -47,9 +47,9 @@ def test_acceptance_02_sokc_family_balanced_stp_critical():
     for name in ("sokc-3", "sokc-4"):
         hs = lh.catalog(name)
         pkg = te.analyze(hs)
-        rep = cl.classify(pkg, hs)
+        rep = cl.classify(pkg, hs.sc)
         _, qnorm = fn.torsion_critical_residual(pkg)
-        ok = ok and rep.balanced and rep.stp and qnorm <= 1e-10
+        ok = ok and rep["balanced"]["flag"] and rep["stp"]["flag"] and qnorm <= 1e-10
     _report(2, "sokc-3/sokc-4 balanced, parallel torsion, critical", ok)
 
 

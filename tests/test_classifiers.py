@@ -17,7 +17,7 @@ from conftest import random_hpd, random_unitary
 
 def _classify(name, H=None, tol=1e-9):
     hs = lh.catalog(name, metric=H)
-    return cl.classify(te.analyze(hs), hs, tol)
+    return cl.classify(te.analyze(hs), hs.sc, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -26,48 +26,49 @@ def _classify(name, H=None, tol=1e-9):
 
 def test_classify_abelian_is_kahler():
     rep = _classify("abelian-3")
-    assert rep.kahler and rep.balanced and rep.gauduchon and rep.pluriclosed
-    assert rep.lck_shape and rep.stp and rep.nilpotent_J
+    assert rep["kahler"]["flag"] and rep["balanced"]["flag"]
+    assert rep["gauduchon"]["flag"] and rep["pluriclosed"]["flag"]
+    assert rep["lck_shape"]["flag"] and rep["stp"]["flag"] and rep["nilpotent_J"]["flag"]
 
 
 def test_classify_so3c():
     rep = _classify("so3c")
-    assert not rep.kahler
-    assert rep.balanced and rep.gauduchon
-    assert rep.stp
-    assert not rep.lck_shape
-    assert not rep.nilpotent_J
+    assert not rep["kahler"]["flag"]
+    assert rep["balanced"]["flag"] and rep["gauduchon"]["flag"]
+    assert rep["stp"]["flag"]
+    assert not rep["lck_shape"]["flag"]
+    assert not rep["nilpotent_J"]["flag"]
 
 
 def test_classify_sokc4():
     rep = _classify("sokc-4")
-    assert not rep.kahler
-    assert rep.balanced and rep.stp
+    assert not rep["kahler"]["flag"]
+    assert rep["balanced"]["flag"] and rep["stp"]["flag"]
 
 
 def test_classify_iwasawa():
     rep = _classify("iwasawa")
-    assert not rep.kahler
-    assert rep.balanced and rep.gauduchon
-    assert rep.nilpotent_J
-    assert rep.nilpotent_J_witness is not None
+    assert not rep["kahler"]["flag"]
+    assert rep["balanced"]["flag"] and rep["gauduchon"]["flag"]
+    assert rep["nilpotent_J"]["flag"]
+    assert rep["nilpotent_J"]["witness"] is not None
 
 
 def test_classify_nilmanifold():
     rep = _classify("kodaira-thurston")
-    assert not rep.kahler
-    assert not rep.balanced
-    assert rep.gauduchon
-    assert rep.pluriclosed
-    assert rep.nilpotent_J
+    assert not rep["kahler"]["flag"]
+    assert not rep["balanced"]["flag"]
+    assert rep["gauduchon"]["flag"]
+    assert rep["pluriclosed"]["flag"]
+    assert rep["nilpotent_J"]["flag"]
 
 
 def test_residuals_are_reported():
     rep = _classify("kodaira-thurston")
-    assert rep.balanced_residual == pytest.approx(1.0)
-    assert rep.gauduchon_residual <= 1e-12
+    assert rep["balanced"]["residual"] == pytest.approx(1.0)
+    assert rep["gauduchon"]["residual"] <= 1e-12
     for key in ("nabla_s_hol", "nabla_s_bar", "quadratic_hol"):
-        assert key in rep.stp_residuals
+        assert key in rep["stp"]["residuals"]
 
 
 def test_flags_invariant_under_unitary_frame_rotation(rng):
@@ -77,9 +78,9 @@ def test_flags_invariant_under_unitary_frame_rotation(rng):
         for _ in range(5):
             U = random_unitary(rng, hs.n)
             rotated = lh.HermitianStructure(lh.frame_change(hs.sc, U), np.eye(hs.n))
-            rep = cl.classify(te.analyze(rotated), rotated)
+            rep = cl.classify(te.analyze(rotated), rotated.sc)
             for flag in ("kahler", "balanced", "gauduchon", "pluriclosed", "stp"):
-                assert getattr(rep, flag) == getattr(base, flag), (name, flag)
+                assert rep[flag]["flag"] == base[flag]["flag"], (name, flag)
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +109,13 @@ def test_lck_check_accepts_exact_shape(rng):
 
 
 def test_lck_check_kahler_is_trivially_lck():
-    assert _classify("abelian-2").lck_shape
+    assert _classify("abelian-2")["lck_shape"]["flag"]
 
 
 def test_lck_shape_rejected_for_so3c():
     rep = _classify("so3c")
-    assert not rep.lck_shape
-    assert rep.lck_residual > 0.5
+    assert not rep["lck_shape"]["flag"]
+    assert rep["lck_shape"]["residual"] > 0.5
 
 
 def _lck_shape_residual(eta):

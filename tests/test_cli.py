@@ -16,6 +16,7 @@ import hermlab.torsion_engine as te
 
 NAN = float("nan")
 KT_J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+KT_REAL = {"real_algebra": {"dim": 4, "f": [{"up": 3, "lo": [1, 2], "val": 1.0}], "J": KT_J}}
 
 
 def _write(tmp_path, doc, name="input.json"):
@@ -167,11 +168,14 @@ def test_analyze_invalid_inputs_exit_1(tmp_path, capsys):
          None),
         ({"real_algebra": {"dim": 4, "f": [{"up": 5, "lo": [1, 2], "val": 1.0}], "J": KT_J}},
          None),
+        ({"real_algebra": {"dim": 4, "f": [{"up": 3, "lo": [1, 1], "val": 1.0}], "J": KT_J}},
+         None),
         ({"catalog": "so3c"}, "abc"),
         ({"catalog": "so3c"}, "nan"),
     ],
     ids=["nan-C", "nan-D", "nan-metric", "nan-real-f", "nan-real-metric",
-         "malformed-metric", "malformed-real-f", "range-real-f", "tol-abc", "tol-nan"],
+         "malformed-metric", "malformed-real-f", "range-real-f", "repeated-real-f",
+         "tol-abc", "tol-nan"],
 )
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch, doc, env_tol):
     if env_tol is not None:
@@ -205,15 +209,18 @@ def test_non_finite_report_exits_2(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, analyses",
+    "argv, analyses, doc",
     [
-        (["analyze"], 1),
-        (["check-critical"], 1),
-        (["check-critical", "--functional", "gauduchon"], 1),
-        (["variation-check", "--directions", "3"], 1 + 2 * 3),
+        (["analyze"], 1, {"catalog": "iwasawa"}),
+        (["check-critical"], 1, {"catalog": "iwasawa"}),
+        (["check-critical", "--functional", "gauduchon"], 1, {"catalog": "iwasawa"}),
+        (["variation-check", "--directions", "3"], 1 + 2 * 3, {"catalog": "iwasawa"}),
+        (["analyze"], 1, KT_REAL),
     ],
+    ids=["argv0-1", "argv1-1", "argv2-1", "argv3-7", "real-algebra"],
 )
-def test_one_analysis_and_validation_per_report(tmp_path, capsys, monkeypatch, argv, analyses):
+def test_one_analysis_and_validation_per_report(tmp_path, capsys, monkeypatch, argv, analyses,
+                                                doc):
     calls = Counter()
 
     def count(module, name):
@@ -227,7 +234,7 @@ def test_one_analysis_and_validation_per_report(tmp_path, capsys, monkeypatch, a
 
     count(te, "analyze")
     count(lh, "validate")
-    path = _write(tmp_path, {"catalog": "iwasawa"})
+    path = _write(tmp_path, doc)
     code, _, _ = _run(capsys, argv[0], path, *argv[1:])
     assert code in (cli.EXIT_OK, cli.EXIT_NOT_SATISFIED)
     assert calls == {"analyze": analyses, "validate": 1}

@@ -225,10 +225,10 @@ def test_residual_report_consistency(rng):
     hs = lh.HermitianStructure(random_structure(rng, 3), random_hpd(rng, 3))
     pkg = te.analyze(hs)
     rep = fn.residual_report(pkg)
-    assert rep.b == pytest.approx(pkg.norm_T2)
-    assert rep.a == pytest.approx(pkg.norm_eta2 / 3)
-    assert rep.F_value == pytest.approx(fn.torsion_functional(pkg), rel=1e-12)
-    assert rep.G_value == pytest.approx(fn.gauduchon_functional(pkg), rel=1e-12)
-    assert rep.norm_Q_F == pytest.approx(np.linalg.norm(rep.Q_F))
-    assert rep.norm_Q_G == pytest.approx(np.linalg.norm(rep.Q_G))
-    assert rep.trace_residual == pytest.approx(np.trace(rep.Q_F).real, abs=1e-9)
+    assert rep["b"] == pytest.approx(pkg.norm_T2)
+    assert rep["a"] == pytest.approx(pkg.norm_eta2 / 3)
+    assert rep["F_value"] == pytest.approx(fn.torsion_functional(pkg), rel=1e-12)
+    assert rep["G_value"] == pytest.approx(fn.gauduchon_functional(pkg), rel=1e-12)
+    assert rep["norm_Q_F"] == pytest.approx(np.linalg.norm(rep["Q_F"]))
+    assert rep["norm_Q_G"] == pytest.approx(np.linalg.norm(rep["Q_G"]))
+    assert rep["trace_residual"] == pytest.approx(np.trace(rep["Q_F"]).real, abs=1e-9)

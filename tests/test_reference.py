@@ -2,7 +2,9 @@
 
 Every scalar and tensor entry must agree to |got - ref| <= 1e-12 max(1, |ref|);
 flags and the nilpotent-J witness must agree exactly.  ``make_reference.py``
-wrote the file and holds the code that computes the compared values.
+wrote the file and holds the code that computes the compared values.  The
+same values are checked twice: from the library, and end to end from the
+JSON report of ``hermlab analyze``.
 """
 
 import json
@@ -10,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+import hermlab.cli as cli
 import make_reference as mr
 
 TOL = 1e-12
@@ -43,3 +46,47 @@ def test_report_values_match_reference(label):
         assert _within(mr.unpair(got["tensors"][key]), mr.unpair(value)), key
     assert got["flags"] == ref["flags"]
     assert got["nilpotent_J_witness"] == ref["nilpotent_J_witness"]
+
+
+def _document(inp):
+    """The CLI input document of a reference input record."""
+    if "catalog" in inp:
+        return inp
+    doc = {"n": inp["n"], "metric": inp["H"]}
+    for name in ("C", "D"):
+        t = mr.unpair(inp[name])
+        doc[name] = [{"up": j + 1, "lo": [i + 1, k + 1], "re": t[j, i, k].real,
+                      "im": t[j, i, k].imag} for j, i, k in np.argwhere(t != 0).tolist()]
+    return doc
+
+
+@pytest.mark.parametrize("label", sorted(REFERENCE))
+def test_cli_report_matches_reference(label, tmp_path, capsys):
+    ref = REFERENCE[label]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_document(ref["input"])))
+    assert cli.main(["analyze", str(path), "--format", "json"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    torsion, residuals = report["torsion"], report["residuals"]
+    classes = report["classification"]
+    scalars, tensors = ref["scalars"], ref["tensors"]
+
+    for key in ("norm_T2", "norm_eta2", "chi"):
+        assert _within(torsion[key], scalars[key]), key
+    assert _within(residuals["F_value"], scalars["F"])
+    assert _within(residuals["G_value"], scalars["G"])
+    for key, name in mr.FLAG_RESIDUALS.items():
+        assert _within(classes[name]["residual"], scalars[key]), key
+    stp = classes["stp"]["residuals"]
+    assert {f"stp.{k}" for k in stp} == {k for k in scalars if k.startswith("stp.")}
+    for key, value in stp.items():
+        assert _within(value, scalars[f"stp.{key}"]), key
+
+    for key in ("eta", "A", "B", "phi", "xi"):
+        assert _within(mr.unpair(torsion[key]), mr.unpair(tensors[key])), key
+    for key in ("Q_F", "Q_G"):
+        assert _within(mr.unpair(residuals[key]), mr.unpair(tensors[key])), key
+    assert np.array_equal(mr.unpair(torsion["lee"]), -mr.unpair(torsion["eta"]))
+
+    assert {name: classes[name]["flag"] for name in mr.FLAGS} == ref["flags"]
+    assert classes["nilpotent_J"]["witness"] == ref["nilpotent_J_witness"]
