@@ -19,6 +19,11 @@ coefficient matrix of i(del etabar - delbar eta - eta ^ etabar) - a Id, zero
 exactly at critical points of G; it is contracted directly from eta and the
 unitary-frame D.
 
+Both first variations have the form V^(1/n) Re tr(h_u W) with W = -Q_F for F
+and W = -Q_G for G (:func:`variation_matrix`); :func:`first_variation`
+evaluates it along one direction and the optimizer's chart gradient reads
+the whole matrix.
+
 Every quantity here is evaluated at one metric and takes that metric's
 :class:`~hermlab.torsion_engine.TorsionPackage`; only
 :func:`fd_first_variation`, which builds new metrics, takes a structure.
@@ -70,18 +75,34 @@ def gauduchon_critical_residual(pkg):
     return Q, float(np.linalg.norm(Q))
 
 
-def first_variation(pkg, h):
-    """Analytic derivative d/dt F(H + t h) at t = 0.
+def variation_matrix(pkg, functional="torsion_functional"):
+    """Unitary-frame matrix W = -Q of a functional's first variation.
 
-    Equals V^(1/n) * Re tr(h_u @ Q) with Q = -Q_F the variational tensor and
-    h_u the direction h expressed in the unitary frame; the normalization is
-    pinned by agreement with central finite differences of
-    :func:`torsion_functional`.
+    ``functional`` is ``"torsion_functional"`` (Q = Q_F) or
+    ``"gauduchon_functional"`` (Q = Q_G).  For every Hermitian direction h,
+    d/dt functional(H + t h) at t = 0 equals V^(1/n) Re tr(h_u @ W), with
+    h_u the direction in the unitary frame, so V^(1/n) W is the Riesz matrix
+    of the variation.  The sign is negative for both functionals; it is
+    pinned by agreement with :func:`fd_first_variation`.
+    """
+    if functional == "torsion_functional":
+        Q, _ = torsion_critical_residual(pkg)
+    elif functional == "gauduchon_functional":
+        Q, _ = gauduchon_critical_residual(pkg)
+    else:
+        raise ValueError(f"no first variation for {functional!r}")
+    return -Q
+
+
+def first_variation(pkg, h, functional="torsion_functional"):
+    """Analytic derivative d/dt functional(H + t h) at t = 0.
+
+    Equals V^(1/n) Re tr(h_u @ W) with W = :func:`variation_matrix` and
+    h_u = P^T h conj(P) the direction h expressed in the unitary frame.
     """
     h_u = pkg.P.T @ np.asarray(h, dtype=complex) @ pkg.P.conj()
-    Q_F, _ = torsion_critical_residual(pkg)
     v = pkg.volume ** (1.0 / pkg.n)
-    return float(v * np.trace(h_u @ -Q_F).real)
+    return float(v * np.trace(h_u @ variation_matrix(pkg, functional)).real)
 
 
 def fd_first_variation(hs, h, step=1e-4, functional=torsion_functional):

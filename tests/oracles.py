@@ -161,14 +161,13 @@ def torsion_variation(pkg, h):
 
 
 def analytic_gradient(prob, S):
-    """Analytic chart gradient for the torsion functional, from Q_F.
+    """Chart gradient of the torsion or Gauduchon functional, basis by basis.
 
-    The chain rule through the chart uses the Frechet derivative of the
-    matrix exponential; serves as the cross-check of the FD gradient.
+    The chain rule through the chart uses scipy's Frechet derivative of the
+    matrix exponential for each basis direction and the analytic first
+    variation; the cross-check of the library's Daleckii-Krein gradient.
     """
     cfg = prob.cfg
-    if cfg.objective != "torsion_functional":
-        raise ValueError("analytic gradient is defined for the torsion functional")
     S = op._project(np.asarray(S, dtype=complex), cfg.det_normalized)
     pkg = prob.analyze(S)
     n = S.shape[0]
@@ -177,7 +176,7 @@ def analytic_gradient(prob, S):
         Kp = op._project(K, cfg.det_normalized)
         _, dE = scipy.linalg.expm_frechet(S, Kp)
         dH = prob.root @ dE @ prob.root
-        G += fn.first_variation(pkg, dH) * K
+        G += fn.first_variation(pkg, dH, cfg.objective) * K
     return op._project(G, cfg.det_normalized)
 
 

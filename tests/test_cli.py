@@ -396,6 +396,35 @@ def test_optimize_far_start_rejects_invalid_trial_steps(tmp_path, perturb, seed)
     assert abs(rep["final_objective"] - 6.0) <= 1e-8
 
 
+@pytest.mark.parametrize("name, perturb, seed, critical", [
+    ("so3c", "3.0", "1", 6.0),
+    ("so3c", "3.0", "5", 6.0),
+    ("so3c", "20", "0", 6.0),
+    ("sokc-4", "0.1", "7", 24.0),
+    ("sokc-5", "0.1", "7", 60.0),
+])
+def test_optimize_reaches_critical_value(tmp_path, name, perturb, seed, critical):
+    # these descents reach the critical value to rounding; the line search
+    # then accepts no trial and the run stops converged, not stagnated
+    path = _write(tmp_path, {"catalog": name})
+    proc = _python("-m", "hermlab.cli", "optimize", path, "--perturb", perturb,
+                   "--seed", seed, "--format", "json")
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stderr == ""
+    rep = json.loads(proc.stdout, parse_constant=_reject_constant)
+    opt, res = rep["optimization"], rep["residuals"]
+    assert opt["converged"] is True
+    assert opt["reason"] in ("gradient_tolerance", "precision_limit")
+    objs = [row["objective"] for row in opt["trace"]]
+    assert all(b <= a for a, b in zip(objs, objs[1:]))
+    assert abs(res["F_value"] - critical) <= 1e-8 * critical
+    # Q_F scales as 1/c under H -> cH; V^(1/n) |Q_F| is the scale-free
+    # residual (the so3c --perturb 20 start keeps V^(1/3) = 0.043)
+    H = np.array([[complex(*z) for z in row] for row in opt["H_star"]])
+    volume_root = np.linalg.det(H).real ** (1.0 / len(H))
+    assert volume_root * res["norm_Q_F"] <= 1e-6
+
+
 @pytest.mark.parametrize("seed", ["0", "1"])
 def test_optimize_unusable_perturbed_start_exits_1(tmp_path, seed):
     # exp(S0) with |S0| = 40 is not positive definite (seed 0) or has a

@@ -208,6 +208,45 @@ def test_first_variation_matches_fd_at_generic_metric(rng):
         assert _agree(fn.first_variation(te.analyze(hs), h), fn.fd_first_variation(hs, h))
 
 
+def test_gauduchon_first_variation_sign_kodaira_thurston():
+    # growing the first metric direction lowers G = V^(1/n) |eta|^2; the
+    # variation is -V^(1/n) Re tr(h_u Q_G), with the same sign as for F
+    hs = _hs("kodaira-thurston")
+    h = np.diag([1.0, 0.0])
+    pkg = te.analyze(hs)
+    val = fn.first_variation(pkg, h, "gauduchon_functional")
+    fd = fn.fd_first_variation(hs, h, functional=fn.gauduchon_functional)
+    assert val < -0.1 and _agree(val, fd)
+    Q_G, _ = fn.gauduchon_critical_residual(pkg)
+    assert val == pytest.approx(-np.trace(np.asarray(h) @ Q_G).real, rel=1e-12)
+
+
+@pytest.mark.parametrize("functional", [fn.torsion_functional, fn.gauduchon_functional])
+def test_first_variation_matches_fd_for_both_functionals(rng, functional):
+    # kodaira-thurston and random structures under random metrics; the n = 2
+    # family and kodaira-thurston factors make G and its variation nonzero
+    cases = [lh.catalog("kodaira-thurston")]
+    while len(cases) < 25:
+        n = int(rng.integers(2, 5))
+        cases.append(lh.HermitianStructure(random_structure(rng, n), random_hpd(rng, n)))
+    nonzero = 0
+    for hs in cases:
+        pkg = te.analyze(hs)
+        for _ in range(2):
+            h = random_hermitian(rng, hs.n)
+            h /= np.linalg.norm(h)
+            val = fn.first_variation(pkg, h, functional.__name__)
+            fd = fn.fd_first_variation(hs, h, step=1e-5, functional=functional)
+            assert _agree(val, fd), (functional.__name__, val, fd)
+            nonzero += abs(fd) > 1e-3
+    assert nonzero >= 20
+
+
+def test_first_variation_rejects_unknown_functional():
+    with pytest.raises(ValueError):
+        fn.variation_matrix(_pkg("iwasawa"), "residual_norm")
+
+
 def test_first_variation_linear_in_direction(rng):
     pkg = _pkg("iwasawa")
     h1 = random_hermitian(rng, 3)

@@ -7,9 +7,10 @@ import hermlab.functionals as fn
 import hermlab.lie_hermitian as lh
 import hermlab.optimizer as op
 import hermlab.torsion_engine as te
+from hermlab.errors import InvalidStartPoint, SingularFrame
 
 import oracles
-from conftest import random_hermitian, random_hpd
+from conftest import random_hermitian, random_hpd, random_structure, random_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +38,8 @@ def _chart(S, H0=None, det_normalized=False):
 
 def _gradient(hs, cfg, S=None):
     S = np.zeros((hs.n, hs.n), dtype=complex) if S is None else S
-    return op.gradient(op._Problem(hs, cfg), S)
+    prob = op._Problem(hs, cfg)
+    return op.gradient(prob, S, prob.analyze(S))
 
 
 def test_parametrize_at_origin(rng):
@@ -94,16 +96,63 @@ def test_gradient_nonzero_off_critical():
     assert np.linalg.norm(G) > 0.1
 
 
+def _gradient_cases(rng):
+    """(problem, S) over both functionals, both chart modes and random anchors.
+
+    S is zero, random, or has a repeated eigenvalue.  so3c, iwasawa and
+    sokc-4 have eta = 0 for every metric, so G vanishes there; the n = 2
+    random structures and kodaira-thurston carry the nonzero G cases.
+    """
+    structures = [lh.catalog(name).sc for name in ("so3c", "iwasawa", "kodaira-thurston", "sokc-4")]
+    structures += [random_structure(rng, 2) for _ in range(2)]
+    for sc in structures:
+        n = sc.n
+        hs = lh.HermitianStructure(sc, random_hpd(rng, n))
+        lam = rng.standard_normal(n)
+        lam[1] = lam[0]
+        U = random_unitary(rng, n)
+        repeated = 0.5 * (U * lam) @ U.conj().T
+        for objective in ("torsion_functional", "gauduchon_functional"):
+            for det_normalized in (False, True):
+                cfg = op.OptimConfig(objective=objective, det_normalized=det_normalized)
+                prob = op._Problem(hs, cfg)
+                for S in (np.zeros((n, n), dtype=complex), 0.3 * random_hermitian(rng, n), repeated):
+                    yield prob, S
+
+
+def _rel(G, ref):
+    return np.linalg.norm(G - ref) / max(np.linalg.norm(ref), 1.0)
+
+
 def test_gradient_matches_analytic(rng):
-    cfg = op.OptimConfig(objective="torsion_functional")
-    for name in ("iwasawa", "kodaira-thurston"):
-        prob = op._Problem(lh.catalog(name), cfg)
-        for _ in range(3):
-            S = 0.3 * random_hermitian(rng, prob.sc.n)
-            G_fd = op.gradient(prob, S)
-            G_an = oracles.analytic_gradient(prob, S)
-            scale = max(np.linalg.norm(G_an), 1e-12)
-            assert np.linalg.norm(G_fd - G_an) / scale <= 1e-5
+    # the Daleckii-Krein gradient against scipy's Frechet derivative of exp
+    nonzero = {"torsion_functional": 0, "gauduchon_functional": 0}
+    for prob, S in _gradient_cases(rng):
+        G = op.gradient(prob, S, prob.analyze(S))
+        ref = oracles.analytic_gradient(prob, S)
+        assert _rel(G, ref) <= 1e-9, (prob.cfg, S)
+        nonzero[prob.cfg.objective] += np.linalg.norm(ref) > 1.0
+    assert min(nonzero.values()) >= 15, nonzero
+
+
+def test_gradient_matches_finite_differences(rng):
+    for prob, S in _gradient_cases(rng):
+        G = op.gradient(prob, S, prob.analyze(S))
+        assert _rel(G, op._fd_gradient(prob, S)) <= 1e-6, (prob.cfg, S)
+
+
+def test_gradient_makes_no_analysis(rng, monkeypatch):
+    hs = lh.HermitianStructure(lh.catalog("kodaira-thurston").sc, random_hpd(rng, 2))
+    S = 0.3 * random_hermitian(rng, 2)
+    calls = []
+    analyze = te.analyze
+    monkeypatch.setattr(te, "analyze", lambda hs: calls.append(1) or analyze(hs))
+    for objective in ("torsion_functional", "gauduchon_functional"):
+        prob = op._Problem(hs, op.OptimConfig(objective=objective))
+        pkg = prob.analyze(S)
+        calls.clear()
+        assert np.linalg.norm(op.gradient(prob, S, pkg)) > 0.1
+        assert calls == []
 
 
 def test_gradient_directional_derivative(rng):
@@ -112,7 +161,7 @@ def test_gradient_directional_derivative(rng):
     cfg = op.OptimConfig()
     S = 0.2 * random_hermitian(rng, 3)
     prob = op._Problem(hs, cfg)
-    G = op.gradient(prob, S)
+    G = op.gradient(prob, S, prob.analyze(S))
     K = random_hermitian(rng, 3)
     step = 1e-6
     fd = (prob.objective(S + step * K) - prob.objective(S - step * K)) / (2 * step)
@@ -171,6 +220,36 @@ def test_minimize_descent_is_monotone(rng):
     objs = [row[1] for row in trace.iterations]
     assert all(b <= a + 1e-14 for a, b in zip(objs, objs[1:]))
     assert objs[-1] < objs[0]
+
+
+def test_minimize_rejects_singular_frame_trial(rng, monkeypatch):
+    # a trial metric whose frame change is numerically singular is a rejected
+    # trial: the line search shrinks the step and the descent goes on
+    hs = lh.catalog("iwasawa")
+    calls = []
+    frame_change = lh.frame_change
+
+    def failing_once(sc, P):
+        calls.append(1)
+        if len(calls) == 2:  # the first trial step; call 1 analyzes the start
+            raise SingularFrame("frame-change matrix is numerically singular")
+        return frame_change(sc, P)
+
+    monkeypatch.setattr(lh, "frame_change", failing_once)
+    trace = op.minimize(hs, op.OptimConfig(max_iter=5), S0=0.2 * random_hermitian(rng, 3))
+    assert len(calls) > 2
+    assert len(trace.iterations) == 6 and trace.reason == "max_iterations"
+    objs = [row[1] for row in trace.iterations]
+    assert all(b < a for a, b in zip(objs, objs[1:]))
+
+
+def test_minimize_singular_frame_at_start_is_invalid_start_point(monkeypatch):
+    def singular(sc, P):
+        raise SingularFrame("frame-change matrix is numerically singular")
+
+    monkeypatch.setattr(lh, "frame_change", singular)
+    with pytest.raises(InvalidStartPoint, match="numerically singular"):
+        op.minimize(lh.catalog("iwasawa"), op.OptimConfig())
 
 
 def test_minimize_det_normalized_keeps_volume(rng):
