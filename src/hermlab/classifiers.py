@@ -94,7 +94,8 @@ def nilpotent_J_check(sc, tol=1e-12):
     and leaves none.  Kahn's algorithm with a min-heap of ready generators
     yields the lexicographically smallest order, which is the first
     triangular sigma in the lexicographic order of all n! permutations.
-    O(n^3) for the scan of C and D.
+    O(n^3) for the scan of C and D.  ``tol`` is a structural-zero test on
+    the given constants, not an identity residual, hence rounding level.
     """
     n = sc.n
     jc, ic, kc = np.nonzero(np.abs(sc.C) > tol)

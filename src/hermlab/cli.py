@@ -46,8 +46,7 @@ from . import lie_hermitian as lh
 from . import optimizer as op
 from . import tensor_algebra as ta
 from . import torsion_engine as te
-from .errors import (HermlabError, InvalidStartPoint, NotPositiveDefinite, NumericalFailure,
-                     UnknownCatalogEntry)
+from .errors import HermlabError, InvalidStartPoint, NumericalFailure, UnknownCatalogEntry
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -122,13 +121,10 @@ def _parse_structure(doc):
 
     if "catalog" in doc:
         try:
-            hs = lh.catalog(doc["catalog"])
+            sc = lh.catalog(doc["catalog"]).sc
         except UnknownCatalogEntry as exc:
             raise InputError(f"unknown catalog entry: {exc}") from exc
-        H = _parse_metric(doc, hs.n)
-        return lh.HermitianStructure(hs.sc, H)
-
-    if "real_algebra" in doc:
+    elif "real_algebra" in doc:
         ra = doc["real_algebra"]
         try:
             dim = int(ra["dim"])
@@ -144,18 +140,15 @@ def _parse_structure(doc):
             sc = lh.complexify(rl)
         except (HermlabError, ValueError) as exc:
             raise InputError(f"real algebra rejected: {exc}") from exc
-        H = _parse_metric(doc, sc.n)
-        return lh.HermitianStructure(sc, H)
-
-    try:
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("'n' is required with explicit C/D input") from exc
-    C = _parse_tensor_terms(doc.get("C", []), n, "C")
-    D = _parse_tensor_terms(doc.get("D", []), n, "D")
-    sc = lh.StructureConstants(n, C, D)
-    H = _parse_metric(doc, n)
-    return lh.HermitianStructure(sc, H)
+    else:
+        try:
+            n = int(doc["n"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError("'n' is required with explicit C/D input") from exc
+        C = _parse_tensor_terms(doc.get("C", []), n, "C")
+        D = _parse_tensor_terms(doc.get("D", []), n, "D")
+        sc = lh.StructureConstants(n, C, D)
+    return lh.HermitianStructure(sc, _parse_metric(doc, sc.n))
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +284,12 @@ def _load_structure(args):
     return hs, doc, vrep
 
 
+def _random_hermitian(rng, n):
+    """A seeded random Hermitian direction: (X + X*) / 2, X complex Gaussian."""
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (x + x.conj().T) / 2
+
+
 def cmd_analyze(args):
     hs, doc, vrep = _load_structure(args)
     report = build_report(hs.sc, te.analyze(hs), vrep, doc, args.tol)
@@ -319,14 +318,12 @@ def cmd_variation_check(args):
     hs, doc, vrep = _load_structure(args)
     pkg = te.analyze(hs)
     rng = np.random.default_rng(args.seed)
-    n = hs.n
     rel_tol, abs_tol = 1e-5, 1e-9
     worst_rel = 0.0
     passed = True
     rows = []
     for _ in range(args.directions):
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = (x + x.conj().T) / 2
+        h = _random_hermitian(rng, hs.n)
         analytic = fn.first_variation(pkg, h)
         fd = fn.fd_first_variation(hs, h, step=args.fd_step)
         dev = abs(analytic - fd)
@@ -361,12 +358,9 @@ def cmd_optimize(args):
         det_normalized=args.det_normalized,
         objective_tol=args.objective_tol,
     )
-    n = hs.n
     S0 = None
     if args.perturb > 0:
-        rng = np.random.default_rng(args.seed)
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        S0 = (x + x.conj().T) / 2
+        S0 = _random_hermitian(np.random.default_rng(args.seed), hs.n)
         S0 *= args.perturb / np.linalg.norm(S0)
     try:
         trace = op.minimize(hs, cfg, S0=S0)
@@ -490,7 +484,7 @@ def main(argv=None):
         if getattr(args, "tol", None) is None and hasattr(args, "tol"):
             args.tol = _env_tol()
         return args.func(args)
-    except (InputError, FileNotFoundError, json.JSONDecodeError, NotPositiveDefinite) as exc:
+    except (InputError, FileNotFoundError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT
     except (NumericalFailure, FloatingPointError) as exc:

@@ -36,6 +36,8 @@ from .errors import (
     UnknownCatalogEntry,
 )
 
+# a frame whose condition number exceeds this loses all but ~3 digits in
+# double precision; it bounds a matrix, not an algebraic residual
 _COND_LIMIT = 1e13
 
 
@@ -167,7 +169,7 @@ def exterior_d(a, sc):
     return out
 
 
-def validate(sc, tol=1e-10):
+def validate(sc, tol=ta.DEFAULT_TOL):
     """Consistency checks: C antisymmetry and d(d phi_j) = 0 for all j.
 
     Over the 2n generators e = (phi, phibar), d e_p = 1/2 sum N[p,r,s]
@@ -206,7 +208,7 @@ def _real_jacobi_residual(f):
     return float(np.abs(cyc).max())
 
 
-def complexify(rl, tol=1e-10):
+def complexify(rl, tol=ta.DEFAULT_TOL):
     """Structure constants of the (1,0)-frame induced by (f, J).
 
     Raises ``ValueError`` when J*J = -I fails or ``f`` is not antisymmetric
@@ -221,7 +223,7 @@ def complexify(rl, tol=1e-10):
     dim, f, J = rl.dim, rl.f, rl.J
     n = dim // 2
     jj = float(np.abs(J @ J + np.eye(dim)).max())
-    if jj > 1e-12:
+    if jj > tol:
         raise ValueError(f"J*J = -I fails with residual {jj:.3e}")
     asym = float(np.abs(f + f.swapaxes(1, 2)).max())
     if asym > tol:
@@ -240,25 +242,22 @@ def complexify(rl, tol=1e-10):
     if np.linalg.cond(S) > _COND_LIMIT:
         raise SingularFrame("complexified basis is numerically singular")
 
-    def bracket(x, y):
-        return np.einsum("cab,a,b->c", f, x, y)
+    # every bracket [e_a, e_b] and [e_a, ebar_b] at once, as the n*n columns
+    # of one right-hand side each, written in the frame S = (E, conj E)
+    def coefficients(Y):
+        rhs = np.einsum("cab,ai,bj->cij", f, E, Y).reshape(dim, n * n)
+        return np.linalg.solve(S, rhs).reshape(dim, n, n)
 
-    C = np.zeros((n, n, n), dtype=complex)
-    D = np.zeros((n, n, n), dtype=complex)
-    nij = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            coef = np.linalg.solve(S, bracket(E[:, a], E[:, b]))
-            nij = max(nij, float(np.abs(coef[n:]).max()))
-            C[:, a, b] = coef[:n]
-            C[:, b, a] = -coef[:n]
+    hol = coefficients(E)
+    a, b = np.triu_indices(n, 1)
+    nij = float(np.abs(hol[n:, a, b]).max(initial=0.0))
     if nij > tol:
         raise NotIntegrable(f"(0,1)-component of [e_a, e_b] has norm {nij:.3e}")
-    for a in range(n):
-        for b in range(n):
-            coef = np.linalg.solve(S, bracket(E[:, a], E[:, b].conj()))
-            # [e_a, ebar_b] = sum_j mu^j e_j + ...  with conj(D^a_{jb}) = mu^j
-            D[a, :, b] = coef[:n].conj()
+    C = np.zeros((n, n, n), dtype=complex)
+    C[:, a, b] = hol[:n, a, b]
+    C[:, b, a] = -hol[:n, a, b]
+    # [e_a, ebar_b] = sum_j mu^j e_j + ...  with conj(D^a_{jb}) = mu^j
+    D = coefficients(E.conj())[:n].conj().transpose(1, 0, 2)
 
     return StructureConstants(n, C, D)
 
@@ -299,24 +298,15 @@ def unitary_reduction(hs):
 
 def so_structure_constants(k):
     """Real structure constants of so(k) in the basis E_{ab}, a < b."""
-    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
-    index = {p: m for m, p in enumerate(pairs)}
-    n = len(pairs)
-
-    def basis_matrix(a, b):
-        m = np.zeros((k, k))
-        m[a, b] = 1.0
-        m[b, a] = -1.0
-        return m
-
-    mats = [basis_matrix(*p) for p in pairs]
-    c = np.zeros((n, n, n))
-    for i, mi in enumerate(mats):
-        for j, mj in enumerate(mats):
-            comm = mi @ mj - mj @ mi
-            for (a, b), m in index.items():
-                c[m, i, j] = comm[a, b]
-    return c
+    a, b = np.triu_indices(k, 1)
+    m = np.arange(a.size)
+    E = np.zeros((a.size, k, k))
+    E[m, a, b] = 1.0
+    E[m, b, a] = -1.0
+    prod = np.einsum("ixy,jyz->ijxz", E, E)  # E_i @ E_j
+    comm = prod - prod.transpose(1, 0, 2, 3)
+    # [E_i, E_j] = sum_m c[m, i, j] E_m: read off at the (a, b) slots, a < b
+    return comm[:, :, a, b].transpose(2, 0, 1)
 
 
 def kodaira_thurston_real():
@@ -335,19 +325,16 @@ def so3c_real():
     c = so_structure_constants(3)
     n = 3
     dim = 2 * n
-    f = np.zeros((dim, dim, dim))
     # basis u_1..u_3, v_1..v_3 with v = J u; brackets from the complex algebra
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                f[k, i, j] = c[k, i, j]          # [u_i, u_j] = c u_k
-                f[n + k, i, n + j] = c[k, i, j]  # [u_i, v_j] = c v_k
-                f[n + k, n + i, j] = c[k, i, j]  # [v_i, u_j] = c v_k
-                f[k, n + i, n + j] = -c[k, i, j]  # [v_i, v_j] = -c u_k
+    f = np.zeros((dim, dim, dim))
+    f[:n, :n, :n] = c       # [u_i, u_j] = c u_k
+    f[n:, :n, n:] = c       # [u_i, v_j] = c v_k
+    f[n:, n:, :n] = c       # [v_i, u_j] = c v_k
+    f[:n, n:, n:] = -c      # [v_i, v_j] = -c u_k
     J = np.zeros((dim, dim))
-    for i in range(n):
-        J[n + i, i] = 1.0
-        J[i, n + i] = -1.0
+    i = np.arange(n)
+    J[n + i, i] = 1.0
+    J[i, n + i] = -1.0
     return RealLieData(dim, f, J)
 
 
@@ -400,7 +387,11 @@ def catalog(name, metric=None):
 
 
 def structure_equations_text(sc, tol=1e-12):
-    """Human-readable rendering of d phi_j for each generator."""
+    """Human-readable rendering of d phi_j for each generator.
+
+    ``tol`` only decides which coefficients print as 0 and +-1, so it is a
+    rounding-level threshold rather than the identity tolerance.
+    """
     lines = []
     for j in range(sc.n):
         d = coframe_differential(sc, j)

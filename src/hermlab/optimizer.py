@@ -71,23 +71,21 @@ class OptimTrace:
 
 
 def hermitian_basis(n):
-    """Orthonormal basis of Hermitian n x n matrices under Re tr(X Y)."""
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
+    """Orthonormal basis of Hermitian n x n matrices under Re tr(X Y).
+
+    The diagonal units come first, then for each pair i < j in row-major
+    order its real symmetric and its imaginary antisymmetric element.
+    """
     s = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = e[j, i] = s
-            basis.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1j * s
-            e[j, i] = -1j * s
-            basis.append(e)
-    return basis
+    d = np.arange(n)
+    i, j = np.triu_indices(n, 1)
+    re = n + 2 * np.arange(i.size)
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    basis[d, d, d] = 1.0
+    basis[re, i, j] = basis[re, j, i] = s
+    basis[re + 1, i, j] = 1j * s
+    basis[re + 1, j, i] = -1j * s
+    return list(basis)
 
 
 def _project(S, det_normalized):

@@ -23,10 +23,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
-#: default comparison tolerance for exact algebraic identities
+#: default comparison tolerance for exact algebraic identities: the one
+#: policy for validation, complexification and classification
 DEFAULT_TOL = 1e-9
 
-#: relative tolerance for "is Hermitian" checks
+#: relative tolerance for "is Hermitian" checks: a Hermitian input is
+#: symmetric up to rounding, not up to an identity's accumulated residual
 HERMITIAN_RTOL = 1e-12
 
 

@@ -3,7 +3,9 @@
 The library computes every report quantity by tensor contractions.  The
 routes here reach the same numbers another way, most of them through the
 dict-based exterior algebra (``InvariantForm`` with ``exterior_d``), and the
-tests compare the two.
+tests compare the two.  The constant builders at the end are the library's
+former scalar index loops, kept as they were; the library's whole-array
+builders must reproduce them bit for bit.
 """
 
 import itertools
@@ -16,6 +18,7 @@ import hermlab.lie_hermitian as lh
 import hermlab.optimizer as op
 import hermlab.tensor_algebra as ta
 import hermlab.torsion_engine as te
+from hermlab.errors import JacobiViolation, NotIntegrable, SingularFrame
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +248,115 @@ def nilpotent_J_permutation_search(sc, tol=1e-12):
         if ok:
             return True, sigma
     return False, None
+
+
+# ---------------------------------------------------------------------------
+# the constant builders as scalar index loops
+
+
+def so_structure_constants(k):
+    """Real structure constants of so(k) in the basis E_{ab}, a < b."""
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    index = {p: m for m, p in enumerate(pairs)}
+    n = len(pairs)
+
+    def basis_matrix(a, b):
+        m = np.zeros((k, k))
+        m[a, b] = 1.0
+        m[b, a] = -1.0
+        return m
+
+    mats = [basis_matrix(*p) for p in pairs]
+    c = np.zeros((n, n, n))
+    for i, mi in enumerate(mats):
+        for j, mj in enumerate(mats):
+            comm = mi @ mj - mj @ mi
+            for (a, b), m in index.items():
+                c[m, i, j] = comm[a, b]
+    return c
+
+
+def so3c_real():
+    """so(3, C) as a real 6-dimensional algebra with its complex structure."""
+    c = so_structure_constants(3)
+    n = 3
+    dim = 2 * n
+    f = np.zeros((dim, dim, dim))
+    # basis u_1..u_3, v_1..v_3 with v = J u; brackets from the complex algebra
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                f[k, i, j] = c[k, i, j]          # [u_i, u_j] = c u_k
+                f[n + k, i, n + j] = c[k, i, j]  # [u_i, v_j] = c v_k
+                f[n + k, n + i, j] = c[k, i, j]  # [v_i, u_j] = c v_k
+                f[k, n + i, n + j] = -c[k, i, j]  # [v_i, v_j] = -c u_k
+    J = np.zeros((dim, dim))
+    for i in range(n):
+        J[n + i, i] = 1.0
+        J[i, n + i] = -1.0
+    return lh.RealLieData(dim, f, J)
+
+
+def complexify(rl, tol=1e-10):
+    """Structure constants of the (1,0)-frame induced by (f, J), bracket by
+    bracket, with the thresholds the loop version had."""
+    dim, f, J = rl.dim, rl.f, rl.J
+    n = dim // 2
+    jj = float(np.abs(J @ J + np.eye(dim)).max())
+    if jj > 1e-12:
+        raise ValueError(f"J*J = -I fails with residual {jj:.3e}")
+    asym = float(np.abs(f + f.swapaxes(1, 2)).max())
+    if asym > tol:
+        raise ValueError(f"f is not antisymmetric in its lower pair: residual {asym:.3e}")
+    jac = lh._real_jacobi_residual(f)
+    if jac > tol:
+        raise JacobiViolation(f"real Jacobi residual {jac:.3e}")
+
+    proj = (np.eye(dim) - 1j * J) / 2.0
+    _, _, piv = scipy.linalg.qr(proj, pivoting=True)
+    E = proj[:, np.sort(piv[:n])]
+    S = np.hstack([E, E.conj()])
+    if np.linalg.cond(S) > lh._COND_LIMIT:
+        raise SingularFrame("complexified basis is numerically singular")
+
+    def bracket(x, y):
+        return np.einsum("cab,a,b->c", f, x, y)
+
+    C = np.zeros((n, n, n), dtype=complex)
+    D = np.zeros((n, n, n), dtype=complex)
+    nij = 0.0
+    for a in range(n):
+        for b in range(a + 1, n):
+            coef = np.linalg.solve(S, bracket(E[:, a], E[:, b]))
+            nij = max(nij, float(np.abs(coef[n:]).max()))
+            C[:, a, b] = coef[:n]
+            C[:, b, a] = -coef[:n]
+    if nij > tol:
+        raise NotIntegrable(f"(0,1)-component of [e_a, e_b] has norm {nij:.3e}")
+    for a in range(n):
+        for b in range(n):
+            coef = np.linalg.solve(S, bracket(E[:, a], E[:, b].conj()))
+            # [e_a, ebar_b] = sum_j mu^j e_j + ...  with conj(D^a_{jb}) = mu^j
+            D[a, :, b] = coef[:n].conj()
+
+    return lh.StructureConstants(n, C, D)
+
+
+def hermitian_basis(n):
+    """Orthonormal basis of Hermitian n x n matrices under Re tr(X Y)."""
+    basis = []
+    for i in range(n):
+        e = np.zeros((n, n), dtype=complex)
+        e[i, i] = 1.0
+        basis.append(e)
+    s = 1.0 / np.sqrt(2.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j] = e[j, i] = s
+            basis.append(e)
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j] = 1j * s
+            e[j, i] = -1j * s
+            basis.append(e)
+    return basis

@@ -477,3 +477,67 @@ def test_catalog_show_unknown(capsys):
     code, _, err = _run(capsys, "catalog", "show", "bogus")
     assert code == cli.EXIT_INVALID_INPUT
     assert "unknown" in err
+
+
+# the exact text of `catalog show`: it reads the catalog's constants (the so(k)
+# builder for sokc-K) through the structure-equation renderer, and a rewrite
+# of either must keep every byte
+CATALOG_SHOW = {
+    "abelian-2": (
+        "abelian-2: n = 2\n"
+        "  d f1 = 0\n"
+        "  d f2 = 0\n"
+    ),
+    "abelian-3": (
+        "abelian-3: n = 3\n"
+        "  d f1 = 0\n"
+        "  d f2 = 0\n"
+        "  d f3 = 0\n"
+    ),
+    "so3c": (
+        "so3c: n = 3\n"
+        "  d f1 = f2 ^ f3\n"
+        "  d f2 = - f1 ^ f3\n"
+        "  d f3 = f1 ^ f2\n"
+    ),
+    "sokc-4": (
+        "sokc-4: n = 6\n"
+        "  d f1 = - f2 ^ f4 - f3 ^ f5\n"
+        "  d f2 = f1 ^ f4 - f3 ^ f6\n"
+        "  d f3 = f1 ^ f5 + f2 ^ f6\n"
+        "  d f4 = - f1 ^ f2 - f5 ^ f6\n"
+        "  d f5 = - f1 ^ f3 + f4 ^ f6\n"
+        "  d f6 = - f2 ^ f3 - f4 ^ f5\n"
+    ),
+    "iwasawa": (
+        "iwasawa: n = 3\n"
+        "  d f1 = 0\n"
+        "  d f2 = 0\n"
+        "  d f3 = - f1 ^ f2\n"
+    ),
+    "kodaira-thurston": (
+        "kodaira-thurston: n = 2\n"
+        "  d f1 = 0\n"
+        "  d f2 = f1 ^ fb1\n"
+    ),
+    "sokc-5": (
+        "sokc-5: n = 10\n"
+        "  d f1 = - f2 ^ f5 - f3 ^ f6 - f4 ^ f7\n"
+        "  d f2 = f1 ^ f5 - f3 ^ f8 - f4 ^ f9\n"
+        "  d f3 = f1 ^ f6 + f2 ^ f8 - f4 ^ f10\n"
+        "  d f4 = f1 ^ f7 + f2 ^ f9 + f3 ^ f10\n"
+        "  d f5 = - f1 ^ f2 - f6 ^ f8 - f7 ^ f9\n"
+        "  d f6 = - f1 ^ f3 + f5 ^ f8 - f7 ^ f10\n"
+        "  d f7 = - f1 ^ f4 + f5 ^ f9 + f6 ^ f10\n"
+        "  d f8 = - f2 ^ f3 - f5 ^ f6 - f9 ^ f10\n"
+        "  d f9 = - f2 ^ f4 - f5 ^ f7 + f8 ^ f10\n"
+        "  d f10 = - f3 ^ f4 - f6 ^ f7 - f8 ^ f9\n"
+    ),
+}
+
+
+def test_catalog_show_pins_every_entry(capsys):
+    assert set(lh.catalog_names()) | {"sokc-5"} == set(CATALOG_SHOW)
+    for name, text in CATALOG_SHOW.items():
+        code, out, err = _run(capsys, "catalog", "show", name)
+        assert (code, out, err) == (cli.EXIT_OK, text, "")

@@ -38,6 +38,18 @@ def test_gauduchon_functional_values():
     assert fn.gauduchon_functional(_pkg("kodaira-thurston")) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("eps", [1.0, 0.5, 1e-3, 1e-6, 1e-9])
+def test_so3c_ill_conditioned_metric_closed_forms(eps):
+    # H = diag(1, 1, eps): the unitary coframe is (phi_1, phi_2, sqrt(eps) phi_3),
+    # so the two torsion entries that carry phi_3 scale by 1/sqrt(eps) and the
+    # one that does not by sqrt(eps); the large values at small eps are exact,
+    # and cond(H) = 1/eps stays below the frame-change limit
+    pkg = _pkg("so3c", np.diag([1.0, 1.0, eps]))
+    norm_T2 = 2 * eps + 4 / eps
+    assert pkg.norm_T2 == pytest.approx(norm_T2, rel=1e-13)
+    assert fn.torsion_functional(pkg) == pytest.approx(eps ** (1 / 3) * norm_T2, rel=1e-13)
+
+
 def test_scale_invariance(rng):
     for name in ("so3c", "iwasawa", "kodaira-thurston"):
         hs = _hs(name)

@@ -188,6 +188,49 @@ def test_complexify_rejects_bad_J():
 
 
 # ---------------------------------------------------------------------------
+# one tolerance policy: validation and complexification use DEFAULT_TOL
+
+
+@pytest.mark.parametrize("planted, accepted", [(5e-10, True), (5e-9, False)])
+def test_validate_antisymmetry_boundary_is_default_tol(planted, accepted):
+    # Iwasawa has d(d phi_j) = 0 for any C^3_{12}, so only antisymmetry moves
+    sc = lh.catalog("iwasawa").sc
+    C = sc.C.copy()
+    C[2, 0, 1] += planted
+    rep = lh.validate(lh.StructureConstants(3, C, sc.D))
+    assert rep.residual("C_antisymmetry") == pytest.approx(planted, rel=1e-6)
+    assert rep.residual("dd_phi") == rep.residual("dd_phibar") == 0.0
+    assert rep.ok is accepted
+
+
+@pytest.mark.parametrize("planted, accepted", [(5e-10, True), (5e-9, False)])
+def test_complexify_antisymmetry_boundary_is_default_tol(planted, accepted):
+    # the Heisenberg bracket lands in the centre, so Jacobi holds for any f^3_{12}
+    kt = lh.kodaira_thurston_real()
+    f = kt.f.copy()
+    f[2, 0, 1] += planted
+    rl = lh.RealLieData(4, f, kt.J)
+    if accepted:
+        assert lh.complexify(rl).n == 2
+    else:
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            lh.complexify(rl)
+
+
+@pytest.mark.parametrize("planted, accepted", [(5e-10, True), (5e-9, False)])
+def test_complexify_J_square_boundary_is_default_tol(planted, accepted):
+    kt = lh.kodaira_thurston_real()
+    J = kt.J.copy()
+    J[1, 0] += planted
+    rl = lh.RealLieData(4, kt.f, J)
+    if accepted:
+        assert lh.complexify(rl).n == 2
+    else:
+        with pytest.raises(ValueError, match="J\\*J = -I fails"):
+            lh.complexify(rl)
+
+
+# ---------------------------------------------------------------------------
 # frame changes and unitary reduction
 
 

@@ -4,6 +4,10 @@ Each closed form (validation's d(d e) = 0 residuals, Q_G, the pluriclosed
 residual, frame changes, the Strominger-parallel residuals) is compared with the route in ``oracles`` on
 seeded random valid structures under random metrics, on catalog entries,
 and, for validation, on random C/D that fail the Jacobi identity.
+
+The whole-array constant builders (so(k) constants, so(3, C) as real data,
+complexification, the Hermitian basis) must equal their scalar-loop
+versions bit for bit, the sign of every zero included.
 """
 
 import numpy as np
@@ -12,10 +16,12 @@ import pytest
 import hermlab.classifiers as cl
 import hermlab.functionals as fn
 import hermlab.lie_hermitian as lh
+import hermlab.optimizer as op
 import hermlab.torsion_engine as te
 
 import oracles
-from conftest import CATALOG_SAMPLE, random_gl, random_hpd, random_structure
+from conftest import (CATALOG_SAMPLE, random_gl, random_hpd, random_real_basis_change,
+                      random_structure)
 
 REL_TOL = 1e-12
 
@@ -111,3 +117,46 @@ def test_closed_forms_on_small_catalog_entries(name):
                   oracles.dd_residuals(hs.sc))
     assert _close(fn.gauduchon_critical_residual(pkg)[0], oracles.gauduchon_residual(pkg))
     assert _close(cl.pluriclosed_residual(pkg), oracles.pluriclosed_residual(pkg))
+
+
+# ---------------------------------------------------------------------------
+# constant builders against their scalar loops, bit for bit
+
+
+def _assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    g = got.view(float) if np.iscomplexobj(got) else got
+    w = want.view(float) if np.iscomplexobj(want) else want
+    assert np.array_equal(g, w)
+    assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_so_structure_constants_equal_loop_version(k):
+    _assert_bitwise(lh.so_structure_constants(k), oracles.so_structure_constants(k))
+
+
+def test_so3c_real_equals_loop_version():
+    got, want = lh.so3c_real(), oracles.so3c_real()
+    _assert_bitwise(got.f, want.f)
+    _assert_bitwise(got.J, want.J)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_hermitian_basis_equals_loop_version(n):
+    got, want = op.hermitian_basis(n), oracles.hermitian_basis(n)
+    assert len(got) == len(want) == n * n
+    for x, y in zip(got, want):
+        _assert_bitwise(x, y)
+
+
+def test_complexify_equals_loop_version():
+    # Kodaira-Thurston, so(3, C) and 60 seeded real basis changes of them
+    bases = (lh.kodaira_thurston_real(), lh.so3c_real())
+    rng = np.random.default_rng(108)
+    cases = list(bases) + [random_real_basis_change(rng, bases[m % 2]) for m in range(60)]
+    for rl in cases:
+        got, want = lh.complexify(rl), oracles.complexify(rl)
+        _assert_bitwise(got.C, want.C)
+        _assert_bitwise(got.D, want.D)
