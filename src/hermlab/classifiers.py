@@ -10,13 +10,11 @@ them as the report's ``classification`` block: each class maps to
 The exception is the nilpotent-J check, a combinatorial test on the
 structure constants in the given frame: it asks whether some relabeling of
 the generators makes (C, D) triangular, reads the nonzero entries as a
-dependency graph between generators and answers with a topological sort
-(Kahn's algorithm), whose lexicographically smallest order is the witness.
+dependency relation between generators and places them greedily, smallest
+ready generator first; the lexicographically smallest order is the witness.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -89,35 +87,24 @@ def nilpotent_J_check(sc, tol=1e-12):
     permutations of the given frame are considered, not general frame changes.
 
     Each entry |C[j,i,k]| > tol or |D[i,j,k]| > tol asks for j to come after
-    both i and k, so a valid sigma is a topological order of the graph with
-    edges i -> j and k -> j; a self-dependency (j == i or j == k) is a loop
-    and leaves none.  Kahn's algorithm with a min-heap of ready generators
-    yields the lexicographically smallest order, which is the first
-    triangular sigma in the lexicographic order of all n! permutations.
-    O(n^3) for the scan of C and D.  ``tol`` is a structural-zero test on
-    the given constants, not an identity residual, hence rounding level.
+    both i and k, so a valid sigma is a topological order of this dependency
+    relation; a self-dependency (j == i or j == k) leaves none.  Placing the
+    smallest generator with no unplaced predecessor, n times, yields the
+    lexicographically smallest order, which is the first triangular sigma in
+    the lexicographic order of all n! permutations.  O(n^3) for the scan of
+    C and D.  ``tol`` is a structural-zero test on the given constants, not
+    an identity residual, hence rounding level.
     """
-    n = sc.n
-    jc, ic, kc = np.nonzero(np.abs(sc.C) > tol)
-    id_, jd, kd = np.nonzero(np.abs(sc.D) > tol)
-    src = np.concatenate([ic, kc, id_, kd]).tolist()
-    dst = np.concatenate([jc, jc, jd, jd]).tolist()
-    succ = [[] for _ in range(n)]
-    indegree = [0] * n
-    for a, b in set(zip(src, dst)):
-        succ[a].append(b)
-        indegree[b] += 1
-    ready = [v for v in range(n) if indegree[v] == 0]  # ascending: a heap
+    C, D = np.abs(sc.C) > tol, np.abs(sc.D) > tol
+    after = C.any(2) | C.any(1) | D.any(2).T | D.any(0)  # after[j, i]: i before j
+    waiting = np.ones(sc.n, dtype=bool)
     order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in succ[v]:
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                heapq.heappush(ready, w)
-    if len(order) < n:  # a cycle or a self-dependency
-        return False, None
+    for _ in range(sc.n):
+        ready = np.flatnonzero(waiting & ~(after & waiting).any(1))
+        if ready.size == 0:  # a cycle or a self-dependency
+            return False, None
+        waiting[ready[0]] = False
+        order.append(int(ready[0]))
     return True, tuple(order)
 
 

@@ -208,6 +208,20 @@ def _real_jacobi_residual(f):
     return float(np.abs(cyc).max())
 
 
+def _pivot_columns(A, k):
+    """Sorted indices of the ``k`` columns that Businger-Golub column
+    pivoting picks: the largest remaining column (first on ties), which is
+    then projected out of every column."""
+    R = np.array(A, dtype=complex)
+    piv = []
+    for _ in range(k):
+        j = int(np.argmax((np.abs(R) ** 2).sum(axis=0)))
+        q = R[:, j] / np.linalg.norm(R[:, j])
+        R -= np.outer(q, q.conj() @ R)
+        piv.append(j)
+    return np.sort(piv)
+
+
 def complexify(rl, tol=ta.DEFAULT_TOL):
     """Structure constants of the (1,0)-frame induced by (f, J).
 
@@ -218,8 +232,6 @@ def complexify(rl, tol=ta.DEFAULT_TOL):
     obstruction).  The result is not passed through :func:`validate`; callers
     that need d*d = 0 checked validate it themselves, as the CLI does.
     """
-    import scipy.linalg  # deferred: only this function needs scipy
-
     dim, f, J = rl.dim, rl.f, rl.J
     n = dim // 2
     jj = float(np.abs(J @ J + np.eye(dim)).max())
@@ -233,11 +245,10 @@ def complexify(rl, tol=ta.DEFAULT_TOL):
         raise JacobiViolation(f"real Jacobi residual {jac:.3e}")
 
     # basis of the +i eigenspace of J: independent columns of (I - iJ)/2,
-    # located by column-pivoted QR but kept un-orthogonalized so structured
+    # located by column pivoting but kept un-orthogonalized so structured
     # inputs yield sparse structure constants
     proj = (np.eye(dim) - 1j * J) / 2.0
-    _, _, piv = scipy.linalg.qr(proj, pivoting=True)
-    E = proj[:, np.sort(piv[:n])]
+    E = proj[:, _pivot_columns(proj, n)]
     S = np.hstack([E, E.conj()])
     if np.linalg.cond(S) > _COND_LIMIT:
         raise SingularFrame("complexified basis is numerically singular")
@@ -338,15 +349,6 @@ def so3c_real():
     return RealLieData(dim, f, J)
 
 
-def _so3c_constants():
-    # d phi_1 = phi_2 ^ phi_3 and cyclic permutations
-    C = np.zeros((3, 3, 3), dtype=complex)
-    for j, (i, k) in ((0, (1, 2)), (1, (2, 0)), (2, (0, 1))):
-        C[j, i, k] = -1.0
-        C[j, k, i] = 1.0
-    return C
-
-
 def catalog_names():
     """Representative catalog names (abelian-N and sokc-K are parametric)."""
     return ["abelian-2", "abelian-3", "so3c", "sokc-4", "iwasawa", "kodaira-thurston"]
@@ -362,7 +364,8 @@ def catalog(name, metric=None):
             raise UnknownCatalogEntry(name)
         sc = StructureConstants.zero(n)
     elif name == "so3c":
-        sc = StructureConstants(3, _so3c_constants(), np.zeros((3, 3, 3)))
+        # d phi_1 = phi_2 ^ phi_3 and cyclic permutations
+        sc = StructureConstants(3, so_structure_constants(3), np.zeros((3, 3, 3)))
     elif re.fullmatch(r"sokc-(\d+)", name):
         k = int(name.split("-")[1])
         if k < 3:

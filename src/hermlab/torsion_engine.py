@@ -58,25 +58,24 @@ def ab_tensors(T):
     return A, B
 
 
-def covariant_derivative_T(T, gamma):
-    """T^j_{ik, lbar} for left-invariant data.
-
-    DT[j,i,k,l] = sum_r ( T^j_{rk} conj(G^i_{rl}) + T^j_{ir} conj(G^k_{rl})
-                          - T^r_{ik} conj(G^r_{jl}) ).
-    """
-    gc = gamma.conj()
-    out = np.einsum("jrk,irl->jikl", T, gc)
-    out += np.einsum("jir,krl->jikl", T, gc)
-    out -= np.einsum("rik,rjl->jikl", T, gc)
-    return out
-
-
 def holomorphic_derivative_T(T, gamma):
     """T^j_{ik, l} (unbarred covariant derivative) for left-invariant data."""
     out = -np.einsum("jrk,ril->jikl", T, gamma)
     out -= np.einsum("jir,rkl->jikl", T, gamma)
     out += np.einsum("rik,jrl->jikl", T, gamma)
     return out
+
+
+def covariant_derivative_T(T, gamma):
+    """T^j_{ik, lbar} for left-invariant data:
+
+    DT[j,i,k,l] = sum_r ( T^j_{rk} conj(G^i_{rl}) + T^j_{ir} conj(G^k_{rl})
+                          - T^r_{ik} conj(G^r_{jl}) ),
+
+    the holomorphic template with the connection matrices of the barred
+    directions, omega(ebar_l) = -omega(e_l)^H for a unitary connection.
+    """
+    return holomorphic_derivative_T(T, -gamma.conj().transpose(1, 0, 2))
 
 
 def phi_xi_tensors(T, DT, eta):

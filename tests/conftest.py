@@ -97,6 +97,28 @@ def random_real_basis_change(rng, rl, spread=0.3):
     return lh.RealLieData(dim, f, J)
 
 
+def standard_J(n):
+    """The complex structure u_i -> v_i -> -u_i on the basis (u, v) of R^2n."""
+    J = np.zeros((2 * n, 2 * n))
+    i = np.arange(n)
+    J[n + i, i] = 1.0
+    J[i, n + i] = -1.0
+    return J
+
+
+def realified_so(k):
+    """so(k, C) as a real algebra with its complex structure, the
+    ``so3c_real`` construction for any k."""
+    c = lh.so_structure_constants(k)
+    n = c.shape[0]
+    f = np.zeros((2 * n, 2 * n, 2 * n))
+    f[:n, :n, :n] = c
+    f[n:, :n, n:] = c
+    f[n:, n:, :n] = c
+    f[:n, n:, n:] = -c
+    return lh.RealLieData(2 * n, f, standard_J(n))
+
+
 CATALOG_SAMPLE = ["abelian-2", "abelian-3", "so3c", "sokc-4", "iwasawa", "kodaira-thurston"]
 
 

@@ -256,9 +256,37 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("k", [5, 6])
+def _real_algebra_doc(rl):
+    f = [{"up": int(c) + 1, "lo": [int(a) + 1, int(b) + 1], "val": float(rl.f[c, a, b])}
+         for c, a, b in np.argwhere(rl.f) if a < b]
+    return {"real_algebra": {"dim": rl.dim, "f": f, "J": rl.J.tolist()}}
+
+
+@pytest.mark.parametrize("doc", [KT_REAL, _real_algebra_doc(lh.so3c_real())],
+                         ids=["kodaira-thurston", "so3c"])
+def test_real_algebra_analyze_runs_without_scipy(tmp_path, doc):
+    # importing scipy raises ModuleNotFoundError in this interpreter
+    path = _write(tmp_path, doc)
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import hermlab.cli as cli\n"
+        f"code = cli.main(['analyze', {path!r}, '--format', 'json'])\n"
+        "loaded = [m for m, mod in sys.modules.items()\n"
+        "          if m.startswith('scipy') and mod is not None]\n"
+        "print(sorted(loaded), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stderr.strip() == "[]"
+    report = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert report["validation"]["ok"]
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
 def test_analyze_sokc_ladder_rungs(tmp_path, k):
-    # n = 10 and n = 15: semisimple, so no relabeling is triangular
+    # n = 10, 15 and 21: semisimple, so no relabeling is triangular
     path = _write(tmp_path, {"catalog": f"sokc-{k}"})
     proc = _python("-m", "hermlab.cli", "analyze", path, "--format", "json")
     assert proc.returncode == cli.EXIT_OK, proc.stderr

@@ -7,11 +7,14 @@ and, for validation, on random C/D that fail the Jacobi identity.
 
 The whole-array constant builders (so(k) constants, so(3, C) as real data,
 complexification, the Hermitian basis) must equal their scalar-loop
-versions bit for bit, the sign of every zero included.
+versions bit for bit, the sign of every zero included.  The column pivoting
+that picks complexification's (1,0) basis must pick the columns of scipy's
+pivoted QR.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import hermlab.classifiers as cl
 import hermlab.functionals as fn
@@ -21,7 +24,7 @@ import hermlab.torsion_engine as te
 
 import oracles
 from conftest import (CATALOG_SAMPLE, random_gl, random_hpd, random_real_basis_change,
-                      random_structure)
+                      random_structure, realified_so, standard_J)
 
 REL_TOL = 1e-12
 
@@ -152,11 +155,38 @@ def test_hermitian_basis_equals_loop_version(n):
 
 
 def test_complexify_equals_loop_version():
-    # Kodaira-Thurston, so(3, C) and 60 seeded real basis changes of them
+    # Kodaira-Thurston, so(3, C) and 60 seeded real basis changes of them,
+    # then so(4, C) (real dimension 12) and 10 seeded basis changes of it
     bases = (lh.kodaira_thurston_real(), lh.so3c_real())
     rng = np.random.default_rng(108)
     cases = list(bases) + [random_real_basis_change(rng, bases[m % 2]) for m in range(60)]
+    so4c = realified_so(4)
+    cases += [so4c] + [random_real_basis_change(rng, so4c) for _ in range(10)]
     for rl in cases:
         got, want = lh.complexify(rl), oracles.complexify(rl)
         _assert_bitwise(got.C, want.C)
         _assert_bitwise(got.D, want.D)
+
+
+def _pivot_cases():
+    """(I - iJ)/2 for the real-algebra inputs: Kodaira-Thurston, so(3, C) and
+    realified so(k, C), k = 3..6, seeded basis changes of all but so(6, C),
+    and random J = B J0 B^-1 with row-permuted B in real dimension 2..16."""
+    rng = np.random.default_rng(109)
+    bases = [lh.kodaira_thurston_real(), lh.so3c_real()] + [realified_so(k) for k in range(3, 7)]
+    # a basis change of so(5, C) costs 0.5 s (a dim^7 einsum), so only two
+    cases = bases + [random_real_basis_change(rng, rl) for rl in bases[:4] for _ in range(12)]
+    cases += [random_real_basis_change(rng, bases[4]) for _ in range(2)]
+    out = [(np.eye(rl.dim) - 1j * rl.J) / 2.0 for rl in cases]
+    for _ in range(1600):
+        n = int(rng.integers(1, 9))
+        B = rng.standard_normal((2 * n, 2 * n))[rng.permutation(2 * n)]
+        out.append((np.eye(2 * n) - 1j * (B @ standard_J(n) @ np.linalg.inv(B))) / 2.0)
+    return out
+
+
+def test_pivot_columns_match_scipy_qrcp():
+    for A in _pivot_cases():
+        k = A.shape[0] // 2
+        want = np.sort(scipy.linalg.qr(A, pivoting=True)[2][:k])
+        assert np.array_equal(lh._pivot_columns(A, k), want)
