@@ -12,18 +12,27 @@ Matrices*, 2008, ch. 3).  For ``residual_norm``, whose gradient would need
 the derivative of Q_F, the gradient is a central finite difference of step
 ``FD_STEP`` over an orthonormal real basis of Hermitian matrices.
 
-The descent is steepest descent with Armijo backtracking: each line search
-starts at ``INITIAL_STEP``, multiplies the step by ``SHRINK`` after a
-rejected trial and accepts a trial that lowers the objective strictly and by
-at least ``SUFFICIENT_DECREASE * step * |G|^2``.  Near a critical point that
-decrease falls below the rounding error of the objective; a line search that
-accepts no trial while |G|^2 <= ``PRECISION_FLOOR * eps * max(1, |f|)``
-ends the descent as converged with reason ``precision_limit``, any other
-failed line search with reason ``stagnated``.
+The descent is L-BFGS in the chart (Nocedal and Wright, *Numerical
+Optimization*, 2006, ch. 7) under the inner product Re tr(X Y): the two-loop
+recursion over the last ``MEMORY`` pairs (s, y) of chart steps and gradient
+changes, a pair being kept only when <s, y> > 0, gives the direction d.
+Each line search is Armijo backtracking along d: it starts at
+``INITIAL_STEP``, multiplies the step by ``SHRINK`` after a rejected trial
+and accepts a trial that lowers the objective strictly and by at least
+``SUFFICIENT_DECREASE * step * |<G, d>|``.  It gives up once the decrease it
+predicts, step * |<G, d>|, is below the rounding of the objective,
+eps * max(1, |f|).  With an empty memory d = -G; otherwise, when d is not a
+descent direction or its search fails, the memory is cleared and one search
+runs along -G.  Near a critical point the decrease falls below the
+rounding: a descent whose last search fails while the decrement
+min(|G|^2, -<G, d>) (|G|^2 when <G, d> >= 0) is at most
+``PRECISION_FLOOR * eps * max(1, |f|)`` ends as converged with reason
+``precision_limit``, any other with reason ``stagnated``.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +48,7 @@ OBJECTIVES = ("torsion_functional", "gauduchon_functional", "residual_norm")
 FD_STEP = 1e-5
 INITIAL_STEP = 1.0
 SHRINK = 0.5
+MEMORY = 8  # (s, y) pairs the L-BFGS recursion keeps
 SUFFICIENT_DECREASE = 1e-4
 PRECISION_FLOOR = 64.0
 
@@ -189,8 +199,60 @@ def _fd_gradient(prob, S):
     return _project(G, prob.cfg.det_normalized)
 
 
+def _inner(X, Y):
+    """Re tr(X Y) for Hermitian X, Y."""
+    return float(np.vdot(X, Y).real)
+
+
+def _lbfgs_direction(G, memory, det_normalized):
+    """-H G for the L-BFGS inverse Hessian H of the pairs (s, y) in ``memory``.
+
+    The two-loop recursion, oldest pair first in ``memory``, with the initial
+    inverse Hessian <s, y> / <y, y> of the newest pair; -G when it is empty.
+    """
+    q = G
+    alphas = []
+    for s, y in reversed(memory):
+        a = _inner(s, q) / _inner(s, y)
+        q = q - a * y
+        alphas.append(a)
+    if memory:
+        s, y = memory[-1]
+        q = (_inner(s, y) / _inner(y, y)) * q
+    for (s, y), a in zip(memory, reversed(alphas)):
+        q = q + (a - _inner(y, q) / _inner(s, y)) * s
+    return _project(-q, det_normalized)
+
+
+def _line_search(prob, S, obj, d, slope):
+    """Armijo backtracking from S along d, where slope = <G, d> < 0.
+
+    Returns (S, objective, analysis) at the accepted trial, or None once the
+    predicted decrease -step * slope is below the rounding of the objective.
+    A trial whose metric cannot be analyzed counts as rejected.
+    """
+    floor = np.finfo(float).eps * max(1.0, abs(obj))
+    step = INITIAL_STEP
+    while -step * slope >= floor:
+        cand = _project(S + step * d, prob.cfg.det_normalized)
+        # a long trial step can leave the numerically valid cone: the chart
+        # overflows, H stops being positive definite in floats or its frame
+        # change becomes numerically singular
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                cand_pkg = prob.analyze(cand)
+                cand_obj = prob.value(cand_pkg)
+        except _UNUSABLE:
+            step *= SHRINK
+            continue
+        if cand_obj < obj and cand_obj <= obj + SUFFICIENT_DECREASE * step * slope:
+            return cand, cand_obj, cand_pkg
+        step *= SHRINK
+    return None
+
+
 def minimize(hs0, cfg, S0=None):
-    """Gradient descent with Armijo backtracking in the S-chart.
+    """L-BFGS with Armijo backtracking in the S-chart.
 
     A trial step whose metric cannot be analyzed (overflowing chart, not
     positive definite in floating point, numerically singular frame change,
@@ -210,6 +272,8 @@ def minimize(hs0, cfg, S0=None):
         obj = prob.value(pkg)
     except _UNUSABLE as exc:
         raise InvalidStartPoint(str(exc)) from exc
+    memory = deque(maxlen=MEMORY)  # (s, y) pairs, oldest first
+    previous = None  # (S, G) before the last accepted step
     for it in range(cfg.max_iter + 1):
         G = gradient(prob, S, pkg)
         gnorm = float(np.linalg.norm(G))
@@ -225,36 +289,29 @@ def minimize(hs0, cfg, S0=None):
         if it == cfg.max_iter:
             trace.reason = "max_iterations"
             break
-        # Armijo backtracking along -G
-        step = INITIAL_STEP
+        if previous is not None:
+            s, y = S - previous[0], G - previous[1]
+            if _inner(s, y) > 0:
+                memory.append((s, y))
         g2 = gnorm**2
-        accepted = False
-        while step * gnorm > 1e-16:
-            cand = _project(S - step * G, cfg.det_normalized)
-            # a long trial step can leave the numerically valid cone: the
-            # chart overflows, H stops being positive definite in floats or
-            # its frame change becomes numerically singular
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    cand_pkg = prob.analyze(cand)
-                    cand_obj = prob.value(cand_pkg)
-            except _UNUSABLE:
-                step *= SHRINK
-                continue
-            if cand_obj < obj and cand_obj <= obj - SUFFICIENT_DECREASE * step * g2:
-                S, obj, pkg = cand, cand_obj, cand_pkg
-                accepted = True
-                break
-            step *= SHRINK
-        if not accepted:
-            # below the floor the attainable decrease, about step * |G|^2, is
-            # lost in the rounding of the objective: no trial can be accepted
-            if g2 <= PRECISION_FLOOR * np.finfo(float).eps * max(1.0, abs(obj)):
+        d = _lbfgs_direction(G, memory, cfg.det_normalized)
+        slope = _inner(G, d)
+        decrement = min(g2, -slope) if slope < 0 else g2
+        found = _line_search(prob, S, obj, d, slope) if slope < 0 else None
+        if found is None and memory:
+            memory.clear()
+            found = _line_search(prob, S, obj, -G, -g2)
+        if found is None:
+            # below the floor the attainable decrease, about the decrement,
+            # is lost in the rounding of the objective: no trial is accepted
+            if decrement <= PRECISION_FLOOR * np.finfo(float).eps * max(1.0, abs(obj)):
                 trace.converged = True
                 trace.reason = "precision_limit"
             else:
                 trace.reason = "stagnated"
             break
+        previous = (S, G)
+        S, obj, pkg = found
     trace.H_star = prob.metric(S)
     trace.pkg_star = pkg
     return trace

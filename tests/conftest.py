@@ -92,7 +92,7 @@ def random_real_basis_change(rng, rl, spread=0.3):
         if np.linalg.cond(B) < 50:
             break
     Binv = np.linalg.inv(B)
-    f = np.einsum("gc,cde,da,eb->gab", Binv, rl.f, B, B)
+    f = np.einsum("gc,cde,da,eb->gab", Binv, rl.f, B, B, optimize=True)
     J = Binv @ rl.J @ B
     return lh.RealLieData(dim, f, J)
 

@@ -183,6 +183,36 @@ def analytic_gradient(prob, S):
     return op._project(G, cfg.det_normalized)
 
 
+def dense_bfgs_direction(G, pairs):
+    """-H G for the BFGS inverse Hessian H of ``pairs``, built as a dense matrix.
+
+    Hermitian matrices become real vectors of their coordinates in the
+    orthonormal basis of :func:`hermitian_basis`, so Re tr(X Y) is the dot
+    product.  H starts at <s, y> / <y, y> times the identity for the newest
+    pair and takes the BFGS update H <- (I - r s y^T) H (I - r y s^T) + r s s^T,
+    r = 1 / <s, y>, for each pair, oldest first (Nocedal and Wright,
+    *Numerical Optimization*, 2006, eq. 6.17); the cross-check of the
+    library's two-loop recursion.
+    """
+    basis = hermitian_basis(G.shape[0])
+
+    def vec(X):
+        return np.array([np.trace(K @ X).real for K in basis])
+
+    m = len(basis)
+    H = np.eye(m)
+    if pairs:
+        s, y = vec(pairs[-1][0]), vec(pairs[-1][1])
+        H *= (s @ y) / (y @ y)
+    for S, Y in pairs:
+        s, y = vec(S), vec(Y)
+        r = 1.0 / (s @ y)
+        V = np.eye(m) - r * np.outer(y, s)
+        H = V.T @ H @ V + r * np.outer(s, s)
+    d = -H @ vec(G)
+    return sum(c * K for c, K in zip(d, basis))
+
+
 def lck_closed_forms(eta):
     """Closed forms of A, B, |T|^2 for an LCK torsion shape."""
     eta = np.asarray(eta, dtype=complex)

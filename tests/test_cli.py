@@ -428,12 +428,16 @@ def test_optimize_far_start_rejects_invalid_trial_steps(tmp_path, perturb, seed)
     ("so3c", "3.0", "1", 6.0),
     ("so3c", "3.0", "5", 6.0),
     ("so3c", "20", "0", 6.0),
+    ("so3c", "20", "11", 6.0),
     ("sokc-4", "0.1", "7", 24.0),
+    ("sokc-4", "0.1", "33", 24.0),
     ("sokc-5", "0.1", "7", 60.0),
 ])
 def test_optimize_reaches_critical_value(tmp_path, name, perturb, seed, critical):
     # these descents reach the critical value to rounding; the line search
     # then accepts no trial and the run stops converged, not stagnated
+    # (so3c 20/11 only because precision_limit reads the quasi-Newton
+    # decrement, not |G|^2)
     path = _write(tmp_path, {"catalog": name})
     proc = _python("-m", "hermlab.cli", "optimize", path, "--perturb", perturb,
                    "--seed", seed, "--format", "json")

@@ -1,5 +1,7 @@
 """Descent over the metric cone: chart, gradients, minimization."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,99 @@ def test_gradient_directional_derivative(rng):
 
 
 # ---------------------------------------------------------------------------
+# L-BFGS direction
+
+
+def _pair_history(rng, n, count, det_normalized):
+    """``count`` seeded pairs (s, y) with <s, y> > 0, as minimize keeps them."""
+    pairs = []
+    while len(pairs) < count:
+        s = op._project(random_hermitian(rng, n), det_normalized)
+        y = op._project(s + 0.8 * random_hermitian(rng, n), det_normalized)
+        if op._inner(s, y) > 0:
+            pairs.append((s, y))
+    return pairs
+
+
+def test_lbfgs_direction_matches_dense_bfgs(rng):
+    for n in (2, 3, 4):
+        for det_normalized in (False, True):
+            for count in (0, 1, 3, op.MEMORY):
+                pairs = _pair_history(rng, n, count, det_normalized)
+                G = random_hermitian(rng, n)
+                d = op._lbfgs_direction(G, deque(pairs), det_normalized)
+                ref = op._project(oracles.dense_bfgs_direction(G, pairs), det_normalized)
+                assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref), (n, count)
+                assert np.abs(d - d.conj().T).max() == 0.0
+                if det_normalized:
+                    assert abs(np.trace(d)) <= 1e-12 * np.linalg.norm(d)
+
+
+def test_minimize_keeps_only_positive_curvature_pairs(monkeypatch):
+    # a double well in every chart coordinate, f = sum (x^2 - 1)^2, is
+    # concave near S = 0: a step taken there gives <s, y> < 0, and that pair
+    # must not reach the two-loop recursion
+    basis = op.hermitian_basis(2)
+
+    def coords(S):
+        return np.array([np.vdot(K, S).real for K in basis])
+
+    steps = []  # (S, G) at every gradient
+    seen = []  # <s, y> of every pair handed to the recursion
+
+    def gradient(prob, S, pkg):
+        G = sum(4 * x * (x * x - 1) * K for x, K in zip(coords(S), basis))
+        steps.append((S, G))
+        return G
+
+    lbfgs_direction = op._lbfgs_direction
+
+    def direction(G, memory, det_normalized):
+        seen.extend(op._inner(s, y) for s, y in memory)
+        return lbfgs_direction(G, memory, det_normalized)
+
+    monkeypatch.setattr(op._Problem, "analyze", lambda self, S: S)
+    monkeypatch.setattr(op._Problem, "value", lambda self, S: float(np.sum((coords(S) ** 2 - 1) ** 2)))
+    monkeypatch.setattr(op._Problem, "residual_norm", lambda self, S: 0.0)
+    monkeypatch.setattr(op, "gradient", gradient)
+    monkeypatch.setattr(op, "_lbfgs_direction", direction)
+    trace = op.minimize(lh.catalog("kodaira-thurston"), op.OptimConfig(), S0=0.1 * sum(basis))
+    assert trace.reason == "gradient_tolerance"
+    pairs = [op._inner(S1 - S0, G1 - G0) for (S0, G0), (S1, G1) in zip(steps, steps[1:])]
+    assert min(pairs) < 0 < max(pairs)
+    assert seen and min(seen) > 0
+
+
+
+def test_failed_search_restarts_along_minus_gradient(rng, monkeypatch):
+    # a quasi-Newton search that accepts nothing clears the memory and is
+    # followed by one search along -G, and the descent goes on
+    memories = []  # memory length seen by the direction, one per iteration
+    searches = []  # (forced failure, d, slope) per line search
+    lbfgs_direction, line_search = op._lbfgs_direction, op._line_search
+
+    def direction(G, memory, det_normalized):
+        memories.append(len(memory))
+        return lbfgs_direction(G, memory, det_normalized)
+
+    def search(prob, S, obj, d, slope):
+        fail = memories[-1] == 3 and not any(f for f, _, _ in searches)
+        searches.append((fail, d, slope))
+        return None if fail else line_search(prob, S, obj, d, slope)
+
+    monkeypatch.setattr(op, "_lbfgs_direction", direction)
+    monkeypatch.setattr(op, "_line_search", search)
+    trace = op.minimize(lh.catalog("iwasawa"), op.OptimConfig(max_iter=12),
+                        S0=0.2 * random_hermitian(rng, 3))
+    assert trace.reason == "max_iterations"
+    k = [f for f, _, _ in searches].index(True)
+    _, d, slope = searches[k + 1]
+    assert slope == pytest.approx(-np.linalg.norm(d) ** 2, rel=1e-12)
+    j = memories.index(3)
+    assert memories[j + 1] <= 1
+
+
+# ---------------------------------------------------------------------------
 # minimize
 
 
@@ -281,3 +376,33 @@ def test_gauduchon_descent_shrinks_eta(rng):
         assert np.linalg.norm(eta) <= 1e-4
     # descent must have lowered the energy either way
     assert trace.iterations[-1][1] < trace.iterations[0][1]
+
+
+def test_descent_analysis_budget(monkeypatch):
+    # the benchmark's descents: one sokc-4 and 16 so3c starts of norm 0.1.
+    # Steepest descent from INITIAL_STEP took 5.5 analyses per accepted step
+    # and ended each run with about 30 hopeless halvings
+    calls = []
+    analyze = te.analyze
+    monkeypatch.setattr(te, "analyze", lambda hs: calls.append(1) or analyze(hs))
+    searches = []  # (failed, analyses) per line search
+    line_search = op._line_search
+
+    def counted(*args):
+        before = len(calls)
+        found = line_search(*args)
+        searches.append((found is None, len(calls) - before))
+        return found
+
+    monkeypatch.setattr(op, "_line_search", counted)
+    steps = 0
+    for name, seed in [("sokc-4", 7)] + [("so3c", seed) for seed in range(16)]:
+        hs = lh.catalog(name)
+        S0 = random_hermitian(np.random.default_rng(seed), hs.n)  # as cmd_optimize builds it
+        S0 *= 0.1 / np.linalg.norm(S0)
+        trace = op.minimize(hs, op.OptimConfig(max_iter=500), S0=S0)
+        assert trace.reason in ("gradient_tolerance", "precision_limit"), (name, seed)
+        steps += len(trace.iterations) - 1
+    assert len(calls) <= 2.5 * steps, (len(calls), steps)
+    failed = [cost for fail, cost in searches if fail]
+    assert failed and max(failed) <= 8, failed

@@ -174,9 +174,7 @@ def _pivot_cases():
     and random J = B J0 B^-1 with row-permuted B in real dimension 2..16."""
     rng = np.random.default_rng(109)
     bases = [lh.kodaira_thurston_real(), lh.so3c_real()] + [realified_so(k) for k in range(3, 7)]
-    # a basis change of so(5, C) costs 0.5 s (a dim^7 einsum), so only two
-    cases = bases + [random_real_basis_change(rng, rl) for rl in bases[:4] for _ in range(12)]
-    cases += [random_real_basis_change(rng, bases[4]) for _ in range(2)]
+    cases = bases + [random_real_basis_change(rng, rl) for rl in bases[:5] for _ in range(12)]
     out = [(np.eye(rl.dim) - 1j * rl.J) / 2.0 for rl in cases]
     for _ in range(1600):
         n = int(rng.integers(1, 9))
