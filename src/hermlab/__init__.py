@@ -15,20 +15,18 @@ from .lie_hermitian import (
     StructureConstants,
     catalog,
     complexify,
-    exterior_d,
     frame_change,
     unitary_reduction,
     validate,
 )
 from .optimizer import OptimConfig, OptimTrace, minimize
-from .tensor_algebra import InvariantForm, cholesky
+from .tensor_algebra import cholesky
 from .torsion_engine import TorsionPackage, analyze
 
 __version__ = "0.1.0"
 
 __all__ = [
     "HermitianStructure",
-    "InvariantForm",
     "OptimConfig",
     "OptimTrace",
     "RealLieData",
@@ -39,7 +37,6 @@ __all__ = [
     "cholesky",
     "classify",
     "complexify",
-    "exterior_d",
     "first_variation",
     "frame_change",
     "gauduchon_critical_residual",

@@ -2,12 +2,12 @@
 
 Commands: analyze, check-critical, variation-check, optimize, catalog.
 
-Exit codes: 0 success; 1 invalid input (schema, non-finite numbers,
-non-positive-definite metric, failed structure validation, unknown catalog
-name, a malformed HERMLAB_TOL, an optimize start metric that cannot be
-analyzed); 2 numerical failure, including a report that would contain a
-non-finite number; 3 "not critical" / "not converged" / "deviation above
-tolerance" outcomes.
+Exit codes: 0 success; 1 invalid input (schema, non-finite numbers, a
+metric not positive definite or with cond(H) above 1e13, failed structure
+validation, unknown catalog name, a malformed HERMLAB_TOL, an optimize start
+metric that cannot be analyzed); 2 numerical failure, including a report
+that would contain a non-finite number; 3 "not critical" / "not converged" /
+"deviation above tolerance" outcomes.
 
 Input documents are JSON with exactly one of:
   * ``"catalog": "<name>"``

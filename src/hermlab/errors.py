@@ -22,7 +22,7 @@ class JacobiViolation(HermlabError):
 
 
 class SingularFrame(HermlabError):
-    """A frame-change matrix is numerically singular."""
+    """A frame-change matrix (or a metric) is numerically singular."""
 
 
 class UnknownCatalogEntry(HermlabError):

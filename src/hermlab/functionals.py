@@ -75,22 +75,31 @@ def gauduchon_critical_residual(pkg):
     return Q, float(np.linalg.norm(Q))
 
 
+#: name -> (value, residual) of each functional with an analytic first
+#: variation; the entries look their functions up when called, so a wrapper
+#: set on this module (a tracer's, a test's) sees the calls made through them
+FUNCTIONALS = {
+    "torsion_functional": (lambda pkg: torsion_functional(pkg),
+                           lambda pkg: torsion_critical_residual(pkg)),
+    "gauduchon_functional": (lambda pkg: gauduchon_functional(pkg),
+                             lambda pkg: gauduchon_critical_residual(pkg)),
+}
+
+
 def variation_matrix(pkg, functional="torsion_functional"):
     """Unitary-frame matrix W = -Q of a functional's first variation.
 
-    ``functional`` is ``"torsion_functional"`` (Q = Q_F) or
-    ``"gauduchon_functional"`` (Q = Q_G).  For every Hermitian direction h,
-    d/dt functional(H + t h) at t = 0 equals V^(1/n) Re tr(h_u @ W), with
-    h_u the direction in the unitary frame, so V^(1/n) W is the Riesz matrix
-    of the variation.  The sign is negative for both functionals; it is
-    pinned by agreement with :func:`fd_first_variation`.
+    ``functional`` is a key of :data:`FUNCTIONALS`: ``"torsion_functional"``
+    (Q = Q_F) or ``"gauduchon_functional"`` (Q = Q_G).  For every Hermitian
+    direction h, d/dt functional(H + t h) at t = 0 equals
+    V^(1/n) Re tr(h_u @ W), with h_u the direction in the unitary frame, so
+    V^(1/n) W is the Riesz matrix of the variation.  The sign is negative
+    for both functionals; it is pinned by agreement with
+    :func:`fd_first_variation`.
     """
-    if functional == "torsion_functional":
-        Q, _ = torsion_critical_residual(pkg)
-    elif functional == "gauduchon_functional":
-        Q, _ = gauduchon_critical_residual(pkg)
-    else:
+    if functional not in FUNCTIONALS:
         raise ValueError(f"no first variation for {functional!r}")
+    Q, _ = FUNCTIONALS[functional][1](pkg)
     return -Q
 
 
@@ -105,12 +114,13 @@ def first_variation(pkg, h, functional="torsion_functional"):
     return float(v * np.trace(h_u @ variation_matrix(pkg, functional)).real)
 
 
-def fd_first_variation(hs, h, step=1e-4, functional=torsion_functional):
+def fd_first_variation(hs, h, step=1e-4, functional="torsion_functional"):
     """Central finite difference of a functional along H + t h."""
+    value, _ = FUNCTIONALS[functional]
     h = np.asarray(h, dtype=complex)
     plus = te.analyze(lh.HermitianStructure(hs.sc, hs.H + step * h))
     minus = te.analyze(lh.HermitianStructure(hs.sc, hs.H - step * h))
-    return (functional(plus) - functional(minus)) / (2 * step)
+    return (value(plus) - value(minus)) / (2 * step)
 
 
 def residual_report(pkg):

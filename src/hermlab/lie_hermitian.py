@@ -1,15 +1,22 @@
 """Lie algebras with complex structure, given through structure constants.
 
 The differential of the (1,0) coframe is encoded by two rank-3 complex
-tensors C and D:
+tensors C and D, both stored as ``X[up, lo1, lo2]`` = ``X^up_{lo1 lo2}``,
+C antisymmetric in its two lower slots:
 
     d phi_j = -1/2 sum_{i,k} C[j,i,k] phi_i ^ phi_k
               - sum_{i,k} conj(D[i,j,k]) phi_i ^ phibar_k
 
-Both tensors are stored as ``X[up, lo1, lo2]`` = ``X^up_{lo1 lo2}``; the
-structure equation consumes D with its first lower slot bound to the form
-label, which is done by explicit index permutation at the single point of
-use above.  C is antisymmetric in its two lower slots.
+:func:`structure_tensor` is the one place that reads this equation.  Over
+the 2n generators e = (phi, phibar) it returns N with
+
+    d e_p = 1/2 sum_{r,s} N[p,r,s] e_r ^ e_s,    N antisymmetric in (r, s),
+
+so ``N[j,i,k] = -C[j,i,k]`` and ``N[j,i,n+k] = -conj(D[i,j,k])`` for the
+rows of phi (D enters with its first lower slot bound to the form label);
+the rows of phibar are their conjugates with phi and phibar swapped.
+:func:`validate`, :func:`exterior_d` and :func:`structure_equations_text`
+all read N.
 
 Frame-change convention: a new frame ``etilde = e @ P`` has coframe
 ``phitilde = P^{-1} @ phi``.  The induced transformation laws are
@@ -135,21 +142,28 @@ class ValidationReport:
 # exterior derivative
 
 
-def coframe_differential(sc, j, conjugated=False):
-    """d(phi_j), or d(phibar_j) when ``conjugated``; 0-based ``j``."""
+def structure_tensor(sc):
+    """N with d e_p = 1/2 sum N[p,r,s] e_r ^ e_s over e = (phi, phibar)."""
     n = sc.n
-    out = ta.InvariantForm(n)
-    for i in range(n):
-        for k in range(n):
-            cik = sc.C[j, i, k]
-            if cik != 0:
-                out._insert((i, k), -0.5 * cik)
-            dij = np.conj(sc.D[i, j, k])
-            if dij != 0:
-                out._insert((i, n + k), -dij)
-    if conjugated:
-        out = out.conjugate()
-    return out
+    N = np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)
+    N[:n, :n, :n] = -sc.C
+    X = -sc.D.conj().transpose(1, 0, 2)
+    N[:n, :n, n:] = X
+    N[:n, n:, :n] = -X.swapaxes(1, 2)
+    swap = np.r_[n : 2 * n, 0:n]  # phi <-> phibar in both form slots
+    N[n:] = N[:n].conj()[:, swap][:, :, swap]
+    return N
+
+
+def _wedge_coefficients(sc):
+    """(r, s, K): d e_p = sum_m K[p, m] e_r[m] ^ e_s[m] over the pairs r < s.
+
+    K is 1/2 (N[p,r,s] - N[p,s,r]), which is N[p,r,s] when C is exactly
+    antisymmetric and the coefficient the structure equation gives otherwise.
+    """
+    N = structure_tensor(sc)
+    r, s = np.triu_indices(2 * sc.n, 1)
+    return r, s, 0.5 * (N[:, r, s] - N[:, s, r])
 
 
 def exterior_d(a, sc):
@@ -157,8 +171,10 @@ def exterior_d(a, sc):
     if a.n != sc.n:
         raise DimensionMismatch(f"form has n={a.n}, structure has n={sc.n}")
     n = sc.n
-    dgen = [coframe_differential(sc, j) for j in range(n)]
-    dgen += [coframe_differential(sc, j, conjugated=True) for j in range(n)]
+    r, s, K = _wedge_coefficients(sc)
+    pairs = list(zip(r.tolist(), s.tolist()))
+    used = {g for idx in a.terms for g in idx}  # differentiate only these generators
+    dgen = {g: ta.InvariantForm(n, dict(zip(pairs, K[g].tolist()))) for g in used}
     out = ta.InvariantForm(n)
     for idx, coeff in a.terms.items():
         for pos, g in enumerate(idx):
@@ -172,27 +188,21 @@ def exterior_d(a, sc):
 def validate(sc, tol=ta.DEFAULT_TOL):
     """Consistency checks: C antisymmetry and d(d phi_j) = 0 for all j.
 
-    Over the 2n generators e = (phi, phibar), d e_p = 1/2 sum N[p,r,s]
-    e_r ^ e_s; the coefficients of d(d e_p) are the Jacobi cyclic sum of
-    N contracted with itself.
+    The coefficients of d(d e_p) are the Jacobi cyclic sum of the structure
+    tensor N contracted with itself; only the n rows of phi are computed.
     """
     n = sc.n
     antisym = float(np.abs(sc.C + np.swapaxes(sc.C, 1, 2)).max())
-    N = np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)
-    N[:n, :n, :n] = -sc.C
-    X = -sc.D.conj().transpose(1, 0, 2)
-    N[:n, :n, n:] = X
-    N[:n, n:, :n] = -X.swapaxes(1, 2)
-    swap = np.r_[n : 2 * n, 0:n]  # phi <-> phibar in both form slots
-    N[n:] = N[:n].conj()[:, swap][:, :, swap]
-    Z = np.tensordot(N, N, ([1], [0]))
+    N = structure_tensor(sc)
+    Z = np.tensordot(N[:n], N, ([1], [0]))
     A = Z + Z.transpose(0, 2, 3, 1) + Z.transpose(0, 3, 1, 2)
-    dd_hol = float(np.abs(A[:n]).max())
-    dd_anti = float(np.abs(A[n:]).max())
+    dd = float(np.abs(A).max())
+    # the rows of phibar in N are those of phi conjugated and relabelled, so
+    # d(d phibar_j) is the conjugate of d(d phi_j): the same residual
     checks = (
         Check("C_antisymmetry", antisym <= tol, antisym),
-        Check("dd_phi", dd_hol <= tol, dd_hol),
-        Check("dd_phibar", dd_anti <= tol, dd_anti),
+        Check("dd_phi", dd <= tol, dd),
+        Check("dd_phibar", dd <= tol, dd),
     )
     return ValidationReport(checks)
 
@@ -285,10 +295,15 @@ def frame_change(sc, P):
         raise DimensionMismatch(f"frame matrix must be {n}x{n}")
     if np.linalg.cond(P) > _COND_LIMIT:
         raise SingularFrame("frame-change matrix is numerically singular")
+    return _transform(sc, P)
+
+
+def _transform(sc, P):
+    """:func:`frame_change` without its checks of P."""
     Pinv = np.linalg.inv(P)
     C = np.tensordot(Pinv, P.T @ sc.C @ P, 1)
     D = np.tensordot(P.conj().T, Pinv.conj() @ sc.D @ P, 1)
-    return StructureConstants(n, C, D)
+    return StructureConstants(sc.n, C, D)
 
 
 def unitary_reduction(hs):
@@ -296,11 +311,16 @@ def unitary_reduction(hs):
 
     Uses ``P = (L^T)^{-1}`` from the Cholesky factor ``H = L L*`` so the
     output is deterministic; for ``H = I`` the frame is unchanged.
+    Raises :class:`SingularFrame` when cond(H) exceeds ``_COND_LIMIT``.
     Returns ``(P, sc_unitary)``.
     """
     L = ta.cholesky(hs.H)
+    # cond(H) = cond(L)^2 and cond(P) = cond(L): one evaluation guards both
+    cond = np.linalg.cond(L) ** 2
+    if cond > _COND_LIMIT:
+        raise SingularFrame(f"metric is numerically singular: cond(H) = {cond:.3e}")
     P = np.linalg.inv(L.T)
-    return P, frame_change(hs.sc, P)
+    return P, _transform(hs.sc, P)
 
 
 # ---------------------------------------------------------------------------
@@ -329,24 +349,6 @@ def kodaira_thurston_real():
     J[1, 0], J[0, 1] = 1.0, -1.0
     J[3, 2], J[2, 3] = 1.0, -1.0
     return RealLieData(4, f, J)
-
-
-def so3c_real():
-    """so(3, C) as a real 6-dimensional algebra with its complex structure."""
-    c = so_structure_constants(3)
-    n = 3
-    dim = 2 * n
-    # basis u_1..u_3, v_1..v_3 with v = J u; brackets from the complex algebra
-    f = np.zeros((dim, dim, dim))
-    f[:n, :n, :n] = c       # [u_i, u_j] = c u_k
-    f[n:, :n, n:] = c       # [u_i, v_j] = c v_k
-    f[n:, n:, :n] = c       # [v_i, u_j] = c v_k
-    f[:n, n:, n:] = -c      # [v_i, v_j] = -c u_k
-    J = np.zeros((dim, dim))
-    i = np.arange(n)
-    J[n + i, i] = 1.0
-    J[i, n + i] = -1.0
-    return RealLieData(dim, f, J)
 
 
 def catalog_names():
@@ -395,26 +397,23 @@ def structure_equations_text(sc, tol=1e-12):
     ``tol`` only decides which coefficients print as 0 and +-1, so it is a
     rounding-level threshold rather than the identity tolerance.
     """
+    n = sc.n
+    r, s, K = _wedge_coefficients(sc)
+    names = [f"f{g+1}" for g in range(n)] + [f"fb{g+1}" for g in range(n)]
     lines = []
-    for j in range(sc.n):
-        d = coframe_differential(sc, j)
-        if d.is_zero(tol):
+    # + 0.0 turns the zero parts that print as -0 into +0
+    for j, row in enumerate((K[:n] + 0.0).tolist()):
+        terms = [(f"{names[a]} ^ {names[b]}", c) for a, b, c in zip(r, s, row) if c != 0]
+        if max((abs(c) for _, c in terms), default=0.0) <= tol:
             lines.append(f"d f{j+1} = 0")
             continue
         bits = []
-        for idx in sorted(d.terms):
-            c = d.terms[idx]
-            gens = " ^ ".join(
-                (f"f{g+1}" if g < sc.n else f"fb{g-sc.n+1}") for g in idx
-            )
+        for gens, c in terms:
             if abs(c - 1) <= tol:
                 bits.append(f"+ {gens}")
             elif abs(c + 1) <= tol:
                 bits.append(f"- {gens}")
             else:
                 bits.append(f"+ ({c:.6g}) {gens}")
-        text = " ".join(bits)
-        if text.startswith("+ "):
-            text = text[2:]
-        lines.append(f"d f{j+1} = {text}")
+        lines.append(f"d f{j+1} = " + " ".join(bits).removeprefix("+ "))
     return lines

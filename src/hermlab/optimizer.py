@@ -43,7 +43,7 @@ from . import torsion_engine as te
 from .errors import InvalidStartPoint, NotPositiveDefinite, NumericalFailure, SingularFrame
 from .lie_hermitian import HermitianStructure
 
-OBJECTIVES = ("torsion_functional", "gauduchon_functional", "residual_norm")
+OBJECTIVES = (*fn.FUNCTIONALS, "residual_norm")
 
 FD_STEP = 1e-5
 INITIAL_STEP = 1.0
@@ -115,6 +115,9 @@ class _Problem:
         vals, vecs = np.linalg.eigh(np.asarray(hs0.H, dtype=complex))
         self.root = (vecs * np.sqrt(vals)) @ vecs.conj().T  # H0^(1/2)
         self.cfg = cfg
+        # residual_norm is |Q_F|^2: no value function, and the residual of F
+        _, residual_F = fn.FUNCTIONALS["torsion_functional"]
+        self._value, self._residual = fn.FUNCTIONALS.get(cfg.objective, (None, residual_F))
 
     def metric(self, S):
         """H(S) = H0^(1/2) exp(S) H0^(1/2), always positive definite.
@@ -138,22 +141,13 @@ class _Problem:
         """The objective at an analyzed metric."""
         if pkg.volume <= 0:
             raise NumericalFailure("metric has non-positive determinant")
-        if self.cfg.objective == "torsion_functional":
-            val = fn.torsion_functional(pkg)
-        elif self.cfg.objective == "gauduchon_functional":
-            val = fn.gauduchon_functional(pkg)
-        else:
-            _, norm = fn.torsion_critical_residual(pkg)
-            val = norm**2
+        val = self.residual_norm(pkg) ** 2 if self._value is None else self._value(pkg)
         if not np.isfinite(val):
             raise NumericalFailure("objective evaluated to a non-finite value")
         return val
 
     def residual_norm(self, pkg):
-        if self.cfg.objective == "gauduchon_functional":
-            _, norm = fn.gauduchon_critical_residual(pkg)
-        else:
-            _, norm = fn.torsion_critical_residual(pkg)
+        _, norm = self._residual(pkg)
         return norm
 
 
@@ -236,8 +230,8 @@ def _line_search(prob, S, obj, d, slope):
     while -step * slope >= floor:
         cand = _project(S + step * d, prob.cfg.det_normalized)
         # a long trial step can leave the numerically valid cone: the chart
-        # overflows, H stops being positive definite in floats or its frame
-        # change becomes numerically singular
+        # overflows, H stops being positive definite in floats or cond(H)
+        # passes the limit of the frame change to its unitary frame
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 cand_pkg = prob.analyze(cand)
@@ -255,7 +249,7 @@ def minimize(hs0, cfg, S0=None):
     """L-BFGS with Armijo backtracking in the S-chart.
 
     A trial step whose metric cannot be analyzed (overflowing chart, not
-    positive definite in floating point, numerically singular frame change,
+    positive definite in floating point, cond(H) past ``_COND_LIMIT``,
     non-positive determinant, non-finite objective) counts as a rejected
     trial and the step shrinks.
     A start point that cannot be analyzed raises :class:`InvalidStartPoint`;

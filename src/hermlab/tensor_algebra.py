@@ -1,13 +1,13 @@
 """Dense complex linear algebra and an exterior algebra over a fixed coframe.
 
-All forms live over a frame of ``2n`` generators: indices ``0..n-1`` are the
-(1,0) coframe elements and ``n..2n-1`` their conjugates.  An
+All forms live over the ``2n`` generators e = (phi, phibar) of the
+structure tensor N of :mod:`hermlab.lie_hermitian`: indices ``0..n-1`` are
+the (1,0) coframe elements and ``n..2n-1`` their conjugates.  An
 :class:`InvariantForm` stores a map from strictly increasing index tuples to
 complex coefficients; the reordering sign is folded into the coefficient at
 insertion time, so form equality reduces to comparing coefficient maps.
-The library's numbers are tensor contractions; :class:`InvariantForm` is the
-algebra for rendering structure equations and for the test oracles that
-those contractions are checked against.
+The library's numbers are tensor contractions; :class:`InvariantForm`, with
+``lie_hermitian.exterior_d``, is the algebra of the test oracles only.
 
 Tensor index conventions used throughout the package:
 

@@ -107,8 +107,8 @@ def standard_J(n):
 
 
 def realified_so(k):
-    """so(k, C) as a real algebra with its complex structure, the
-    ``so3c_real`` construction for any k."""
+    """so(k, C) as a real algebra with its complex structure: the basis
+    u_1..u_n, v_1..v_n with v = J u and the brackets of the complex algebra."""
     c = lh.so_structure_constants(k)
     n = c.shape[0]
     f = np.zeros((2 * n, 2 * n, 2 * n))

@@ -3,7 +3,9 @@
 The library computes every report quantity by tensor contractions.  The
 routes here reach the same numbers another way, most of them through the
 dict-based exterior algebra (``InvariantForm`` with ``exterior_d``), and the
-tests compare the two.  The constant builders at the end are the library's
+tests compare the two.  The structure equation itself is written out term
+by term here (:func:`coframe_differential`), independently of the library's
+structure tensor.  The constant builders at the end are the library's
 former scalar index loops, kept as they were; the library's whole-array
 builders must reproduce them bit for bit.
 """
@@ -61,6 +63,58 @@ def form_coefficient_matrix(form, n):
 
 
 # ---------------------------------------------------------------------------
+# the structure equation term by term
+
+
+def coframe_differential(sc, j, conjugated=False):
+    """d(phi_j), or d(phibar_j) when ``conjugated``; 0-based ``j``."""
+    n = sc.n
+    out = ta.InvariantForm(n)
+    for i in range(n):
+        for k in range(n):
+            cik = sc.C[j, i, k]
+            if cik != 0:
+                out._insert((i, k), -0.5 * cik)
+            dij = np.conj(sc.D[i, j, k])
+            if dij != 0:
+                out._insert((i, n + k), -dij)
+    if conjugated:
+        out = out.conjugate()
+    return out
+
+
+def structure_equations_text(sc, tol=1e-12):
+    """Human-readable rendering of d phi_j for each generator.
+
+    ``tol`` only decides which coefficients print as 0 and +-1, so it is a
+    rounding-level threshold rather than the identity tolerance.
+    """
+    lines = []
+    for j in range(sc.n):
+        d = coframe_differential(sc, j)
+        if d.is_zero(tol):
+            lines.append(f"d f{j+1} = 0")
+            continue
+        bits = []
+        for idx in sorted(d.terms):
+            c = d.terms[idx]
+            gens = " ^ ".join(
+                (f"f{g+1}" if g < sc.n else f"fb{g-sc.n+1}") for g in idx
+            )
+            if abs(c - 1) <= tol:
+                bits.append(f"+ {gens}")
+            elif abs(c + 1) <= tol:
+                bits.append(f"- {gens}")
+            else:
+                bits.append(f"+ ({c:.6g}) {gens}")
+        text = " ".join(bits)
+        if text.startswith("+ "):
+            text = text[2:]
+        lines.append(f"d f{j+1} = {text}")
+    return lines
+
+
+# ---------------------------------------------------------------------------
 # oracles of the closed forms in the library
 
 
@@ -70,9 +124,9 @@ def dd_residuals(sc):
     dd_hol = 0.0
     dd_anti = 0.0
     for j in range(n):
-        dd_hol = max(dd_hol, lh.exterior_d(lh.coframe_differential(sc, j), sc).max_abs())
+        dd_hol = max(dd_hol, lh.exterior_d(coframe_differential(sc, j), sc).max_abs())
         dd_anti = max(
-            dd_anti, lh.exterior_d(lh.coframe_differential(sc, j, True), sc).max_abs()
+            dd_anti, lh.exterior_d(coframe_differential(sc, j, True), sc).max_abs()
         )
     return dd_hol, dd_anti
 

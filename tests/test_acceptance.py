@@ -16,7 +16,8 @@ import hermlab.lie_hermitian as lh
 import hermlab.optimizer as op
 import hermlab.torsion_engine as te
 
-from conftest import CATALOG_SAMPLE, random_hermitian, random_hpd, random_structure
+from conftest import (CATALOG_SAMPLE, random_hermitian, random_hpd, random_structure,
+                      realified_so)
 
 RNG_SEED = 31415
 
@@ -143,7 +144,7 @@ def test_acceptance_08_structure_validity_and_frame_invariance():
     rng = np.random.default_rng(RNG_SEED + 4)
     ok = True
     structures = [lh.catalog(name).sc for name in CATALOG_SAMPLE]
-    bases = (lh.kodaira_thurston_real(), lh.so3c_real())
+    bases = (lh.kodaira_thurston_real(), realified_so(3))
     from conftest import random_real_basis_change, random_unitary
 
     for _ in range(20):

@@ -14,9 +14,15 @@ import hermlab.cli as cli
 import hermlab.lie_hermitian as lh
 import hermlab.torsion_engine as te
 
+from conftest import realified_so
+
 NAN = float("nan")
 KT_J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
 KT_REAL = {"real_algebra": {"dim": 4, "f": [{"up": 3, "lo": [1, 2], "val": 1.0}], "J": KT_J}}
+# diag(1, 1, 1e-14): positive definite, but cond(H) = 1e14 is past the limit
+SINGULAR_METRIC = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                   [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+                   [[0.0, 0.0], [0.0, 0.0], [1e-14, 0.0]]]
 
 
 def _write(tmp_path, doc, name="input.json"):
@@ -172,10 +178,11 @@ def test_analyze_invalid_inputs_exit_1(tmp_path, capsys):
          None),
         ({"catalog": "so3c"}, "abc"),
         ({"catalog": "so3c"}, "nan"),
+        ({"catalog": "so3c", "metric": SINGULAR_METRIC}, None),
     ],
     ids=["nan-C", "nan-D", "nan-metric", "nan-real-f", "nan-real-metric",
          "malformed-metric", "malformed-real-f", "range-real-f", "repeated-real-f",
-         "tol-abc", "tol-nan"],
+         "tol-abc", "tol-nan", "cond-H"],
 )
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch, doc, env_tol):
     if env_tol is not None:
@@ -262,7 +269,7 @@ def _real_algebra_doc(rl):
     return {"real_algebra": {"dim": rl.dim, "f": f, "J": rl.J.tolist()}}
 
 
-@pytest.mark.parametrize("doc", [KT_REAL, _real_algebra_doc(lh.so3c_real())],
+@pytest.mark.parametrize("doc", [KT_REAL, _real_algebra_doc(realified_so(3))],
                          ids=["kodaira-thurston", "so3c"])
 def test_real_algebra_analyze_runs_without_scipy(tmp_path, doc):
     # importing scipy raises ModuleNotFoundError in this interpreter
@@ -429,6 +436,7 @@ def test_optimize_far_start_rejects_invalid_trial_steps(tmp_path, perturb, seed)
     ("so3c", "3.0", "5", 6.0),
     ("so3c", "20", "0", 6.0),
     ("so3c", "20", "11", 6.0),
+    ("so3c", "20", "3", 6.0),
     ("sokc-4", "0.1", "7", 24.0),
     ("sokc-4", "0.1", "33", 24.0),
     ("sokc-5", "0.1", "7", 60.0),
@@ -437,7 +445,8 @@ def test_optimize_reaches_critical_value(tmp_path, name, perturb, seed, critical
     # these descents reach the critical value to rounding; the line search
     # then accepts no trial and the run stops converged, not stagnated
     # (so3c 20/11 only because precision_limit reads the quasi-Newton
-    # decrement, not |G|^2)
+    # decrement, not |G|^2; so3c 20/3 only because a trial metric with
+    # cond(H) past the limit is rejected)
     path = _write(tmp_path, {"catalog": name})
     proc = _python("-m", "hermlab.cli", "optimize", path, "--perturb", perturb,
                    "--seed", seed, "--format", "json")

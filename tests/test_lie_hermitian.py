@@ -19,6 +19,7 @@ from conftest import (
     random_real_basis_change,
     random_structure,
     random_unitary,
+    realified_so,
 )
 
 
@@ -154,7 +155,7 @@ def test_complexify_nilmanifold_single_term():
 
 
 def test_complexify_so3c_real_matches_complex_catalog():
-    sc = lh.complexify(lh.so3c_real())
+    sc = lh.complexify(realified_so(3))
     assert lh.validate(sc).ok
     ref = lh.catalog("so3c").sc
     assert np.abs(sc.C - ref.C).max() <= 1e-12
@@ -162,7 +163,7 @@ def test_complexify_so3c_real_matches_complex_catalog():
 
 
 def test_complexify_random_basis_changes_stay_valid(rng):
-    for base in (lh.kodaira_thurston_real(), lh.so3c_real()):
+    for base in (lh.kodaira_thurston_real(), realified_so(3)):
         for _ in range(10):
             rl = random_real_basis_change(rng, base)
             sc = lh.complexify(rl)

@@ -1,6 +1,6 @@
 """Descent over the metric cone: chart, gradients, minimization."""
 
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -155,6 +155,28 @@ def test_gradient_makes_no_analysis(rng, monkeypatch):
         calls.clear()
         assert np.linalg.norm(op.gradient(prob, S, pkg)) > 0.1
         assert calls == []
+
+
+def test_functional_calls_reach_the_functionals_module(monkeypatch):
+    # objective, residual and gradient evaluations go through
+    # functionals.FUNCTIONALS; a wrapper set on the module, like the
+    # benchmark's tracer, must see each of them
+    calls = Counter()
+    for name in ("torsion_functional", "torsion_critical_residual",
+                 "gauduchon_functional", "gauduchon_critical_residual"):
+        real = getattr(fn, name)
+        monkeypatch.setattr(fn, name, lambda pkg, real=real, name=name:
+                            calls.update([name]) or real(pkg))
+    hs = lh.catalog("kodaira-thurston")
+    for objective in op.OBJECTIVES:
+        prob = op._Problem(hs, op.OptimConfig(objective=objective))
+        pkg = prob.analyze(np.zeros((2, 2), dtype=complex))
+        prob.value(pkg)
+        prob.residual_norm(pkg)
+        if objective in fn.FUNCTIONALS:
+            op.gradient(prob, np.zeros((2, 2), dtype=complex), pkg)
+    assert calls == {"torsion_functional": 1, "torsion_critical_residual": 2 + 2,
+                     "gauduchon_functional": 1, "gauduchon_critical_residual": 2}
 
 
 def test_gradient_directional_derivative(rng):
@@ -322,15 +344,15 @@ def test_minimize_rejects_singular_frame_trial(rng, monkeypatch):
     # trial: the line search shrinks the step and the descent goes on
     hs = lh.catalog("iwasawa")
     calls = []
-    frame_change = lh.frame_change
+    unitary_reduction = lh.unitary_reduction
 
-    def failing_once(sc, P):
+    def failing_once(hs):
         calls.append(1)
         if len(calls) == 2:  # the first trial step; call 1 analyzes the start
             raise SingularFrame("frame-change matrix is numerically singular")
-        return frame_change(sc, P)
+        return unitary_reduction(hs)
 
-    monkeypatch.setattr(lh, "frame_change", failing_once)
+    monkeypatch.setattr(lh, "unitary_reduction", failing_once)
     trace = op.minimize(hs, op.OptimConfig(max_iter=5), S0=0.2 * random_hermitian(rng, 3))
     assert len(calls) > 2
     assert len(trace.iterations) == 6 and trace.reason == "max_iterations"
@@ -339,10 +361,10 @@ def test_minimize_rejects_singular_frame_trial(rng, monkeypatch):
 
 
 def test_minimize_singular_frame_at_start_is_invalid_start_point(monkeypatch):
-    def singular(sc, P):
+    def singular(hs):
         raise SingularFrame("frame-change matrix is numerically singular")
 
-    monkeypatch.setattr(lh, "frame_change", singular)
+    monkeypatch.setattr(lh, "unitary_reduction", singular)
     with pytest.raises(InvalidStartPoint, match="numerically singular"):
         op.minimize(lh.catalog("iwasawa"), op.OptimConfig())
 

@@ -20,6 +20,7 @@ import hermlab.classifiers as cl
 import hermlab.functionals as fn
 import hermlab.lie_hermitian as lh
 import hermlab.optimizer as op
+import hermlab.tensor_algebra as ta
 import hermlab.torsion_engine as te
 
 import oracles
@@ -123,6 +124,46 @@ def test_closed_forms_on_small_catalog_entries(name):
 
 
 # ---------------------------------------------------------------------------
+# the structure tensor against the structure equation written term by term
+
+
+def _rendered_structures():
+    """The catalog entries, sokc-5..7 and 60 seeded random structures, whose
+    non-unit complex coefficients print as ``(c)``; in a third of them the
+    frame change leaves C antisymmetric only to rounding."""
+    rng = np.random.default_rng(110)
+    names = lh.catalog_names() + ["sokc-5", "sokc-6", "sokc-7"]
+    out = [lh.catalog(name).sc for name in names]
+    # 2 so(3) with signed zeros: the term loop prints (-2+0j), never (-2-0j)
+    C = 2.0 * lh.so_structure_constants(3).astype(complex)
+    lower = np.tril(np.ones((3, 3), dtype=bool), -1)
+    C.imag[:, lower] = -0.0
+    out.append(lh.StructureConstants(3, C, np.zeros((3, 3, 3))))
+    return out + [random_structure(rng, int(rng.integers(2, 5))) for _ in range(60)]
+
+
+def test_structure_equations_text_equals_term_loop():
+    generic = inexact = 0
+    for sc in _rendered_structures():
+        got = lh.structure_equations_text(sc)
+        assert got == oracles.structure_equations_text(sc)
+        generic += any("(" in line for line in got)
+        inexact += not np.array_equal(sc.C, -sc.C.swapaxes(1, 2))
+    assert generic >= 50 and inexact >= 15
+
+
+def test_exterior_d_of_generators_equals_term_loop():
+    for sc in _rendered_structures():
+        n = sc.n
+        for j in range(n):
+            for gen, conjugated in ((ta.InvariantForm.hol, False), (ta.InvariantForm.anti, True)):
+                got = lh.exterior_d(gen(n, j), sc).terms
+                want = oracles.coframe_differential(sc, j, conjugated).terms
+                assert sorted(got) == sorted(want)
+                _assert_bitwise([got[k] for k in sorted(got)], [want[k] for k in sorted(want)])
+
+
+# ---------------------------------------------------------------------------
 # constant builders against their scalar loops, bit for bit
 
 
@@ -141,7 +182,7 @@ def test_so_structure_constants_equal_loop_version(k):
 
 
 def test_so3c_real_equals_loop_version():
-    got, want = lh.so3c_real(), oracles.so3c_real()
+    got, want = realified_so(3), oracles.so3c_real()
     _assert_bitwise(got.f, want.f)
     _assert_bitwise(got.J, want.J)
 
@@ -157,7 +198,7 @@ def test_hermitian_basis_equals_loop_version(n):
 def test_complexify_equals_loop_version():
     # Kodaira-Thurston, so(3, C) and 60 seeded real basis changes of them,
     # then so(4, C) (real dimension 12) and 10 seeded basis changes of it
-    bases = (lh.kodaira_thurston_real(), lh.so3c_real())
+    bases = (lh.kodaira_thurston_real(), realified_so(3))
     rng = np.random.default_rng(108)
     cases = list(bases) + [random_real_basis_change(rng, bases[m % 2]) for m in range(60)]
     so4c = realified_so(4)
@@ -173,7 +214,7 @@ def _pivot_cases():
     realified so(k, C), k = 3..6, seeded basis changes of all but so(6, C),
     and random J = B J0 B^-1 with row-permuted B in real dimension 2..16."""
     rng = np.random.default_rng(109)
-    bases = [lh.kodaira_thurston_real(), lh.so3c_real()] + [realified_so(k) for k in range(3, 7)]
+    bases = [lh.kodaira_thurston_real(), realified_so(3)] + [realified_so(k) for k in range(3, 7)]
     cases = bases + [random_real_basis_change(rng, rl) for rl in bases[:5] for _ in range(12)]
     out = [(np.eye(rl.dim) - 1j * rl.J) / 2.0 for rl in cases]
     for _ in range(1600):
