@@ -46,21 +46,21 @@ def lck_check(pkg, tol=DEFAULT_TOL):
 def stp_identity_residuals(pkg):
     """Residuals of the parallel-torsion identities of an analyzed metric.
 
-    Keys:
-      nabla_s_hol / nabla_s_bar -- components of the Strominger-connection
-        derivative of T (both must vanish for STP);
+    Keys (the first three are a report's only O(n^5) steps):
+      nabla_s_hol / nabla_s_bar -- the Strominger derivative of T, i.e. the
+        templates at Gamma = D + T (both must vanish for STP);
       quadratic_hol -- the purely quadratic identity (vanishing of the
-        holomorphic T*T combination);
+        holomorphic T*T combination, the template at Gamma = T);
       eta_contraction -- sum_r eta_r T^r_{ik};
       phi_xi_vs_BA -- phi - xi - (B - A).
     """
     T, eta = pkg.T, pkg.eta
-    # the T*T terms of nabla^s T are the Chern-derivative templates with Gamma := T
-    Q = te.holomorphic_derivative_T(T, T)
+    # nabla^s T is the template at the Strominger connection (linear in Gamma)
+    S = pkg.sc_u.D + T
     return {
-        "nabla_s_hol": float(np.abs(te.holomorphic_derivative_T(T, pkg.sc_u.D) + Q).max()),
-        "nabla_s_bar": float(np.abs(pkg.DT + te.covariant_derivative_T(T, T)).max()),
-        "quadratic_hol": float(np.abs(Q).max()),
+        "nabla_s_hol": float(np.abs(te.holomorphic_derivative_T(T, S)).max()),
+        "nabla_s_bar": float(np.abs(te.covariant_derivative_T(T, S)).max()),
+        "quadratic_hol": float(np.abs(te.holomorphic_derivative_T(T, T)).max()),
         "eta_contraction": float(np.abs(np.einsum("r,rik->ik", eta, T)).max()),
         "phi_xi_vs_BA": float(np.abs((pkg.phi - pkg.xi) - (pkg.B - pkg.A)).max()),
     }
@@ -117,8 +117,8 @@ def pluriclosed_residual(pkg):
     terms is |K| / 2.
     """
     B = -1j * pkg.T.conj()
-    W = -0.25 * np.einsum("ars,apq->pqrs", B, pkg.sc_u.C)
-    W -= np.einsum("pbs,rbq->pqrs", B, pkg.sc_u.D)
+    W = -0.25 * np.tensordot(pkg.sc_u.C, B, axes=(0, 0))  # W[p,q,r,s]
+    W -= np.tensordot(B, pkg.sc_u.D, axes=(1, 1)).transpose(0, 3, 2, 1)
     K = W - W.swapaxes(0, 1)
     K = K - K.swapaxes(2, 3)
     return 0.5 * float(np.linalg.norm(K))

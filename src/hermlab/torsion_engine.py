@@ -5,7 +5,7 @@ Everything here expects structure constants expressed in a unitary frame
 such a frame the Chern connection coefficients are Gamma^j_{ik} = D^j_{ik}
 and the torsion is T^j_{ik} = -C^j_{ik} - D^j_{ik} + D^j_{ki}.  Because the
 frame is left-invariant, frame derivatives of tensor components vanish and
-covariant derivatives are pure Gamma-contractions.
+covariant derivatives are pure Gamma-contractions; an analysis builds none.
 
 :func:`analyze` is the one place a metric is analyzed: every quantity
 evaluated at a metric (functionals, residuals, classification) reads the
@@ -29,7 +29,6 @@ class TorsionPackage:
     P: np.ndarray          # frame change to the unitary frame
     sc_u: lh.StructureConstants  # sc_u.D[j,i,k] = Gamma^j_{ik}, the Chern connection
     T: np.ndarray          # T[j,i,k] = T^j_{ik}
-    DT: np.ndarray         # DT[j,i,k,l] = T^j_{ik, lbar}
     eta: np.ndarray        # eta[i]
     A: np.ndarray          # A[i,j] = A_{i jbar}
     B: np.ndarray          # B[i,j] = B_{i jbar}
@@ -60,14 +59,14 @@ def ab_tensors(T):
 
 def holomorphic_derivative_T(T, gamma):
     """T^j_{ik, l} (unbarred covariant derivative) for left-invariant data."""
-    out = -np.einsum("jrk,ril->jikl", T, gamma)
-    out -= np.einsum("jir,rkl->jikl", T, gamma)
-    out += np.einsum("rik,jrl->jikl", T, gamma)
+    out = -np.tensordot(T, gamma, axes=(1, 0)).transpose(0, 2, 1, 3)
+    out -= np.tensordot(T, gamma, axes=(2, 0))
+    out += np.tensordot(T, gamma, axes=(0, 1)).transpose(2, 0, 1, 3)
     return out
 
 
 def covariant_derivative_T(T, gamma):
-    """T^j_{ik, lbar} for left-invariant data:
+    """T^j_{ik, lbar} for left-invariant data, an O(n^5) tensor no analysis builds:
 
     DT[j,i,k,l] = sum_r ( T^j_{rk} conj(G^i_{rl}) + T^j_{ir} conj(G^k_{rl})
                           - T^r_{ik} conj(G^r_{jl}) ),
@@ -78,13 +77,16 @@ def covariant_derivative_T(T, gamma):
     return holomorphic_derivative_T(T, -gamma.conj().transpose(1, 0, 2))
 
 
-def phi_xi_tensors(T, DT, eta):
+def phi_xi_tensors(T, gamma, eta):
     """phi_i^j = sum_r T^j_{ir} conj(eta_r), xi_i^j = sum_r T^j_{ir, rbar}.
 
-    Returns (phi, xi, chi) with chi = trace(xi), real for valid inputs.
+    Returns (phi, xi, chi) with chi = trace(xi), real for valid inputs; xi is
+    contracted in O(n^4) from T and the Chern connection ``gamma``.
     """
     phi = np.einsum("jir,r->ij", T, eta.conj())
-    xi = np.einsum("jirr->ij", DT)
+    Gc = gamma.conj()
+    xi = (np.tensordot(T, Gc, axes=((1, 2), (1, 2))) + T @ np.einsum("rsr->s", Gc)).T
+    xi -= np.tensordot(T, Gc, axes=((0, 2), (0, 2)))
     chi = float(np.trace(xi).real)
     return phi, xi, chi
 
@@ -94,10 +96,9 @@ def analyze(hs):
     P, sc_u = lh.unitary_reduction(hs)
     n = sc_u.n
     T = chern_torsion(sc_u)
-    DT = covariant_derivative_T(T, sc_u.D)
     eta = torsion_one_form(T)
     A, B = ab_tensors(T)
-    phi, xi, chi = phi_xi_tensors(T, DT, eta)
+    phi, xi, chi = phi_xi_tensors(T, sc_u.D, eta)
     norm_T2 = float(np.sum(np.abs(T) ** 2))
     norm_eta2 = float(np.sum(np.abs(eta) ** 2))
     return TorsionPackage(
@@ -105,7 +106,6 @@ def analyze(hs):
         P=P,
         sc_u=sc_u,
         T=T,
-        DT=DT,
         eta=eta,
         A=A,
         B=B,

@@ -84,6 +84,22 @@ def random_structure(rng, n):
     return lh.frame_change(random_base_structure(rng, n), random_gl(rng, n))
 
 
+def random_two_step_structure(rng, n, m):
+    """A 2-step nilpotent structure with C != 0 and D != 0 (2 <= m < n):
+    phi_1..phi_m are closed and d phi_j, j > m, is a random combination of
+    the phi_i ^ phi_k and phi_i ^ phibar_k with i, k <= m, so d d = 0 holds
+    by construction."""
+    def draw(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    C = np.zeros((n, n, n), dtype=complex)
+    D = np.zeros((n, n, n), dtype=complex)
+    c = draw((n - m, m, m))
+    C[m:, :m, :m] = c - c.swapaxes(1, 2)
+    D[:m, m:, :m] = draw((m, n - m, m))  # d phi_j has -conj(D[i,j,k]) phi_i ^ phibar_k
+    return lh.StructureConstants(n, C, D)
+
+
 def random_real_basis_change(rng, rl, spread=0.3):
     """The same real algebra expressed in a random basis."""
     dim = rl.dim

@@ -247,6 +247,21 @@ def test_one_analysis_and_validation_per_report(tmp_path, capsys, monkeypatch, a
     assert calls == {"analyze": analyses, "validate": 1}
 
 
+def test_reports_build_nabla_T_three_times_and_analyses_never(tmp_path, capsys, monkeypatch):
+    # nabla T is an n^5 tensor: the Strominger-parallel check of a report
+    # builds three, one of them through covariant_derivative_T, and an
+    # analysis, which every descent step runs, builds none
+    calls = Counter()
+    for name in ("holomorphic_derivative_T", "covariant_derivative_T"):
+        real = getattr(te, name)
+        monkeypatch.setattr(te, name, lambda *a, real=real, name=name:
+                            calls.update([name]) or real(*a))
+    te.analyze(lh.catalog("sokc-4"))
+    assert not calls
+    code, _, _ = _run(capsys, "analyze", _write(tmp_path, {"catalog": "sokc-4"}))
+    assert code == cli.EXIT_OK and calls["holomorphic_derivative_T"] == 3
+
+
 def _python(*args):
     """Run a fresh interpreter on the hermlab under test."""
     src = os.path.dirname(os.path.dirname(hermlab.__file__))
@@ -291,9 +306,9 @@ def test_real_algebra_analyze_runs_without_scipy(tmp_path, doc):
     assert report["validation"]["ok"]
 
 
-@pytest.mark.parametrize("k", [5, 6, 7])
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
 def test_analyze_sokc_ladder_rungs(tmp_path, k):
-    # n = 10, 15 and 21: semisimple, so no relabeling is triangular
+    # n = 10, 15, 21 and 28: semisimple, so no relabeling is triangular
     path = _write(tmp_path, {"catalog": f"sokc-{k}"})
     proc = _python("-m", "hermlab.cli", "analyze", path, "--format", "json")
     assert proc.returncode == cli.EXIT_OK, proc.stderr
