@@ -21,8 +21,13 @@ plus an optional ``"metric"`` given as an n x n array of [re, im] pairs
 A report is one dict: ``build_report`` places the torsion tensors as numpy
 arrays and takes the ``classification`` and ``residuals`` blocks as
 ``classifiers.classify`` and ``functionals.residual_report`` return them.
-``emit`` is the one encoder: JSON output writes every array as nested
-[re, im] pairs, and the text output formats the arrays directly.
+``emit`` is the one encoder.  Its JSON output is the bytes of
+``json.dumps(report, sort_keys=True, indent=2)`` with every array as nested
+[re, im] pairs: it writes the report's dicts level by level, fills each
+array's layout template (fixed by its shape and nesting level) with the
+repr of its floats, and hands every other value, the echoed input document
+included, to the json encoder.  The text output formats the arrays
+directly.
 
 The environment variable HERMLAB_TOL overrides the default tolerance,
 ``tensor_algebra.DEFAULT_TOL`` (shown in ``--help``).  Seeded randomness
@@ -33,6 +38,7 @@ platforms.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -242,22 +248,58 @@ def render_text(report):
     return "\n".join(lines) + "\n"
 
 
-def _encode(obj):
-    """JSON form of a numpy array: nested [re, im] pairs."""
+# encodes the values of a report that are neither dicts nor arrays, as
+# json.dumps(sort_keys=True, indent=2, allow_nan=False) would
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
+
+
+@functools.lru_cache(maxsize=64)
+def _array_template(shape, level):
+    """The indent-2 JSON layout of an array of ``shape`` at nesting ``level``,
+    with a ``%r`` for each float."""
+    if not shape:
+        return "%r"
+    if shape[0] == 0:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    item = _array_template(shape[1:], level + 1)
+    return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + "  " * level + "]"
+
+
+def _array_json(a, level):
+    """A numpy array as nested [re, im] pairs."""
+    values = np.asarray(a, dtype=complex).ravel().view(float)
+    if not np.isfinite(values).all():
+        bad = values[~np.isfinite(values)][0]
+        raise NumericalFailure(
+            f"report contains a non-finite number ({bad} in an array of shape {a.shape})"
+        )
+    return _array_template(a.shape + (2,), level) % tuple(values.tolist())
+
+
+def _report_json(obj, level):
+    """``obj`` at nesting ``level`` as json.dumps(sort_keys=True, indent=2)
+    writes it: dicts level by level, arrays from their layout template and
+    any other value through the encoder, shifted to ``level``.  Report dicts
+    have string keys, and arrays sit only as dict values."""
     if isinstance(obj, np.ndarray):
-        a = obj.astype(complex)
-        return np.stack([a.real, a.imag], axis=-1).tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        return _array_json(obj, level)
+    if isinstance(obj, dict) and obj:
+        pad = "\n" + "  " * (level + 1)
+        items = [json.dumps(key) + ": " + _report_json(value, level + 1)
+                 for key, value in sorted(obj.items())]
+        return "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"
+    try:
+        text = _ENCODER.encode(obj)
+    except ValueError as exc:
+        raise NumericalFailure(f"report contains a non-finite number ({exc})") from exc
+    return text.replace("\n", "\n" + "  " * level)
 
 
 def emit(report, args):
     """Write ``report`` as JSON or text to ``args.output`` or stdout."""
     if args.format == "json":
-        try:
-            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
-                              default=_encode) + "\n"
-        except ValueError as exc:
-            raise NumericalFailure(f"report contains a non-finite number ({exc})") from exc
+        text = _report_json(report, 0) + "\n"
     else:
         text = render_text(report)
     if args.output:
@@ -417,7 +459,11 @@ def _add_common(p):
     p.add_argument("--output", default=None, help="write the report to a file")
 
 
+@functools.cache
 def make_parser():
+    """The command-line parser, built on the first call and shared after it:
+    ``parse_args`` returns a new namespace each time and leaves the parser
+    as it was."""
     parser = argparse.ArgumentParser(
         prog="hermlab",
         description="Chern torsion tensors, variational residuals, and "

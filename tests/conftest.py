@@ -100,6 +100,17 @@ def random_two_step_structure(rng, n, m):
     return lh.StructureConstants(n, C, D)
 
 
+def explicit_document(sc, H):
+    """The CLI input document of ``sc`` under the metric ``H``: 1-based C/D
+    term lists and the metric as [re, im] pairs."""
+    def terms(T):
+        return [{"up": j + 1, "lo": [i + 1, k + 1], "re": float(T[j, i, k].real),
+                 "im": float(T[j, i, k].imag)} for j, i, k in np.argwhere(T != 0).tolist()]
+
+    return {"n": sc.n, "C": terms(sc.C), "D": terms(sc.D),
+            "metric": [[[float(z.real), float(z.imag)] for z in row] for row in H]}
+
+
 def random_real_basis_change(rng, rl, spread=0.3):
     """The same real algebra expressed in a random basis."""
     dim = rl.dim

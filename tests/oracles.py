@@ -7,10 +7,12 @@ tests compare the two.  The structure equation itself is written out term
 by term here (:func:`coframe_differential`), independently of the library's
 structure tensor.  The constant builders at the end are the library's
 former scalar index loops, kept as they were; the library's whole-array
-builders must reproduce them bit for bit.
+builders must reproduce them bit for bit.  :func:`report_json` is the
+encoder route the CLI's JSON writer replaced.
 """
 
 import itertools
+import json
 
 import numpy as np
 import scipy.linalg
@@ -470,3 +472,22 @@ def hermitian_basis(n):
             e[j, i] = -1j * s
             basis.append(e)
     return basis
+
+
+# ---------------------------------------------------------------------------
+# the report encoder
+
+
+def _nested_pairs(obj):
+    """JSON form of a numpy array: nested [re, im] pairs."""
+    if isinstance(obj, np.ndarray):
+        a = obj.astype(complex)
+        return np.stack([a.real, a.imag], axis=-1).tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def report_json(report):
+    """A report as json.dumps writes it, each array turned into nested lists
+    by the ``default`` hook; ``cli.emit`` must write the same bytes."""
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
+                      default=_nested_pairs) + "\n"

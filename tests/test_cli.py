@@ -12,9 +12,12 @@ import pytest
 import hermlab
 import hermlab.cli as cli
 import hermlab.lie_hermitian as lh
+import hermlab.tensor_algebra as ta
 import hermlab.torsion_engine as te
 
-from conftest import realified_so
+import oracles
+from conftest import (CATALOG_SAMPLE, explicit_document, random_gl, random_hpd,
+                      random_structure, random_two_step_structure, realified_so)
 
 NAN = float("nan")
 KT_J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
@@ -213,6 +216,170 @@ def test_non_finite_report_exits_2(tmp_path, capsys, monkeypatch):
     code, out, err = _run(capsys, "analyze", path, "--format", "json")
     assert code == cli.EXIT_NUMERICAL
     assert out == "" and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("entry", [complex(NAN, 0.0), complex(0.0, float("inf"))],
+                         ids=["nan-re", "inf-im"])
+def test_non_finite_array_entry_exits_2(tmp_path, capsys, monkeypatch, entry):
+    real = cli.build_report
+
+    def with_bad_entry(*a):
+        report = real(*a)
+        A = report["torsion"]["A"].copy()
+        A[1, 2] = entry
+        report["torsion"]["A"] = A
+        return report
+
+    monkeypatch.setattr(cli, "build_report", with_bad_entry)
+    out_path = tmp_path / "report.json"
+    code, out, err = _run(capsys, "analyze", _write(tmp_path, {"catalog": "so3c"}),
+                          "--format", "json", "--output", str(out_path))
+    assert code == cli.EXIT_NUMERICAL
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("numerical failure: report contains a non-finite number")
+    assert not out_path.exists()
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against the json.dumps route, byte for byte
+
+
+def _record_reports(monkeypatch):
+    """Keep every report that reaches ``cli.emit``."""
+    reports = []
+    real = cli.emit
+    monkeypatch.setattr(cli, "emit", lambda report, args: reports.append(report)
+                        or real(report, args))
+    return reports
+
+
+# echoed strings that look like splice markers or need escapes, extra keys at
+# several depths, empty containers and floats inside the input document
+MARKER_DOC = {"catalog": "so3c", "note": "\u00000"}
+ESCAPE_DOC = {
+    "catalog": "so3c",
+    "\u0000": {"\u00000": "\u0000", "": [], "e": {}},
+    "note": "\"quoted\" \\ back\\slash\nnew line\ttab \u00e9 \u2713 \U0001f600 \u00000",
+    "extra": {"deep": {"k\n\"": ["\u0000", {"z": "\\u0000", "null": None,
+                                         "x": [1.5, -0.0, 1e300, 7]}]},
+              "torsion": "\u00001", "A": [[0, 1]]},
+}
+
+
+def _report_documents():
+    """The catalog sample, four seeded random structures and four seeded
+    2-step structures (C != 0 and D != 0), frame-mixed under random metrics
+    as explicit C/D documents, and the escape-heavy document."""
+    rng = np.random.default_rng(112)
+    docs = [{"catalog": name} for name in CATALOG_SAMPLE]
+    for _ in range(4):
+        n = int(rng.integers(2, 5))
+        docs.append(explicit_document(random_structure(rng, n), random_hpd(rng, n)))
+    for _ in range(4):
+        n = int(rng.integers(3, 6))
+        sc = lh.frame_change(random_two_step_structure(rng, n, int(rng.integers(2, n))),
+                             random_gl(rng, n))
+        docs.append(explicit_document(sc, random_hpd(rng, n)))
+    return docs + [ESCAPE_DOC]
+
+
+# name -> (command and flags, the block the command adds to the report)
+REPORT_COMMANDS = {
+    "analyze": (["analyze"], None),
+    "check-critical": (["check-critical"], "criticality"),
+    "check-critical-gauduchon": (["check-critical", "--functional", "gauduchon"], "criticality"),
+    "variation-check": (["variation-check", "--directions", "2"], "variation_check"),
+    "optimize": (["optimize", "--perturb", "0.1", "--seed", "7", "--max-iter", "5"],
+                 "optimization"),
+}
+
+
+@pytest.mark.parametrize("name", REPORT_COMMANDS)
+def test_json_report_bytes_equal_encoder_oracle(tmp_path, capsys, monkeypatch, name):
+    argv, block = REPORT_COMMANDS[name]
+    reports = _record_reports(monkeypatch)
+    docs = _report_documents()
+    for m, doc in enumerate(docs):
+        path = _write(tmp_path, doc, f"doc{m}.json")
+        code, out, err = _run(capsys, argv[0], path, *argv[1:], "--format", "json")
+        assert code in (cli.EXIT_OK, cli.EXIT_NOT_SATISFIED) and err == ""
+        assert out == oracles.report_json(reports[-1])
+        assert block is None or block in reports[-1]
+    assert len(reports) == len(docs)
+
+
+@pytest.mark.parametrize("doc", [MARKER_DOC, ESCAPE_DOC], ids=["marker", "escapes"])
+def test_echoed_input_cannot_move_report_arrays(tmp_path, capsys, monkeypatch, doc):
+    reports = _record_reports(monkeypatch)
+    _, plain, _ = _run(capsys, "analyze", _write(tmp_path, {"catalog": "so3c"}, "so3c.json"),
+                       "--format", "json")
+    code, out, err = _run(capsys, "analyze", _write(tmp_path, doc), "--format", "json")
+    assert code == cli.EXIT_OK and err == ""
+    assert out == oracles.report_json(reports[-1])
+    report, want = json.loads(out), json.loads(plain)
+    assert report.pop("input") == doc
+    want.pop("input")
+    assert report == want
+
+
+def test_json_arrays_of_any_layout_equal_encoder_oracle(tmp_path, capsys, monkeypatch):
+    # real, strided, transposed, empty and nested arrays in the report
+    real = cli.build_report
+    extra = {
+        "real_transposed": np.arange(6.0).reshape(2, 3).T,
+        "strided": (np.arange(8) * (1 - 2j)).reshape(2, 4)[:, ::2],
+        "empty": np.zeros((0, 3)),
+        "deep": {"signed_zero": np.full(2, complex(-0.0, -0.0)), "row": np.ones(1)},
+    }
+    monkeypatch.setattr(cli, "build_report", lambda *a: {**real(*a), "extra": extra})
+    reports = _record_reports(monkeypatch)
+    code, out, _ = _run(capsys, "analyze", _write(tmp_path, {"catalog": "iwasawa"}),
+                        "--format", "json")
+    assert code == cli.EXIT_OK
+    assert out == oracles.report_json(reports[0])
+    assert json.loads(out)["extra"]["empty"] == []
+
+
+# ---------------------------------------------------------------------------
+# the parser, built once per process
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("HERMLAB_TOL", raising=False)
+    assert cli.make_parser() is cli.make_parser()
+    iwa = _write(tmp_path, {"catalog": "iwasawa"})  # |Q_F| = 3.27
+
+    def check(*flags):
+        code, out, err = _run(capsys, "check-critical", iwa, "--format", "json", *flags)
+        assert err == ""
+        crit = json.loads(out)["criticality"]
+        return code, crit["tol"], crit["functional"]
+
+    assert check("--tol", "10.0", "--functional", "gauduchon") == (cli.EXIT_OK, 10.0, "gauduchon")
+    assert check() == (cli.EXIT_NOT_SATISFIED, ta.DEFAULT_TOL, "torsion")
+    monkeypatch.setenv("HERMLAB_TOL", "10.0")
+    assert check() == (cli.EXIT_OK, 10.0, "torsion")
+    monkeypatch.setenv("HERMLAB_TOL", "1e-6")
+    assert check() == (cli.EXIT_NOT_SATISFIED, 1e-6, "torsion")
+    assert check("--tol", "1.0") == (cli.EXIT_NOT_SATISFIED, 1.0, "torsion")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["analyze", "--bogus"],
+    ["check-critical", "in.json", "--functional", "gauduchon", "--tol", "abc"],
+    ["optimize", "in.json", "--seed", "3", "--objective", "bogus"],
+    [],
+], ids=["version", "unknown-flag", "bad-tol", "bad-choice", "no-command"])
+def test_parser_works_after_system_exit(tmp_path, capsys, argv):
+    path = _write(tmp_path, {"catalog": "iwasawa"})
+    first = _run(capsys, "check-critical", path, "--format", "json")
+    with pytest.raises(SystemExit):
+        cli.main(argv)
+    capsys.readouterr()
+    assert _run(capsys, "check-critical", path, "--format", "json") == first
+    _, out, _ = _run(capsys, "optimize", path, "--max-iter", "2", "--format", "json")
+    assert json.loads(out)["optimization"]["seed"] == 0
 
 
 @pytest.mark.parametrize(

@@ -37,13 +37,28 @@ def _close(got, want):
     return float(np.abs(np.asarray(got) - np.asarray(want)).max()) <= REL_TOL * scale
 
 
-def _random_metric_structures(seed, count=30):
+def _random_metric_structures(seed, count=30, two_step=12, names=CATALOG_SAMPLE):
+    """The catalog entries ``names``, then ``count`` seeded random structures
+    and ``two_step`` seeded 2-step structures, frame-mixed, under random
+    metrics.  Only the 2-step ones have C != 0 and D != 0 together, which
+    the relative sign of a C term and a D term needs."""
     rng = np.random.default_rng(seed)
-    out = [lh.catalog(name) for name in CATALOG_SAMPLE]
+    out = [lh.catalog(name) for name in names]
     for _ in range(count):
         n = int(rng.integers(2, 5))
         out.append(lh.HermitianStructure(random_structure(rng, n), random_hpd(rng, n)))
+    for _ in range(two_step):
+        n = int(rng.integers(3, 6))
+        sc = lh.frame_change(random_two_step_structure(rng, n, int(rng.integers(2, n))),
+                             random_gl(rng, n))
+        assert lh.validate(sc).ok
+        out.append(lh.HermitianStructure(sc, random_hpd(rng, n)))
     return out
+
+
+def _with_c_and_d(structures):
+    """How many of ``structures`` have C != 0 and D != 0 together."""
+    return sum(np.abs(hs.sc.C).max() > 0 and np.abs(hs.sc.D).max() > 0 for hs in structures)
 
 
 def _non_jacobi_constants(seed, count=30):
@@ -58,8 +73,9 @@ def _non_jacobi_constants(seed, count=30):
 
 
 def test_validate_dd_matches_exterior_derivative():
-    structures = [hs.sc for hs in _random_metric_structures(101)]
-    structures += _non_jacobi_constants(102)
+    valid = _random_metric_structures(101)
+    assert _with_c_and_d(valid) >= 10
+    structures = [hs.sc for hs in valid] + _non_jacobi_constants(102)
     failing = 0
     for sc in structures:
         rep = lh.validate(sc)
@@ -72,7 +88,9 @@ def test_validate_dd_matches_exterior_derivative():
 
 
 def test_gauduchon_residual_matches_form_route():
-    for hs in _random_metric_structures(103):
+    structures = _random_metric_structures(103)
+    assert _with_c_and_d(structures) >= 10
+    for hs in structures:
         pkg = te.analyze(hs)
         Q, norm = fn.gauduchon_critical_residual(pkg)
         want = oracles.gauduchon_residual(pkg)
@@ -93,7 +111,9 @@ def test_pluriclosed_residual_matches_form_route():
 
 def test_frame_change_matches_transformation_laws():
     rng = np.random.default_rng(105)
-    for hs in _random_metric_structures(106):
+    structures = _random_metric_structures(106)
+    assert _with_c_and_d(structures) >= 10
+    for hs in structures:
         P = random_gl(rng, hs.n)
         got = lh.frame_change(hs.sc, P)
         C, D = oracles.frame_change(hs.sc, P)
@@ -119,21 +139,8 @@ def test_stp_residuals_equal_written_out_contractions():
 
 def _template_structures():
     """Every catalog entry, then 60 seeded random structures and 20 seeded
-    2-step structures, frame-mixed, under random metrics.  Only the 2-step
-    ones have C != 0 and D != 0 together, which the relative sign of the
-    two pluriclosed terms needs."""
-    rng = np.random.default_rng(111)
-    out = [lh.catalog(name) for name in lh.catalog_names()]
-    for _ in range(60):
-        n = int(rng.integers(2, 5))
-        out.append(lh.HermitianStructure(random_structure(rng, n), random_hpd(rng, n)))
-    for _ in range(20):
-        n = int(rng.integers(3, 6))
-        sc = lh.frame_change(random_two_step_structure(rng, n, int(rng.integers(2, n))),
-                             random_gl(rng, n))
-        assert lh.validate(sc).ok
-        out.append(lh.HermitianStructure(sc, random_hpd(rng, n)))
-    return out
+    2-step structures, frame-mixed, under random metrics."""
+    return _random_metric_structures(111, count=60, two_step=20, names=lh.catalog_names())
 
 
 def test_derivative_templates_and_xi_match_einsum_route():

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import hermlab.cli as cli
+import hermlab.lie_hermitian as lh
 import make_reference as mr
+from conftest import explicit_document
 
 TOL = 1e-12
 
@@ -52,12 +54,8 @@ def _document(inp):
     """The CLI input document of a reference input record."""
     if "catalog" in inp:
         return inp
-    doc = {"n": inp["n"], "metric": inp["H"]}
-    for name in ("C", "D"):
-        t = mr.unpair(inp[name])
-        doc[name] = [{"up": j + 1, "lo": [i + 1, k + 1], "re": t[j, i, k].real,
-                      "im": t[j, i, k].imag} for j, i, k in np.argwhere(t != 0).tolist()]
-    return doc
+    sc = lh.StructureConstants(inp["n"], mr.unpair(inp["C"]), mr.unpair(inp["D"]))
+    return explicit_document(sc, mr.unpair(inp["H"]))
 
 
 @pytest.mark.parametrize("label", sorted(REFERENCE))
