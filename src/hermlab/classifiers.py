@@ -21,6 +21,11 @@ import numpy as np
 from . import torsion_engine as te
 from .tensor_algebra import DEFAULT_TOL
 
+# nilpotent_J_check counts an entry of C or D above this as nonzero: a
+# structural-zero test on the given constants, not an identity residual,
+# hence rounding level
+_STRUCTURAL_ZERO = 1e-12
+
 
 def lck_torsion(eta):
     """The locally-conformally-Kaehler torsion shape determined by eta:
@@ -77,7 +82,7 @@ def stp_check(pkg, tol=DEFAULT_TOL):
     return flag, residuals
 
 
-def nilpotent_J_check(sc, tol=1e-12):
+def nilpotent_J_check(sc):
     """Find a frame permutation giving the nilpotent-J triangular pattern:
 
     C^j_{ik} = D^i_{jk} = 0 unless j > i and j > k.
@@ -86,16 +91,15 @@ def nilpotent_J_check(sc, tol=1e-12):
     meaning the relabeled frame phi'_a = phi_{sigma(a)} is triangular.  Only
     permutations of the given frame are considered, not general frame changes.
 
-    Each entry |C[j,i,k]| > tol or |D[i,j,k]| > tol asks for j to come after
-    both i and k, so a valid sigma is a topological order of this dependency
-    relation; a self-dependency (j == i or j == k) leaves none.  Placing the
-    smallest generator with no unplaced predecessor, n times, yields the
-    lexicographically smallest order, which is the first triangular sigma in
-    the lexicographic order of all n! permutations.  O(n^3) for the scan of
-    C and D.  ``tol`` is a structural-zero test on the given constants, not
-    an identity residual, hence rounding level.
+    Each entry |C[j,i,k]| or |D[i,j,k]| above ``_STRUCTURAL_ZERO`` asks for
+    j to come after both i and k, so a valid sigma is a topological order of
+    this dependency relation; a self-dependency (j == i or j == k) leaves
+    none.  Placing the smallest generator with no unplaced predecessor, n
+    times, yields the lexicographically smallest order, which is the first
+    triangular sigma in the lexicographic order of all n! permutations.
+    O(n^3) for the scan of C and D.
     """
-    C, D = np.abs(sc.C) > tol, np.abs(sc.D) > tol
+    C, D = np.abs(sc.C) > _STRUCTURAL_ZERO, np.abs(sc.D) > _STRUCTURAL_ZERO
     after = C.any(2) | C.any(1) | D.any(2).T | D.any(0)  # after[j, i]: i before j
     waiting = np.ones(sc.n, dtype=bool)
     order = []

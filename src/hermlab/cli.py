@@ -2,12 +2,13 @@
 
 Commands: analyze, check-critical, variation-check, optimize, catalog.
 
-Exit codes: 0 success; 1 invalid input (schema, non-finite numbers, a
-metric not positive definite or with cond(H) above 1e13, failed structure
-validation, unknown catalog name, a malformed HERMLAB_TOL, an optimize start
-metric that cannot be analyzed); 2 numerical failure, including a report
-that would contain a non-finite number; 3 "not critical" / "not converged" /
-"deviation above tolerance" outcomes.
+Exit codes: 0 success; 1 invalid input (schema, a non-finite number or
+NaN/Infinity anywhere in the document, a metric not positive definite or
+with cond(H) above 1e13, failed structure validation, unknown catalog name,
+a malformed HERMLAB_TOL, an optimize start metric that cannot be analyzed);
+2 numerical failure, including a report, in either format, that would
+contain a non-finite number; 3 "not critical" / "not converged" /
+"deviation above tolerance" outcomes.  A failure writes one stderr line.
 
 Input documents are JSON with exactly one of:
   * ``"catalog": "<name>"``
@@ -27,7 +28,7 @@ arrays and takes the ``classification`` and ``residuals`` blocks as
 array's layout template (fixed by its shape and nesting level) with the
 repr of its floats, and hands every other value, the echoed input document
 included, to the json encoder.  The text output formats the arrays
-directly.
+directly, after the JSON encoding has checked that every number is finite.
 
 The environment variable HERMLAB_TOL overrides the default tolerance,
 ``tensor_algebra.DEFAULT_TOL`` (shown in ``--help``).  Seeded randomness
@@ -40,6 +41,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -266,41 +268,41 @@ def _array_template(shape, level):
     return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + "  " * level + "]"
 
 
-def _array_json(a, level):
+def _array_json(a, level, key):
     """A numpy array as nested [re, im] pairs."""
     values = np.asarray(a, dtype=complex).ravel().view(float)
     if not np.isfinite(values).all():
         bad = values[~np.isfinite(values)][0]
-        raise NumericalFailure(
-            f"report contains a non-finite number ({bad} in an array of shape {a.shape})"
-        )
+        raise NumericalFailure(f"report contains a non-finite number at {key} "
+                               f"({bad} in an array of shape {a.shape})")
     return _array_template(a.shape + (2,), level) % tuple(values.tolist())
 
 
-def _report_json(obj, level):
+def _report_json(obj, level, key=""):
     """``obj`` at nesting ``level`` as json.dumps(sort_keys=True, indent=2)
     writes it: dicts level by level, arrays from their layout template and
     any other value through the encoder, shifted to ``level``.  Report dicts
-    have string keys, and arrays sit only as dict values."""
+    have string keys, and arrays sit only as dict values.  A non-finite
+    number raises :class:`NumericalFailure` naming its dotted report ``key``."""
     if isinstance(obj, np.ndarray):
-        return _array_json(obj, level)
+        return _array_json(obj, level, key)
     if isinstance(obj, dict) and obj:
         pad = "\n" + "  " * (level + 1)
-        items = [json.dumps(key) + ": " + _report_json(value, level + 1)
-                 for key, value in sorted(obj.items())]
+        items = [json.dumps(k) + ": " + _report_json(v, level + 1, f"{key}.{k}" if key else k)
+                 for k, v in sorted(obj.items())]
         return "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"
     try:
         text = _ENCODER.encode(obj)
     except ValueError as exc:
-        raise NumericalFailure(f"report contains a non-finite number ({exc})") from exc
+        raise NumericalFailure(f"report contains a non-finite number at {key}") from exc
     return text.replace("\n", "\n" + "  " * level)
 
 
 def emit(report, args):
-    """Write ``report`` as JSON or text to ``args.output`` or stdout."""
-    if args.format == "json":
-        text = _report_json(report, 0) + "\n"
-    else:
+    """Write ``report`` as JSON or text to ``args.output`` or stdout.  The
+    JSON is encoded in both formats, as the one check that all is finite."""
+    text = _report_json(report, 0) + "\n"
+    if args.format == "text":
         text = render_text(report)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -313,9 +315,17 @@ def emit(report, args):
 # commands
 
 
+def _finite_number(text):
+    """A JSON number or NaN/Infinity constant as a float, finite or rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise InputError(f"input document holds a non-finite number: {text}")
+    return value
+
+
 def _load_structure(args):
     with open(args.input, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     hs = parse_input(doc)
     vrep = lh.validate(hs.sc)
     if not vrep.ok:
@@ -529,7 +539,10 @@ def main(argv=None):
     try:
         if getattr(args, "tol", None) is None and hasattr(args, "tol"):
             args.tol = _env_tol()
-        return args.func(args)
+        # a non-finite result is reported once, by the report's encoder, not
+        # also as floating-point warnings of the computation behind it
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (InputError, FileNotFoundError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT

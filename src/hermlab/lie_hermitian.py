@@ -15,8 +15,9 @@ the 2n generators e = (phi, phibar) it returns N with
 so ``N[j,i,k] = -C[j,i,k]`` and ``N[j,i,n+k] = -conj(D[i,j,k])`` for the
 rows of phi (D enters with its first lower slot bound to the form label);
 the rows of phibar are their conjugates with phi and phibar swapped.
-:func:`validate`, :func:`exterior_d` and :func:`structure_equations_text`
-all read N.
+:func:`structure_equations_text` reads N, and :func:`validate` reads it
+through :func:`exterior_d`, the derivative of 2-forms given as coefficient
+arrays: the rows ``N[:n]`` are the 2-forms d phi_j.
 
 Frame-change convention: a new frame ``etilde = e @ P`` has coframe
 ``phitilde = P^{-1} @ phi``.  The induced transformation laws are
@@ -46,6 +47,10 @@ from .errors import (
 # a frame whose condition number exceeds this loses all but ~3 digits in
 # double precision; it bounds a matrix, not an algebraic residual
 _COND_LIMIT = 1e13
+
+# structure_equations_text prints a coefficient within this of 0 or +-1 as
+# such: a rounding-level threshold for display, not the identity tolerance
+_PRINT_TOL = 1e-12
 
 
 def _frozen_array(obj, name, value, shape, dtype=complex):
@@ -155,48 +160,29 @@ def structure_tensor(sc):
     return N
 
 
-def _wedge_coefficients(sc):
-    """(r, s, K): d e_p = sum_m K[p, m] e_r[m] ^ e_s[m] over the pairs r < s.
+def exterior_d(omega, N):
+    """d of the invariant 2-form ``1/2 sum omega[..., a, b] e_a ^ e_b``.
 
-    K is 1/2 (N[p,r,s] - N[p,s,r]), which is N[p,r,s] when C is exactly
-    antisymmetric and the coefficient the structure equation gives otherwise.
+    ``omega`` is antisymmetric in its last two slots, which run over the
+    ``2n`` generators of the structure tensor ``N``; leading slots are a
+    batch.  Returns W with ``d omega = 1/6 sum W[..., r, s, b] e_r ^ e_s ^ e_b``:
+    the cyclic sum of ``Y[..., r, s, b] = sum_a N[a, r, s] omega[..., a, b]``
+    over its last three slots.
     """
-    N = structure_tensor(sc)
-    r, s = np.triu_indices(2 * sc.n, 1)
-    return r, s, 0.5 * (N[:, r, s] - N[:, s, r])
-
-
-def exterior_d(a, sc):
-    """Exterior derivative of an invariant form, via the graded Leibniz rule."""
-    if a.n != sc.n:
-        raise DimensionMismatch(f"form has n={a.n}, structure has n={sc.n}")
-    n = sc.n
-    r, s, K = _wedge_coefficients(sc)
-    pairs = list(zip(r.tolist(), s.tolist()))
-    used = {g for idx in a.terms for g in idx}  # differentiate only these generators
-    dgen = {g: ta.InvariantForm(n, dict(zip(pairs, K[g].tolist()))) for g in used}
-    out = ta.InvariantForm(n)
-    for idx, coeff in a.terms.items():
-        for pos, g in enumerate(idx):
-            sign = -1.0 if pos % 2 else 1.0
-            rest = idx[:pos] + idx[pos + 1 :]
-            for didx, dcoeff in dgen[g].terms.items():
-                out._insert(didx + rest, sign * coeff * dcoeff)
-    return out
+    Z = np.tensordot(omega, N, ([-2], [0]))  # Z[..., b, r, s] = Y[..., r, s, b]
+    return Z + np.moveaxis(Z, -3, -1) + np.moveaxis(Z, -1, -3)
 
 
 def validate(sc, tol=ta.DEFAULT_TOL):
     """Consistency checks: C antisymmetry and d(d phi_j) = 0 for all j.
 
-    The coefficients of d(d e_p) are the Jacobi cyclic sum of the structure
-    tensor N contracted with itself; only the n rows of phi are computed.
+    The n rows of phi in the structure tensor N are the 2-forms d phi_j, so
+    their :func:`exterior_d` holds the coefficients of every d(d phi_j).
     """
     n = sc.n
     antisym = float(np.abs(sc.C + np.swapaxes(sc.C, 1, 2)).max())
     N = structure_tensor(sc)
-    Z = np.tensordot(N[:n], N, ([1], [0]))
-    A = Z + Z.transpose(0, 2, 3, 1) + Z.transpose(0, 3, 1, 2)
-    dd = float(np.abs(A).max())
+    dd = float(np.abs(exterior_d(N[:n], N)).max())
     # the rows of phibar in N are those of phi conjugated and relabelled, so
     # d(d phibar_j) is the conjugate of d(d phi_j): the same residual
     checks = (
@@ -391,27 +377,27 @@ def catalog(name, metric=None):
     return HermitianStructure(sc, H)
 
 
-def structure_equations_text(sc, tol=1e-12):
-    """Human-readable rendering of d phi_j for each generator.
-
-    ``tol`` only decides which coefficients print as 0 and +-1, so it is a
-    rounding-level threshold rather than the identity tolerance.
-    """
+def structure_equations_text(sc):
+    """Human-readable rendering of d phi_j for each generator."""
     n = sc.n
-    r, s, K = _wedge_coefficients(sc)
+    N = structure_tensor(sc)
+    r, s = np.triu_indices(2 * n, 1)
+    # the coefficient of e_r ^ e_s in d phi_j, r < s: N[j,r,s] when C is
+    # exactly antisymmetric, and what the structure equation gives otherwise;
+    # + 0.0 turns the zero parts that print as -0 into +0
+    K = 0.5 * (N[:n, r, s] - N[:n, s, r]) + 0.0
     names = [f"f{g+1}" for g in range(n)] + [f"fb{g+1}" for g in range(n)]
     lines = []
-    # + 0.0 turns the zero parts that print as -0 into +0
-    for j, row in enumerate((K[:n] + 0.0).tolist()):
+    for j, row in enumerate(K.tolist()):
         terms = [(f"{names[a]} ^ {names[b]}", c) for a, b, c in zip(r, s, row) if c != 0]
-        if max((abs(c) for _, c in terms), default=0.0) <= tol:
+        if max((abs(c) for _, c in terms), default=0.0) <= _PRINT_TOL:
             lines.append(f"d f{j+1} = 0")
             continue
         bits = []
         for gens, c in terms:
-            if abs(c - 1) <= tol:
+            if abs(c - 1) <= _PRINT_TOL:
                 bits.append(f"+ {gens}")
-            elif abs(c + 1) <= tol:
+            elif abs(c + 1) <= _PRINT_TOL:
                 bits.append(f"- {gens}")
             else:
                 bits.append(f"+ ({c:.6g}) {gens}")

@@ -2,12 +2,13 @@
 
 The library computes every report quantity by tensor contractions.  The
 routes here reach the same numbers another way, most of them through the
-dict-based exterior algebra (``InvariantForm`` with ``exterior_d``), and the
-tests compare the two.  The structure equation itself is written out term
-by term here (:func:`coframe_differential`), independently of the library's
-structure tensor.  The constant builders at the end are the library's
-former scalar index loops, kept as they were; the library's whole-array
-builders must reproduce them bit for bit.  :func:`report_json` is the
+dict-based exterior algebra kept here (:class:`InvariantForm` with
+:func:`exterior_d`), and the tests compare the two.  The structure equation
+itself is written out term by term here (:func:`coframe_differential`),
+independently of the library's structure tensor, and :func:`exterior_d`
+differentiates the generators through it.  The constant builders at the end
+are the library's former scalar index loops, kept as they were; the
+library's whole-array builders must reproduce them bit for bit.  :func:`report_json` is the
 encoder route the CLI's JSON writer replaced.
 """
 
@@ -22,7 +23,199 @@ import hermlab.lie_hermitian as lh
 import hermlab.optimizer as op
 import hermlab.tensor_algebra as ta
 import hermlab.torsion_engine as te
-from hermlab.errors import JacobiViolation, NotIntegrable, SingularFrame
+from hermlab.errors import DimensionMismatch, JacobiViolation, NotIntegrable, SingularFrame
+
+
+# ---------------------------------------------------------------------------
+# the dict-based exterior algebra
+#
+# All forms live over the 2n generators e = (phi, phibar): indices 0..n-1
+# are the (1,0) coframe elements and n..2n-1 their conjugates.  An
+# InvariantForm maps strictly increasing index tuples to complex
+# coefficients; the reordering sign is folded into the coefficient at
+# insertion time, so form equality reduces to comparing coefficient maps.
+
+
+def _sorted_with_sign(indices):
+    """Sort an index tuple, returning (tuple, sign) or None for a repeat."""
+    idx = list(indices)
+    sign = 1
+    # insertion sort; index lists have <= 2n entries so this is cheap
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(idx, idx[1:]):
+        if a == b:
+            return None
+    return tuple(idx), sign
+
+
+class InvariantForm:
+    """A constant-coefficient form over the fixed (1,0)/(0,1) coframe."""
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n, terms=None):
+        self.n = int(n)
+        self.terms = {}
+        if terms:
+            for idx, coeff in terms.items():
+                self._insert(idx, coeff)
+
+    def _insert(self, indices, coeff):
+        if coeff == 0:
+            return
+        canon = _sorted_with_sign(indices)
+        if canon is None:
+            return
+        idx, sign = canon
+        if any(g < 0 or g >= 2 * self.n for g in idx):
+            raise IndexError(f"generator index out of range: {idx}")
+        new = self.terms.get(idx, 0j) + sign * complex(coeff)
+        if new == 0:
+            self.terms.pop(idx, None)
+        else:
+            self.terms[idx] = new
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def zero(cls, n):
+        return cls(n)
+
+    @classmethod
+    def scalar(cls, n, value):
+        f = cls(n)
+        f._insert((), value)
+        return f
+
+    @classmethod
+    def hol(cls, n, i):
+        """The generator phi_i (0-based)."""
+        f = cls(n)
+        f._insert((i,), 1.0)
+        return f
+
+    @classmethod
+    def anti(cls, n, i):
+        """The generator phibar_i (0-based)."""
+        f = cls(n)
+        f._insert((n + i,), 1.0)
+        return f
+
+    # -- linear structure --------------------------------------------------
+
+    def _check(self, other):
+        if not isinstance(other, InvariantForm):
+            raise TypeError("expected InvariantForm")
+        if other.n != self.n:
+            raise DimensionMismatch(f"n mismatch: {self.n} vs {other.n}")
+
+    def __add__(self, other):
+        self._check(other)
+        out = InvariantForm(self.n, self.terms)
+        for idx, c in other.terms.items():
+            out._insert(idx, c)
+        return out
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __neg__(self):
+        return (-1.0) * self
+
+    def __mul__(self, scalar):
+        out = InvariantForm(self.n)
+        for idx, c in self.terms.items():
+            out._insert(idx, scalar * c)
+        return out
+
+    __rmul__ = __mul__
+
+    # -- exterior algebra ---------------------------------------------------
+
+    def wedge(self, other):
+        self._check(other)
+        out = InvariantForm(self.n)
+        for ia, ca in self.terms.items():
+            for ib, cb in other.terms.items():
+                out._insert(ia + ib, ca * cb)
+        return out
+
+    def conjugate(self):
+        """Complex conjugation: swaps phi_i <-> phibar_i, conjugates coefficients."""
+        n = self.n
+        out = InvariantForm(n)
+        for idx, c in self.terms.items():
+            swapped = tuple(g + n if g < n else g - n for g in idx)
+            out._insert(swapped, np.conj(c))
+        return out
+
+    def bidegree_part(self, p, q):
+        """The (p,q)-component; summing over all (p,q) recovers the form."""
+        if p < 0 or q < 0:
+            raise ValueError("bidegree must be non-negative")
+        out = InvariantForm(self.n)
+        for idx, c in self.terms.items():
+            ph = sum(1 for g in idx if g < self.n)
+            if ph == p and len(idx) - ph == q:
+                out._insert(idx, c)
+        return out
+
+    # -- diagnostics ---------------------------------------------------------
+
+    def coefficient(self, indices):
+        canon = _sorted_with_sign(indices)
+        if canon is None:
+            return 0j
+        idx, sign = canon
+        return sign * self.terms.get(idx, 0j)
+
+    def norm(self):
+        """sqrt of the sum of |coefficient|^2 over canonical terms."""
+        return float(np.sqrt(sum(abs(c) ** 2 for c in self.terms.values())))
+
+    def max_abs(self):
+        return max((abs(c) for c in self.terms.values()), default=0.0)
+
+    def is_zero(self, tol=0.0):
+        return self.max_abs() <= tol
+
+    def isclose(self, other, tol=ta.DEFAULT_TOL):
+        self._check(other)
+        return (self - other).max_abs() <= tol
+
+    def __repr__(self):
+        if not self.terms:
+            return f"InvariantForm(n={self.n}, 0)"
+        bits = []
+        for idx in sorted(self.terms):
+            gens = "^".join(
+                (f"f{g+1}" if g < self.n else f"fb{g-self.n+1}") for g in idx
+            )
+            bits.append(f"({self.terms[idx]:.6g}) {gens}" if gens else f"{self.terms[idx]:.6g}")
+        return f"InvariantForm(n={self.n}, " + " + ".join(bits) + ")"
+
+
+def exterior_d(a, sc):
+    """Exterior derivative of an invariant form, via the graded Leibniz rule,
+    with the generator derivatives written out by :func:`coframe_differential`."""
+    if a.n != sc.n:
+        raise DimensionMismatch(f"form has n={a.n}, structure has n={sc.n}")
+    n = sc.n
+    used = {g for idx in a.terms for g in idx}  # differentiate only these generators
+    dgen = {g: coframe_differential(sc, g % n, g >= n) for g in used}
+    out = InvariantForm(n)
+    for idx, coeff in a.terms.items():
+        for pos, g in enumerate(idx):
+            sign = -1.0 if pos % 2 else 1.0
+            rest = idx[:pos] + idx[pos + 1 :]
+            for didx, dcoeff in dgen[g].terms.items():
+                out._insert(didx + rest, sign * coeff * dcoeff)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +224,7 @@ from hermlab.errors import JacobiViolation, NotIntegrable, SingularFrame
 
 def omega_form(n):
     """The Kaehler form of the identity metric, i * sum phi_s ^ phibar_s."""
-    w = ta.InvariantForm(n)
+    w = InvariantForm(n)
     for s in range(n):
         w._insert((s, n + s), 1j)
     return w
@@ -45,7 +238,7 @@ def del_omega(T):
     norm of that (2,1)-part is |T|^2 / 2.
     """
     n = T.shape[0]
-    out = ta.InvariantForm(n)
+    out = InvariantForm(n)
     for j in range(n):
         for i in range(n):
             for k in range(n):
@@ -64,6 +257,23 @@ def form_coefficient_matrix(form, n):
     return M
 
 
+def two_form(omega):
+    """The form 1/2 sum omega[a,b] e_a ^ e_b of an antisymmetric 2n x 2n array."""
+    f = InvariantForm(omega.shape[0] // 2)
+    for a, b in itertools.combinations(range(omega.shape[0]), 2):
+        f._insert((a, b), omega[a, b])
+    return f
+
+
+def three_form_coefficients(form):
+    """W with form = 1/6 sum W[r,s,b] e_r ^ e_s ^ e_b, W totally antisymmetric."""
+    m = 2 * form.n
+    W = np.zeros((m, m, m), dtype=complex)
+    for idx in itertools.product(range(m), repeat=3):
+        W[idx] = form.coefficient(idx)
+    return W
+
+
 # ---------------------------------------------------------------------------
 # the structure equation term by term
 
@@ -71,7 +281,7 @@ def form_coefficient_matrix(form, n):
 def coframe_differential(sc, j, conjugated=False):
     """d(phi_j), or d(phibar_j) when ``conjugated``; 0-based ``j``."""
     n = sc.n
-    out = ta.InvariantForm(n)
+    out = InvariantForm(n)
     for i in range(n):
         for k in range(n):
             cik = sc.C[j, i, k]
@@ -126,9 +336,9 @@ def dd_residuals(sc):
     dd_hol = 0.0
     dd_anti = 0.0
     for j in range(n):
-        dd_hol = max(dd_hol, lh.exterior_d(coframe_differential(sc, j), sc).max_abs())
+        dd_hol = max(dd_hol, exterior_d(coframe_differential(sc, j), sc).max_abs())
         dd_anti = max(
-            dd_anti, lh.exterior_d(coframe_differential(sc, j, True), sc).max_abs()
+            dd_anti, exterior_d(coframe_differential(sc, j, True), sc).max_abs()
         )
     return dd_hol, dd_anti
 
@@ -136,10 +346,10 @@ def dd_residuals(sc):
 def gauduchon_residual(pkg):
     """Q_G as the coefficient matrix of i(del etabar - delbar eta - eta ^ etabar) - a Id."""
     n = pkg.n
-    eta_form = ta.InvariantForm(n)
+    eta_form = InvariantForm(n)
     for i in range(n):
         eta_form._insert((i,), pkg.eta[i])
-    delbar_eta = lh.exterior_d(eta_form, pkg.sc_u).bidegree_part(1, 1)
+    delbar_eta = exterior_d(eta_form, pkg.sc_u).bidegree_part(1, 1)
     del_etabar = delbar_eta.conjugate()
     eta_wedge = eta_form.wedge(eta_form.conjugate())
     L = 1j * (del_etabar - delbar_eta - eta_wedge)
@@ -161,8 +371,8 @@ def pluriclosed_residual_einsum(pkg):
 def pluriclosed_residual(pkg):
     """Norm of del delbar omega in the unitary frame, through ``exterior_d``."""
     omega = omega_form(pkg.n)
-    delbar_omega = lh.exterior_d(omega, pkg.sc_u).bidegree_part(1, 2)
-    ddbar = lh.exterior_d(delbar_omega, pkg.sc_u).bidegree_part(2, 2)
+    delbar_omega = exterior_d(omega, pkg.sc_u).bidegree_part(1, 2)
+    ddbar = exterior_d(delbar_omega, pkg.sc_u).bidegree_part(2, 2)
     return ddbar.norm()
 
 

@@ -236,8 +236,60 @@ def test_non_finite_array_entry_exits_2(tmp_path, capsys, monkeypatch, entry):
                           "--format", "json", "--output", str(out_path))
     assert code == cli.EXIT_NUMERICAL
     assert out == "" and len(err.splitlines()) == 1
-    assert err.startswith("numerical failure: report contains a non-finite number")
+    assert err.startswith("numerical failure: report contains a non-finite number at torsion.A")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("block, key, value",
+                         [("torsion", "A", np.full((3, 3), complex(0.0, NAN))),
+                          ("residuals", "F_value", float("inf"))],
+                         ids=["array", "scalar"])
+def test_non_finite_report_names_its_key(tmp_path, capsys, monkeypatch, fmt, block, key, value):
+    real = cli.build_report
+
+    def with_bad_value(*a):
+        report = real(*a)
+        report[block][key] = value
+        return report
+
+    monkeypatch.setattr(cli, "build_report", with_bad_value)
+    code, out, err = _run(capsys, "analyze", _write(tmp_path, {"catalog": "so3c"}),
+                          "--format", fmt)
+    assert code == cli.EXIT_NUMERICAL
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("numerical failure: report contains a non-finite number at "
+                          f"{block}.{key}")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_input_number_exits_1(tmp_path, capsys, fmt, constant):
+    # json reads NaN and Infinity, and 1e999 overflows to inf; none is a
+    # number an input document may hold, even outside the structure
+    path = tmp_path / "input.json"
+    path.write_text('{"catalog": "so3c", "note": %s}' % constant)
+    code, out, err = _run(capsys, "analyze", str(path), "--format", fmt)
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# C^1_{23} = 1e200: |T|^2 and everything built from it overflow
+OVERFLOW_DOC = {"n": 3, "C": [{"up": 1, "lo": [2, 3], "re": 1e200},
+                              {"up": 1, "lo": [3, 2], "re": -1e200}]}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_overflowing_report_exits_2_in_both_formats(tmp_path, fmt):
+    # a fresh interpreter under -X dev -W error: numpy's floating-point
+    # warnings would raise there, or else print lines of their own
+    proc = _python("-X", "dev", "-W", "error", "-m", "hermlab.cli", "analyze",
+                   _write(tmp_path, OVERFLOW_DOC), "--format", fmt)
+    assert proc.returncode == cli.EXIT_NUMERICAL
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("numerical failure: report contains a non-finite number at ")
 
 
 # ---------------------------------------------------------------------------

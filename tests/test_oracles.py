@@ -1,11 +1,13 @@
 """The library's tensor-contraction closed forms against their oracles.
 
-Each closed form (validation's d(d e) = 0 residuals, Q_G, the pluriclosed
-residual, frame changes, the Strominger-parallel residuals) is compared with the route in ``oracles`` on
+Each closed form (the exterior derivative of 2-forms and validation's
+d(d e) = 0 residuals, Q_G, the pluriclosed residual, frame changes, the
+Strominger-parallel residuals) is compared with the route in ``oracles`` on
 seeded random valid structures under random metrics, on catalog entries,
-and, for validation, on random C/D that fail the Jacobi identity.  The
-BLAS-routed derivative templates, xi and the pluriclosed residual are also
-compared with the two-operand einsums they replaced.
+and, for validation and the exterior derivative, on random C/D that fail
+the Jacobi identity.  The BLAS-routed derivative templates, xi and the
+pluriclosed residual are also compared with the two-operand einsums they
+replaced.
 
 The whole-array constant builders (so(k) constants, so(3, C) as real data,
 complexification, the Hermitian basis) must equal their scalar-loop
@@ -22,7 +24,6 @@ import hermlab.classifiers as cl
 import hermlab.functionals as fn
 import hermlab.lie_hermitian as lh
 import hermlab.optimizer as op
-import hermlab.tensor_algebra as ta
 import hermlab.torsion_engine as te
 
 import oracles
@@ -213,14 +214,47 @@ def test_structure_equations_text_equals_term_loop():
 
 
 def test_exterior_d_of_generators_equals_term_loop():
+    # the wedge coefficients 1/2 (N[p,r,s] - N[p,s,r]), r < s, of the
+    # structure tensor are the term loop's d phi_j and d phibar_j exactly
+    # (up to the sign of zero, which the form's insertion normalizes)
     for sc in _rendered_structures():
         n = sc.n
+        N = lh.structure_tensor(sc)
+        r, s = np.triu_indices(2 * n, 1)
+        K = 0.5 * (N[:, r, s] - N[:, s, r])
+        for p in range(2 * n):
+            got = {(a, b): c for a, b, c in zip(r.tolist(), s.tolist(), K[p].tolist()) if c != 0}
+            want = oracles.coframe_differential(sc, p % n, p >= n).terms
+            assert sorted(got) == sorted(want)
+            assert [got[k] for k in sorted(got)] == [want[k] for k in sorted(want)]
+
+
+def _random_two_form(rng, n, p):
+    """Coefficients omega[a, b] of a random invariant 2-form of bidegree (p, 2 - p)."""
+    hol = np.arange(2 * n) < n
+    rows, cols = (hol if p else ~hol), (hol if p == 2 else ~hol)
+    x = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+    x = np.where(np.outer(rows, cols), x, 0.0)
+    return x - x.T
+
+
+def test_exterior_d_matches_form_route():
+    rng = np.random.default_rng(108)
+    valid = _random_metric_structures(109, count=10, names=lh.catalog_names())
+    assert _with_c_and_d(valid) >= 10
+    structures = [hs.sc for hs in valid] + _non_jacobi_constants(110, count=10)
+    for sc in structures:
+        n = sc.n
+        N = lh.structure_tensor(sc)
+        for p in (2, 1, 0):
+            omega = _random_two_form(rng, n, p)
+            want = oracles.three_form_coefficients(oracles.exterior_d(oracles.two_form(omega), sc))
+            assert _close(lh.exterior_d(omega, N), want)
+        # the rows of phi are the 2-forms d phi_j: validate's d(d phi_j)
+        dd = lh.exterior_d(N[:n], N)
         for j in range(n):
-            for gen, conjugated in ((ta.InvariantForm.hol, False), (ta.InvariantForm.anti, True)):
-                got = lh.exterior_d(gen(n, j), sc).terms
-                want = oracles.coframe_differential(sc, j, conjugated).terms
-                assert sorted(got) == sorted(want)
-                _assert_bitwise([got[k] for k in sorted(got)], [want[k] for k in sorted(want)])
+            want = oracles.exterior_d(oracles.coframe_differential(sc, j), sc)
+            assert _close(dd[j], oracles.three_form_coefficients(want))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Exterior-algebra kernel and dense-linear-algebra helpers."""
+"""Dense-linear-algebra helpers, and the dict-based exterior algebra the
+test oracles use (``oracles.InvariantForm``)."""
 
 import itertools
 
@@ -8,6 +9,7 @@ import pytest
 import hermlab.tensor_algebra as ta
 from hermlab.errors import NotPositiveDefinite
 
+import oracles
 from conftest import random_hpd
 
 
@@ -85,7 +87,7 @@ def _oracle_wedge(a, b, n):
 
 
 def _random_form(rng, n, degree, nterms=4):
-    f = ta.InvariantForm(n)
+    f = oracles.InvariantForm(n)
     for _ in range(nterms):
         idx = tuple(rng.choice(2 * n, size=degree, replace=False))
         f._insert(idx, complex(rng.standard_normal(), rng.standard_normal()))
@@ -93,7 +95,7 @@ def _random_form(rng, n, degree, nterms=4):
 
 
 def test_wedge_square_of_one_form_vanishes():
-    f = ta.InvariantForm.hol(3, 0)
+    f = oracles.InvariantForm.hol(3, 0)
     assert f.wedge(f).is_zero()
 
 
@@ -129,7 +131,7 @@ def test_wedge_associative(rng):
 def test_omega_squared_n2():
     # (i sum phi_s ^ phibar_s)^2 = -2 phi_1 ^ phibar_1 ^ phi_2 ^ phibar_2
     n = 2
-    w = ta.InvariantForm(n, {(0, 2): 1j, (1, 3): 1j})
+    w = oracles.InvariantForm(n, {(0, 2): 1j, (1, 3): 1j})
     sq = w.wedge(w)
     # canonical order (0,1,2,3) picks up one swap from (0,2,1,3)
     assert abs(sq.coefficient((0, 2, 1, 3)) - (-2.0)) <= 1e-14
@@ -152,13 +154,13 @@ def test_conjugate_distributes_over_wedge(rng):
 
 
 def test_fundamental_form_is_real():
-    w = ta.InvariantForm(3, {(s, 3 + s): 1j for s in range(3)})
+    w = oracles.InvariantForm(3, {(s, 3 + s): 1j for s in range(3)})
     assert w.conjugate().isclose(w, tol=0.0)
 
 
 def test_bidegree_decomposition(rng):
     f = _random_form(rng, 3, 3, nterms=8)
-    total = ta.InvariantForm(3)
+    total = oracles.InvariantForm(3)
     for p in range(4):
         q = 3 - p
         part = f.bidegree_part(p, q)
@@ -169,7 +171,7 @@ def test_bidegree_decomposition(rng):
 
 
 def test_bidegree_of_mixed_two_form():
-    f = ta.InvariantForm(2, {(0, 1): 1.0, (0, 2): 2.0, (2, 3): 3.0})
+    f = oracles.InvariantForm(2, {(0, 1): 1.0, (0, 2): 2.0, (2, 3): 3.0})
     assert f.bidegree_part(2, 0).coefficient((0, 1)) == 1.0
     assert f.bidegree_part(1, 1).coefficient((0, 2)) == 2.0
     assert f.bidegree_part(0, 2).coefficient((2, 3)) == 3.0
@@ -181,19 +183,19 @@ def test_bidegree_of_mixed_two_form():
 
 
 def test_coefficient_respects_reordering_sign():
-    f = ta.InvariantForm(2, {(0, 1): 2.0})
+    f = oracles.InvariantForm(2, {(0, 1): 2.0})
     assert f.coefficient((1, 0)) == -2.0
     assert f.coefficient((0, 0)) == 0j
 
 
 def test_norm_and_max_abs(rng):
-    f = ta.InvariantForm(2, {(0,): 3.0, (1,): 4.0})
+    f = oracles.InvariantForm(2, {(0,): 3.0, (1,): 4.0})
     assert f.norm() == pytest.approx(5.0)
     assert f.max_abs() == pytest.approx(4.0)
 
 
 def test_insert_cancellation_removes_term():
-    f = ta.InvariantForm(2)
+    f = oracles.InvariantForm(2)
     f._insert((0, 1), 1.0)
     f._insert((1, 0), 1.0)  # equals -(0,1): exact cancellation
     assert f.is_zero() and not f.terms
@@ -203,7 +205,7 @@ def test_all_index_pairs_canonicalize(rng):
     # every 2-tuple over the generators lands in strictly increasing order
     n = 2
     for i, k in itertools.product(range(2 * n), repeat=2):
-        f = ta.InvariantForm(n)
+        f = oracles.InvariantForm(n)
         f._insert((i, k), 1.0)
         for idx in f.terms:
             assert list(idx) == sorted(idx)
