@@ -239,6 +239,13 @@ def render_text(report):
             f"final objective = {o['final_objective']:.6g}, "
             f"final residual norm = {o['final_residual_norm']:.6g}",
         ]
+    if "criticality" in report:
+        k = report["criticality"]
+        lines += [
+            "",
+            f"criticality: functional={k['functional']} "
+            f"residual norm={k['residual_norm']:.6g} tol={k['tol']:g} critical={k['critical']}",
+        ]
     if "variation_check" in report:
         v = report["variation_check"]
         lines += [
@@ -283,14 +290,17 @@ def _report_json(obj, level, key=""):
     writes it: dicts level by level, arrays from their layout template and
     any other value through the encoder, shifted to ``level``.  Report dicts
     have string keys, and arrays sit only as dict values.  A non-finite
-    number raises :class:`NumericalFailure` naming its dotted report ``key``."""
+    number raises :class:`NumericalFailure` naming its dotted report ``key``;
+    a dict's values are encoded in the order the report was built, so the
+    key named is the first quantity to overflow, not the first in sort order."""
     if isinstance(obj, np.ndarray):
         return _array_json(obj, level, key)
     if isinstance(obj, dict) and obj:
         pad = "\n" + "  " * (level + 1)
-        items = [json.dumps(k) + ": " + _report_json(v, level + 1, f"{key}.{k}" if key else k)
-                 for k, v in sorted(obj.items())]
-        return "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"
+        items = {k: json.dumps(k) + ": " + _report_json(v, level + 1, f"{key}.{k}" if key else k)
+                 for k, v in obj.items()}
+        body = ("," + pad).join(items[k] for k in sorted(items))
+        return "{" + pad + body + "\n" + "  " * level + "}"
     try:
         text = _ENCODER.encode(obj)
     except ValueError as exc:

@@ -173,13 +173,13 @@ def exterior_d(omega, N):
     return Z + np.moveaxis(Z, -3, -1) + np.moveaxis(Z, -1, -3)
 
 
-def validate(sc, tol=ta.DEFAULT_TOL):
+def validate(sc):
     """Consistency checks: C antisymmetry and d(d phi_j) = 0 for all j.
 
     The n rows of phi in the structure tensor N are the 2-forms d phi_j, so
     their :func:`exterior_d` holds the coefficients of every d(d phi_j).
     """
-    n = sc.n
+    n, tol = sc.n, ta.DEFAULT_TOL
     antisym = float(np.abs(sc.C + np.swapaxes(sc.C, 1, 2)).max())
     N = structure_tensor(sc)
     dd = float(np.abs(exterior_d(N[:n], N)).max())
@@ -218,17 +218,17 @@ def _pivot_columns(A, k):
     return np.sort(piv)
 
 
-def complexify(rl, tol=ta.DEFAULT_TOL):
+def complexify(rl):
     """Structure constants of the (1,0)-frame induced by (f, J).
 
     Raises ``ValueError`` when J*J = -I fails or ``f`` is not antisymmetric
-    in its lower pair beyond ``tol``, :class:`JacobiViolation` when the real
-    constants fail Jacobi, and :class:`NotIntegrable` when the bracket of two
-    (1,0)-fields has a (0,1)-component exceeding ``tol`` (Nijenhuis
+    in its lower pair beyond ``DEFAULT_TOL``, :class:`JacobiViolation` when the
+    real constants fail Jacobi, and :class:`NotIntegrable` when the bracket of
+    two (1,0)-fields has a (0,1)-component exceeding it (Nijenhuis
     obstruction).  The result is not passed through :func:`validate`; callers
     that need d*d = 0 checked validate it themselves, as the CLI does.
     """
-    dim, f, J = rl.dim, rl.f, rl.J
+    dim, f, J, tol = rl.dim, rl.f, rl.J, ta.DEFAULT_TOL
     n = dim // 2
     jj = float(np.abs(J @ J + np.eye(dim)).max())
     if jj > tol:

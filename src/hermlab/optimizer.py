@@ -8,9 +8,13 @@ For the torsion and Gauduchon functionals :func:`gradient` is analytic and
 needs no further analysis: the first variation V^(1/n) Re tr(h_u W) of
 :func:`functionals.variation_matrix` is pulled back through the chart with
 the Daleckii-Krein divided differences of exp (Higham, *Functions of
-Matrices*, 2008, ch. 3).  For ``residual_norm``, whose gradient would need
-the derivative of Q_F, the gradient is a central finite difference of step
-``FD_STEP`` over an orthonormal real basis of Hermitian matrices.
+Matrices*, 2008, ch. 3).  ``residual_norm`` is |G_F|^2 = Re tr(G_F G_F),
+the squared chart gradient of the torsion functional: it vanishes exactly
+at the critical points of F and, like F, is invariant under S -> S + tI.
+Its gradient is 2 Hess_F G_F, where the Hessian product is one central
+difference of the analytic gradient of F of step ``FD_STEP`` along
+G_F / |G_F| (Pearlmutter, *Fast exact multiplication by the Hessian*,
+Neural Comput. 1994): two analyses per gradient.
 
 The descent is L-BFGS in the chart (Nocedal and Wright, *Numerical
 Optimization*, 2006, ch. 7) under the inner product Re tr(X Y): the two-loop
@@ -80,24 +84,6 @@ class OptimTrace:
     reason: str = ""
 
 
-def hermitian_basis(n):
-    """Orthonormal basis of Hermitian n x n matrices under Re tr(X Y).
-
-    The diagonal units come first, then for each pair i < j in row-major
-    order its real symmetric and its imaginary antisymmetric element.
-    """
-    s = 1.0 / np.sqrt(2.0)
-    d = np.arange(n)
-    i, j = np.triu_indices(n, 1)
-    re = n + 2 * np.arange(i.size)
-    basis = np.zeros((n * n, n, n), dtype=complex)
-    basis[d, d, d] = 1.0
-    basis[re, i, j] = basis[re, j, i] = s
-    basis[re + 1, i, j] = 1j * s
-    basis[re + 1, j, i] = -1j * s
-    return list(basis)
-
-
 def _project(S, det_normalized):
     S = (S + S.conj().T) / 2
     if det_normalized:
@@ -115,9 +101,8 @@ class _Problem:
         vals, vecs = np.linalg.eigh(np.asarray(hs0.H, dtype=complex))
         self.root = (vecs * np.sqrt(vals)) @ vecs.conj().T  # H0^(1/2)
         self.cfg = cfg
-        # residual_norm is |Q_F|^2: no value function, and the residual of F
-        _, residual_F = fn.FUNCTIONALS["torsion_functional"]
-        self._value, self._residual = fn.FUNCTIONALS.get(cfg.objective, (None, residual_F))
+        # the functional whose analytic gradient the objective reads
+        self.functional = "torsion_functional" if cfg.objective == "residual_norm" else cfg.objective
 
     def metric(self, S):
         """H(S) = H0^(1/2) exp(S) H0^(1/2), always positive definite.
@@ -134,38 +119,52 @@ class _Problem:
             raise NumericalFailure("metric overflowed in the exponential chart")
         return te.analyze(HermitianStructure(self.sc, H))
 
-    def objective(self, S):
-        return self.value(self.analyze(S))
-
-    def value(self, pkg):
-        """The objective at an analyzed metric."""
+    def value(self, S, pkg):
+        """The objective at S, whose metric has the analysis ``pkg``."""
         if pkg.volume <= 0:
             raise NumericalFailure("metric has non-positive determinant")
-        val = self.residual_norm(pkg) ** 2 if self._value is None else self._value(pkg)
+        if self.cfg.objective == "residual_norm":
+            G = _functional_gradient(self, S, pkg)
+            val = _inner(G, G)
+        else:
+            val = fn.FUNCTIONALS[self.functional][0](pkg)
         if not np.isfinite(val):
             raise NumericalFailure("objective evaluated to a non-finite value")
         return val
 
     def residual_norm(self, pkg):
-        _, norm = self._residual(pkg)
+        _, norm = fn.FUNCTIONALS[self.functional][1](pkg)
         return norm
 
 
 def gradient(prob, S, pkg):
     """Gradient of the objective of ``prob`` (a :class:`_Problem`) at S.
 
-    ``pkg`` is the analysis of the metric H(S); the finite-difference route
-    of ``residual_norm`` does not read it.  Returns the Riesz
+    ``pkg`` is the analysis of the metric H(S).  Returns the Riesz
     representative G: for every Hermitian K (trace-free with
     ``det_normalized``), d/dt objective(S + t K) at 0 equals Re tr(K @ G).
     """
+    G = _functional_gradient(prob, S, pkg)
+    if prob.cfg.objective != "residual_norm" or not G.any():
+        return G
+    norm = float(np.linalg.norm(G))
+    # d/dt |G(S + tK)|^2 = 2 Re tr(K Hess G), the Hessian being symmetric;
+    # Hess G = |G| Hess v, the central difference of G along v = G / |G|
+    v = G / norm
+    plus, minus = S + FD_STEP * v, S - FD_STEP * v
+    hess_v = (_functional_gradient(prob, plus, prob.analyze(plus))
+              - _functional_gradient(prob, minus, prob.analyze(minus))) / (2 * FD_STEP)
+    return _project(2 * norm * hess_v, prob.cfg.det_normalized)
+
+
+def _functional_gradient(prob, S, pkg):
+    """Analytic chart gradient at S of ``prob.functional``, from the analysis
+    ``pkg`` of H(S)."""
     cfg = prob.cfg
-    if cfg.objective == "residual_norm":
-        return _fd_gradient(prob, S)
     S = _project(np.asarray(S, dtype=complex), cfg.det_normalized)
     # dH = R dexp_S(K) R and dF(dH) = Re tr(dH X) with X = conj(P) M P^T,
     # M = V^(1/n) W the unitary-frame Riesz matrix; so dF = Re tr(dexp_S(K) Y)
-    M = pkg.volume ** (1.0 / pkg.n) * fn.variation_matrix(pkg, cfg.objective)
+    M = pkg.volume ** (1.0 / pkg.n) * fn.variation_matrix(pkg, prob.functional)
     Y = prob.root @ (pkg.P.conj() @ M @ pkg.P.T) @ prob.root
     # Daleckii-Krein: with S = U diag(lam) U^H, dexp_S(K) = U (Gam o U^H K U) U^H
     # with Gam_ij = (e^lam_i - e^lam_j) / (lam_i - lam_j), written as
@@ -178,19 +177,6 @@ def gradient(prob, S, pkg):
     Gam = np.exp(np.maximum.outer(lam, lam)) * ratio
     G = U @ (Gam * (U.conj().T @ Y @ U)) @ U.conj().T
     return _project(G, cfg.det_normalized)
-
-
-def _fd_gradient(prob, S):
-    """Central finite-difference gradient of the objective of ``prob`` at S."""
-    S = np.asarray(S, dtype=complex)
-    n = S.shape[0]
-    G = np.zeros((n, n), dtype=complex)
-    for K in hermitian_basis(n):
-        d = (prob.objective(S + FD_STEP * K) - prob.objective(S - FD_STEP * K)) / (2 * FD_STEP)
-        if not np.isfinite(d):
-            raise NumericalFailure("non-finite finite-difference evaluation")
-        G += d * K
-    return _project(G, prob.cfg.det_normalized)
 
 
 def _inner(X, Y):
@@ -235,7 +221,7 @@ def _line_search(prob, S, obj, d, slope):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 cand_pkg = prob.analyze(cand)
-                cand_obj = prob.value(cand_pkg)
+                cand_obj = prob.value(cand, cand_pkg)
         except _UNUSABLE:
             step *= SHRINK
             continue
@@ -263,7 +249,7 @@ def minimize(hs0, cfg, S0=None):
     trace = OptimTrace()
     try:
         pkg = prob.analyze(S)
-        obj = prob.value(pkg)
+        obj = prob.value(S, pkg)
     except _UNUSABLE as exc:
         raise InvalidStartPoint(str(exc)) from exc
     memory = deque(maxlen=MEMORY)  # (s, y) pairs, oldest first

@@ -8,7 +8,9 @@ itself is written out term by term here (:func:`coframe_differential`),
 independently of the library's structure tensor, and :func:`exterior_d`
 differentiates the generators through it.  The constant builders at the end
 are the library's former scalar index loops, kept as they were; the
-library's whole-array builders must reproduce them bit for bit.  :func:`report_json` is the
+library's whole-array builders must reproduce them bit for bit.
+:func:`fd_gradient` differentiates a descent's objective over the basis of
+:func:`hermitian_basis`, one direction at a time.  :func:`report_json` is the
 encoder route the CLI's JSON writer replaced.
 """
 
@@ -465,12 +467,27 @@ def analytic_gradient(prob, S):
     pkg = prob.analyze(S)
     n = S.shape[0]
     G = np.zeros((n, n), dtype=complex)
-    for K in op.hermitian_basis(n):
+    for K in hermitian_basis(n):
         Kp = op._project(K, cfg.det_normalized)
         _, dE = scipy.linalg.expm_frechet(S, Kp)
         dH = prob.root @ dE @ prob.root
         G += fn.first_variation(pkg, dH, cfg.objective) * K
     return op._project(G, cfg.det_normalized)
+
+
+def objective(prob, S):
+    """The objective of the descent problem ``prob`` at S, analyzed afresh."""
+    return prob.value(S, prob.analyze(S))
+
+
+def fd_gradient(prob, S, step=op.FD_STEP):
+    """Central finite-difference gradient of the objective of ``prob`` at S,
+    one direction of :func:`hermitian_basis` at a time: 2 n^2 analyses, the
+    reference for the library's analytic and Hessian-product gradients."""
+    S = np.asarray(S, dtype=complex)
+    G = sum((objective(prob, S + step * K) - objective(prob, S - step * K)) / (2 * step) * K
+            for K in hermitian_basis(S.shape[0]))
+    return op._project(G, prob.cfg.det_normalized)
 
 
 def dense_bfgs_direction(G, pairs):

@@ -292,6 +292,15 @@ def test_overflowing_report_exits_2_in_both_formats(tmp_path, fmt):
     assert proc.stderr.startswith("numerical failure: report contains a non-finite number at ")
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_overflowing_report_names_where_the_overflow_starts(tmp_path, capsys, fmt):
+    # |T|^2 overflows first and Q_F, the classifier residuals and the rest
+    # follow from it; the message names the first, not the first in key order
+    code, out, err = _run(capsys, "analyze", _write(tmp_path, OVERFLOW_DOC), "--format", fmt)
+    assert code == cli.EXIT_NUMERICAL and out == ""
+    assert err == "numerical failure: report contains a non-finite number at torsion.norm_T2\n"
+
+
 # ---------------------------------------------------------------------------
 # the JSON writer against the json.dumps route, byte for byte
 
@@ -576,6 +585,22 @@ def test_check_critical_exit_codes(tmp_path, capsys):
     rep = json.loads(out)["criticality"]
     assert rep["critical"] is False
     assert rep["residual_norm"] == pytest.approx(np.sqrt(96.0) / 3)
+
+
+@pytest.mark.parametrize("name, functional, critical", [
+    ("so3c", "torsion", True), ("iwasawa", "torsion", False), ("iwasawa", "gauduchon", True),
+])
+def test_check_critical_text_shows_its_verdict(tmp_path, capsys, name, functional, critical):
+    path = _write(tmp_path, {"catalog": name})
+    code, out, _ = _run(capsys, "check-critical", path, "--functional", functional)
+    assert code == (cli.EXIT_OK if critical else cli.EXIT_NOT_SATISFIED)
+    _, analyze_out, _ = _run(capsys, "analyze", path)
+    _, json_out, _ = _run(capsys, "check-critical", path, "--functional", functional,
+                          "--format", "json")
+    k = json.loads(json_out)["criticality"]
+    assert out == analyze_out + (
+        f"\ncriticality: functional={functional} residual norm={k['residual_norm']:.6g} "
+        f"tol=1e-09 critical={critical}\n")
 
 
 def test_check_critical_gauduchon(tmp_path, capsys):

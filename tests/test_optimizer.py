@@ -12,7 +12,8 @@ import hermlab.torsion_engine as te
 from hermlab.errors import InvalidStartPoint, SingularFrame
 
 import oracles
-from conftest import random_hermitian, random_hpd, random_structure, random_unitary
+from conftest import (random_hermitian, random_hpd, random_structure, random_two_step_structure,
+                      random_unitary)
 
 
 # ---------------------------------------------------------------------------
@@ -21,7 +22,7 @@ from conftest import random_hermitian, random_hpd, random_structure, random_unit
 
 def test_hermitian_basis_orthonormal():
     for n in (2, 3):
-        basis = op.hermitian_basis(n)
+        basis = oracles.hermitian_basis(n)
         assert len(basis) == n * n
         for a, Ka in enumerate(basis):
             assert np.abs(Ka - Ka.conj().T).max() <= 1e-15
@@ -98,15 +99,17 @@ def test_gradient_nonzero_off_critical():
     assert np.linalg.norm(G) > 0.1
 
 
-def _gradient_cases(rng):
-    """(problem, S) over both functionals, both chart modes and random anchors.
+def _gradient_cases(rng, objectives=tuple(fn.FUNCTIONALS), two_step=0):
+    """(problem, S) over ``objectives``, both chart modes and random anchors.
 
     S is zero, random, or has a repeated eigenvalue.  so3c, iwasawa and
     sokc-4 have eta = 0 for every metric, so G vanishes there; the n = 2
     random structures and kodaira-thurston carry the nonzero G cases.
+    ``two_step`` structures with C != 0 and D != 0 (n = 3, 4) follow.
     """
     structures = [lh.catalog(name).sc for name in ("so3c", "iwasawa", "kodaira-thurston", "sokc-4")]
     structures += [random_structure(rng, 2) for _ in range(2)]
+    structures += [random_two_step_structure(rng, 3 + k % 2, 2) for k in range(two_step)]
     for sc in structures:
         n = sc.n
         hs = lh.HermitianStructure(sc, random_hpd(rng, n))
@@ -114,7 +117,7 @@ def _gradient_cases(rng):
         lam[1] = lam[0]
         U = random_unitary(rng, n)
         repeated = 0.5 * (U * lam) @ U.conj().T
-        for objective in ("torsion_functional", "gauduchon_functional"):
+        for objective in objectives:
             for det_normalized in (False, True):
                 cfg = op.OptimConfig(objective=objective, det_normalized=det_normalized)
                 prob = op._Problem(hs, cfg)
@@ -138,23 +141,56 @@ def test_gradient_matches_analytic(rng):
 
 
 def test_gradient_matches_finite_differences(rng):
-    for prob, S in _gradient_cases(rng):
+    # every objective, residual_norm's Hessian-product gradient included,
+    # against central differences over the whole Hermitian basis
+    nonzero = Counter()
+    for prob, S in _gradient_cases(rng, op.OBJECTIVES, two_step=5):
         G = op.gradient(prob, S, prob.analyze(S))
-        assert _rel(G, op._fd_gradient(prob, S)) <= 1e-6, (prob.cfg, S)
+        ref = oracles.fd_gradient(prob, S)
+        assert _rel(G, ref) <= 1e-6, (prob.cfg, S)
+        nonzero[prob.cfg.objective] += np.linalg.norm(ref) > 1.0
+    assert min(nonzero[objective] for objective in op.OBJECTIVES) >= 15, nonzero
 
 
 def test_gradient_makes_no_analysis(rng, monkeypatch):
+    # the functionals' gradients read the point's analysis; residual_norm's
+    # Hessian product analyzes two more metrics, at S +- FD_STEP v
     hs = lh.HermitianStructure(lh.catalog("kodaira-thurston").sc, random_hpd(rng, 2))
     S = 0.3 * random_hermitian(rng, 2)
     calls = []
     analyze = te.analyze
     monkeypatch.setattr(te, "analyze", lambda hs: calls.append(1) or analyze(hs))
-    for objective in ("torsion_functional", "gauduchon_functional"):
+    for objective, analyses in (("torsion_functional", 0), ("gauduchon_functional", 0),
+                                ("residual_norm", 2)):
         prob = op._Problem(hs, op.OptimConfig(objective=objective))
         pkg = prob.analyze(S)
         calls.clear()
         assert np.linalg.norm(op.gradient(prob, S, pkg)) > 0.1
-        assert calls == []
+        assert len(calls) == analyses, objective
+
+
+def test_residual_norm_is_scale_invariant(rng):
+    # |G_F|^2 is unchanged under S -> S + tI, that is H -> e^t H, as F is
+    for name in ("so3c", "iwasawa", "kodaira-thurston", "sokc-4"):
+        sc = lh.catalog(name).sc
+        hs = lh.HermitianStructure(sc, random_hpd(rng, sc.n))
+        prob = op._Problem(hs, op.OptimConfig(objective="residual_norm"))
+        S = 0.3 * random_hermitian(rng, sc.n)
+        f0 = oracles.objective(prob, S)
+        assert f0 > 1e-3, name
+        for t in (-1.0, 0.5, 2.0):
+            f = oracles.objective(prob, S + t * np.eye(sc.n))
+            assert abs(f - f0) <= 1e-12 * f0, (name, t)
+
+
+def test_residual_norm_is_squared_residual_at_identity_anchor():
+    # at S = 0 of an identity anchor the chart gradient of F is -Q_F
+    for name in ("iwasawa", "kodaira-thurston"):
+        hs = lh.catalog(name)
+        prob = op._Problem(hs, op.OptimConfig(objective="residual_norm"))
+        S = np.zeros((hs.n, hs.n), dtype=complex)
+        pkg = prob.analyze(S)
+        assert prob.value(S, pkg) == pytest.approx(prob.residual_norm(pkg) ** 2, rel=1e-12)
 
 
 def test_functional_calls_reach_the_functionals_module(monkeypatch):
@@ -168,14 +204,16 @@ def test_functional_calls_reach_the_functionals_module(monkeypatch):
         monkeypatch.setattr(fn, name, lambda pkg, real=real, name=name:
                             calls.update([name]) or real(pkg))
     hs = lh.catalog("kodaira-thurston")
+    S = np.zeros((2, 2), dtype=complex)
     for objective in op.OBJECTIVES:
         prob = op._Problem(hs, op.OptimConfig(objective=objective))
-        pkg = prob.analyze(np.zeros((2, 2), dtype=complex))
-        prob.value(pkg)
+        pkg = prob.analyze(S)
+        prob.value(S, pkg)
         prob.residual_norm(pkg)
-        if objective in fn.FUNCTIONALS:
-            op.gradient(prob, np.zeros((2, 2), dtype=complex), pkg)
-    assert calls == {"torsion_functional": 1, "torsion_critical_residual": 2 + 2,
+        op.gradient(prob, S, pkg)
+    # residual_norm reads Q_F for its value, its residual, and the gradient
+    # of F at S and at S +- FD_STEP v
+    assert calls == {"torsion_functional": 1, "torsion_critical_residual": 2 + 5,
                      "gauduchon_functional": 1, "gauduchon_critical_residual": 2}
 
 
@@ -188,7 +226,7 @@ def test_gradient_directional_derivative(rng):
     G = op.gradient(prob, S, prob.analyze(S))
     K = random_hermitian(rng, 3)
     step = 1e-6
-    fd = (prob.objective(S + step * K) - prob.objective(S - step * K)) / (2 * step)
+    fd = (oracles.objective(prob, S + step * K) - oracles.objective(prob, S - step * K)) / (2 * step)
     assert fd == pytest.approx(np.trace(K @ G).real, rel=1e-4, abs=1e-8)
 
 
@@ -225,7 +263,7 @@ def test_minimize_keeps_only_positive_curvature_pairs(monkeypatch):
     # a double well in every chart coordinate, f = sum (x^2 - 1)^2, is
     # concave near S = 0: a step taken there gives <s, y> < 0, and that pair
     # must not reach the two-loop recursion
-    basis = op.hermitian_basis(2)
+    basis = oracles.hermitian_basis(2)
 
     def coords(S):
         return np.array([np.vdot(K, S).real for K in basis])
@@ -245,8 +283,9 @@ def test_minimize_keeps_only_positive_curvature_pairs(monkeypatch):
         return lbfgs_direction(G, memory, det_normalized)
 
     monkeypatch.setattr(op._Problem, "analyze", lambda self, S: S)
-    monkeypatch.setattr(op._Problem, "value", lambda self, S: float(np.sum((coords(S) ** 2 - 1) ** 2)))
-    monkeypatch.setattr(op._Problem, "residual_norm", lambda self, S: 0.0)
+    monkeypatch.setattr(op._Problem, "value",
+                        lambda self, S, pkg: float(np.sum((coords(S) ** 2 - 1) ** 2)))
+    monkeypatch.setattr(op._Problem, "residual_norm", lambda self, pkg: 0.0)
     monkeypatch.setattr(op, "gradient", gradient)
     monkeypatch.setattr(op, "_lbfgs_direction", direction)
     trace = op.minimize(lh.catalog("kodaira-thurston"), op.OptimConfig(), S0=0.1 * sum(basis))
@@ -319,6 +358,30 @@ def test_minimize_recovers_so3c_critical_point(rng):
         te.analyze(lh.HermitianStructure(hs.sc, trace.H_star))
     )
     assert qnorm <= 1e-6
+
+
+@pytest.mark.parametrize("name, perturb, seed, critical", [
+    ("so3c", 3.0, 2, 6.0),
+    ("sokc-4", 0.1, 0, 24.0),
+    ("sokc-4", 0.1, 7, 24.0),
+])
+@pytest.mark.parametrize("det_normalized", [False, True])
+def test_residual_norm_descent_reaches_critical_metric(name, perturb, seed, critical,
+                                                      det_normalized):
+    # the descent of |G_F|^2 from the start cmd_optimize builds ends at a
+    # critical metric of F, scale-free residual included, and, as the
+    # objective is scale-invariant, keeps the volume of its (projected) start
+    hs = lh.catalog(name)
+    S0 = random_hermitian(np.random.default_rng(seed), hs.n)
+    S0 *= perturb / np.linalg.norm(S0)
+    cfg = op.OptimConfig(objective="residual_norm", det_normalized=det_normalized)
+    trace = op.minimize(hs, cfg, S0=S0)
+    assert trace.converged, trace.reason
+    pkg = trace.pkg_star
+    assert abs(fn.torsion_functional(pkg) - critical) <= 1e-8 * critical
+    _, qnorm = fn.torsion_critical_residual(pkg)
+    assert pkg.volume ** (1.0 / hs.n) * qnorm <= 1e-8
+    assert abs(np.log(pkg.volume) - np.trace(op._project(S0, det_normalized)).real) <= 1e-6
 
 
 def test_minimize_returns_analysis_of_final_metric(rng):

@@ -23,7 +23,6 @@ import scipy.linalg
 import hermlab.classifiers as cl
 import hermlab.functionals as fn
 import hermlab.lie_hermitian as lh
-import hermlab.optimizer as op
 import hermlab.torsion_engine as te
 
 import oracles
@@ -279,14 +278,6 @@ def test_so3c_real_equals_loop_version():
     got, want = realified_so(3), oracles.so3c_real()
     _assert_bitwise(got.f, want.f)
     _assert_bitwise(got.J, want.J)
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_hermitian_basis_equals_loop_version(n):
-    got, want = op.hermitian_basis(n), oracles.hermitian_basis(n)
-    assert len(got) == len(want) == n * n
-    for x, y in zip(got, want):
-        _assert_bitwise(x, y)
 
 
 def test_complexify_equals_loop_version():
