@@ -51,7 +51,9 @@ def lck_check(pkg, tol=DEFAULT_TOL):
 def stp_identity_residuals(pkg):
     """Residuals of the parallel-torsion identities of an analyzed metric.
 
-    Keys (the first three are a report's only O(n^5) steps):
+    Keys (the first three each contract in O(n^5), as do
+    :func:`pluriclosed_residual` and the d(d phi) check of
+    ``lie_hermitian.validate``; the rest are O(n^4) or less):
       nabla_s_hol / nabla_s_bar -- the Strominger derivative of T, i.e. the
         templates at Gamma = D + T (both must vanish for STP);
       quadratic_hol -- the purely quadratic identity (vanishing of the

@@ -2,10 +2,12 @@
 
 Commands: analyze, check-critical, variation-check, optimize, catalog.
 
-Exit codes: 0 success; 1 invalid input (schema, a non-finite number or
-NaN/Infinity anywhere in the document, a metric not positive definite or
-with cond(H) above 1e13, failed structure validation, unknown catalog name,
-a malformed HERMLAB_TOL, an optimize start metric that cannot be analyzed);
+Exit codes: 0 success; 1 invalid input (a document that cannot be read or
+decoded, schema, a non-finite number or NaN/Infinity anywhere in the
+document, a metric not positive definite or with cond(H) above 1e13, failed
+structure validation, unknown catalog name, a malformed HERMLAB_TOL, a
+numeric option out of its range, an optimize start metric that cannot be
+analyzed);
 2 numerical failure, including a report, in either format, that would
 contain a non-finite number; 3 "not critical" / "not converged" /
 "deviation above tolerance" outcomes.  A failure writes one stderr line.
@@ -24,10 +26,10 @@ arrays and takes the ``classification`` and ``residuals`` blocks as
 ``classifiers.classify`` and ``functionals.residual_report`` return them.
 ``emit`` is the one encoder.  Its JSON output is the bytes of
 ``json.dumps(report, sort_keys=True, indent=2)`` with every array as nested
-[re, im] pairs: it writes the report's dicts level by level, fills each
-array's layout template (fixed by its shape and nesting level) with the
-repr of its floats, and hands every other value, the echoed input document
-included, to the json encoder.  The text output formats the arrays
+[re, im] pairs: it writes the report's dicts and lists, the echoed input
+document included, level by level, fills each array's layout template
+(fixed by its shape and nesting level) with the repr of its floats, and
+writes each scalar as json does.  The text output formats the arrays
 directly, after the JSON encoding has checked that every number is finite.
 
 The environment variable HERMLAB_TOL overrides the default tolerance,
@@ -112,7 +114,7 @@ def parse_input(doc):
     """Build a HermitianStructure from an input document."""
     try:
         return _parse_structure(doc)
-    except ValueError as exc:  # non-finite numbers, impossible sizes
+    except (ValueError, OverflowError) as exc:  # non-finite numbers, impossible sizes
         raise InputError(f"invalid input: {exc}") from exc
 
 
@@ -257,9 +259,8 @@ def render_text(report):
     return "\n".join(lines) + "\n"
 
 
-# encodes the values of a report that are neither dicts nor arrays, as
-# json.dumps(sort_keys=True, indent=2, allow_nan=False) would
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
+_encode_str = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 @functools.lru_cache(maxsize=64)
@@ -285,33 +286,62 @@ def _array_json(a, level, key):
     return _array_template(a.shape + (2,), level) % tuple(values.tolist())
 
 
-def _report_json(obj, level, key=""):
-    """``obj`` at nesting ``level`` as json.dumps(sort_keys=True, indent=2)
-    writes it: dicts level by level, arrays from their layout template and
-    any other value through the encoder, shifted to ``level``.  Report dicts
-    have string keys, and arrays sit only as dict values.  A non-finite
-    number raises :class:`NumericalFailure` naming its dotted report ``key``;
-    a dict's values are encoded in the order the report was built, so the
-    key named is the first quantity to overflow, not the first in sort order."""
-    if isinstance(obj, np.ndarray):
-        return _array_json(obj, level, key)
-    if isinstance(obj, dict) and obj:
+def _write_json(obj, level, key, out):
+    """Append ``obj`` at nesting ``level`` to the chunk list ``out`` as
+    json.dumps(sort_keys=True, indent=2) writes it: dicts and lists level by
+    level, arrays from their layout template, and scalars as json writes
+    them (strings ASCII-escaped, floats and ints by their ``__repr__``).
+    Report dicts have string keys, and arrays sit only as dict values.  A
+    non-finite number raises :class:`NumericalFailure` naming its dotted
+    report ``key`` (a list's entries share the list's key); a dict's values
+    are encoded in the order the report was built, so the key named is the
+    first quantity to overflow, not the first in sort order.  A nesting
+    level takes one stack frame, its lists and dicts are walked by loops,
+    so an input document nested as deep as json reads it is echoed too."""
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise NumericalFailure(f"report contains a non-finite number at {key}")
+        out.append(float.__repr__(obj))
+    elif isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif isinstance(obj, np.ndarray):
+        out.append(_array_json(obj, level, key))
+    elif obj is None or obj is True or obj is False:
+        out.append(_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (dict, list, tuple)) and not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        parts = {}
+        for k, v in obj.items():
+            parts[k] = chunks = [_encode_str(k) + ": "]
+            _write_json(v, level + 1, f"{key}.{k}" if key else k, chunks)
         pad = "\n" + "  " * (level + 1)
-        items = {k: json.dumps(k) + ": " + _report_json(v, level + 1, f"{key}.{k}" if key else k)
-                 for k, v in obj.items()}
-        body = ("," + pad).join(items[k] for k in sorted(items))
-        return "{" + pad + body + "\n" + "  " * level + "}"
-    try:
-        text = _ENCODER.encode(obj)
-    except ValueError as exc:
-        raise NumericalFailure(f"report contains a non-finite number at {key}") from exc
-    return text.replace("\n", "\n" + "  " * level)
+        sep = "{" + pad
+        for k in sorted(parts):
+            out.append(sep)
+            out += parts[k]
+            sep = "," + pad
+        out.append("\n" + "  " * level + "}")
+    elif isinstance(obj, (list, tuple)):
+        pad = "\n" + "  " * (level + 1)
+        sep = "[" + pad
+        for v in obj:
+            out.append(sep)
+            _write_json(v, level + 1, key, out)
+            sep = "," + pad
+        out.append("\n" + "  " * level + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def emit(report, args):
     """Write ``report`` as JSON or text to ``args.output`` or stdout.  The
     JSON is encoded in both formats, as the one check that all is finite."""
-    text = _report_json(report, 0) + "\n"
+    chunks = []
+    _write_json(report, 0, "", chunks)
+    text = "".join(chunks) + "\n"
     if args.format == "text":
         text = render_text(report)
     if args.output:
@@ -334,8 +364,15 @@ def _finite_number(text):
 
 
 def _load_structure(args):
-    with open(args.input, "r", encoding="utf-8") as fh:
-        doc = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+    try:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            doc = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        # invalid UTF-8, an integer past Python's digit limit, or nesting
+        # deeper than the decoder's recursion limit
+        raise InputError(f"unreadable input document: {exc}") from exc
     hs = parse_input(doc)
     vrep = lh.validate(hs.sc)
     if not vrep.ok:
@@ -532,6 +569,27 @@ def make_parser():
     return parser
 
 
+# the range of each numeric option, checked once after parsing: outside it
+# a command would fail deep inside its run or quietly do something else
+_OPTION_RANGES = (
+    ("tol", math.isfinite, "finite"),
+    ("max_iter", lambda v: v >= 0, "non-negative"),
+    ("grad_tol", lambda v: 0 < v < math.inf, "positive and finite"),
+    ("objective_tol", math.isfinite, "finite"),
+    ("perturb", lambda v: 0 <= v < math.inf, "non-negative and finite"),
+    ("fd_step", lambda v: 0 < v < math.inf, "positive and finite"),
+    ("directions", lambda v: v >= 1, "positive"),
+    ("seed", lambda v: v >= 0, "non-negative"),
+)
+
+
+def _check_options(args):
+    for dest, in_range, what in _OPTION_RANGES:
+        value = getattr(args, dest, None)
+        if value is not None and not in_range(value):
+            raise InputError(f"--{dest.replace('_', '-')} must be {what}, got {value!r}")
+
+
 def _env_tol():
     text = os.environ.get("HERMLAB_TOL", str(ta.DEFAULT_TOL))
     try:
@@ -547,13 +605,14 @@ def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         if getattr(args, "tol", None) is None and hasattr(args, "tol"):
             args.tol = _env_tol()
         # a non-finite result is reported once, by the report's encoder, not
         # also as floating-point warnings of the computation behind it
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (InputError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InputError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT
     except (NumericalFailure, FloatingPointError) as exc:

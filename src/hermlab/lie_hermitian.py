@@ -17,7 +17,11 @@ rows of phi (D enters with its first lower slot bound to the form label);
 the rows of phibar are their conjugates with phi and phibar swapped.
 :func:`structure_equations_text` reads N, and :func:`validate` reads it
 through :func:`exterior_d`, the derivative of 2-forms given as coefficient
-arrays: the rows ``N[:n]`` are the 2-forms d phi_j.
+arrays: the rows ``N[:n]`` are the 2-forms d phi_j.  The structure is
+integrable, so d phi_j has no (0,2) part: the rows of phi have a zero
+phibar-phibar block and the rows of phibar a zero phi-phi block, and
+d(d phi_j) has no (0,3) part.  :func:`exterior_d` returns the three other
+bidegree blocks, each contracted only where N is non-zero.
 
 Frame-change convention: a new frame ``etilde = e @ P`` has coframe
 ``phitilde = P^{-1} @ phi``.  The induced transformation laws are
@@ -161,23 +165,59 @@ def structure_tensor(sc):
 
 
 def exterior_d(omega, N):
-    """d of the invariant 2-form ``1/2 sum omega[..., a, b] e_a ^ e_b``.
+    """d of the invariant 2-form ``1/2 sum omega[..., a, b] e_a ^ e_b`` with
+    no (0,2) part, as its (3,0), (2,1) and (1,2) blocks.
 
     ``omega`` is antisymmetric in its last two slots, which run over the
-    ``2n`` generators of the structure tensor ``N``; leading slots are a
-    batch.  Returns W with ``d omega = 1/6 sum W[..., r, s, b] e_r ^ e_s ^ e_b``:
-    the cyclic sum of ``Y[..., r, s, b] = sum_a N[a, r, s] omega[..., a, b]``
-    over its last three slots.
+    ``2n`` generators of the structure tensor ``N``, and its phibar-phibar
+    block is zero; leading slots are a batch.  Write
+    ``d omega = 1/6 sum W[..., r, s, t] e_r ^ e_s ^ e_t``, W the cyclic sum of
+    ``Y[..., r, s, t] = sum_a N[a, r, s] omega[..., a, t]`` over its last three
+    slots.  Returns the array of shape ``(3,) + batch + (n, n, n)`` holding
+    ``W[..., x, y, z]``, ``W[..., x, y, n + z]`` and ``W[..., x, n + y, n + z]``
+    for all x, y, z < n.  Every other entry of W is a cyclic rotation of one
+    of these, or lies in the (0,3) part, which is zero.
+
+    Each Y block sums only over the generators ``a`` where neither factor
+    vanishes: N has no (2,0) part in its phibar rows and no (0,2) part in
+    its phi rows.  Y with a phibar slot before a phi slot is minus Y with the
+    two swapped, since the mixed blocks of N are exactly antisymmetric; that
+    reuses one product in each mixed block.
     """
-    Z = np.tensordot(omega, N, ([-2], [0]))  # Z[..., b, r, s] = Y[..., r, s, b]
-    return Z + np.moveaxis(Z, -3, -1) + np.moveaxis(Z, -1, -3)
+    n = N.shape[0] // 2
+    h, b, every = slice(0, n), slice(n, 2 * n), slice(None)
+    w = omega.reshape((-1, 2 * n, 2 * n))
+    m = w.shape[0]
+    # the three blocks and, after them, room for two products: one n^4
+    # allocation, where one per product costs more in page faults than the
+    # products' sums take
+    out = np.empty((5, m, n, n, n), dtype=complex)
+
+    def Y(k, a, t, r, s):
+        # Y[r, s, t] over the generators a, into out[k] laid out [batch, t, r, s]
+        left = w[:, a, t].transpose(0, 2, 1).reshape(m * n, -1)
+        right = N[a, r, s].reshape(left.shape[1], n * n)
+        np.matmul(left, right, out=out[k].reshape(m * n, n * n))
+        return out[k]
+
+    T = Y(3, h, h, h, h)  # T[m, z, x, y] = Y[x, y, z]
+    np.add(T, T.transpose(0, 2, 3, 1), out=out[0])
+    out[0] += T.transpose(0, 3, 1, 2)
+    Q = Y(3, every, h, h, b)  # Q[m, x, y, z] = Y[y, zbar, x] = -Y[zbar, y, x]
+    np.add(Q, Y(4, h, b, h, h).transpose(0, 2, 3, 1), out=out[1])
+    out[1] -= Q.transpose(0, 2, 1, 3)
+    S = Y(3, h, b, h, b)  # S[m, z, x, y] = Y[x, ybar, zbar] = -Y[ybar, x, zbar]
+    np.add(Y(4, b, h, b, b), S.transpose(0, 2, 3, 1), out=out[2])
+    out[2] -= S.transpose(0, 2, 1, 3)
+    return out[:3].reshape((3,) + omega.shape[:-2] + (n, n, n))
 
 
 def validate(sc):
     """Consistency checks: C antisymmetry and d(d phi_j) = 0 for all j.
 
-    The n rows of phi in the structure tensor N are the 2-forms d phi_j, so
-    their :func:`exterior_d` holds the coefficients of every d(d phi_j).
+    The n rows of phi in the structure tensor N are the 2-forms d phi_j,
+    which have no (0,2) part (the structure is integrable), so their
+    :func:`exterior_d` holds the coefficients of every d(d phi_j).
     """
     n, tol = sc.n, ta.DEFAULT_TOL
     antisym = float(np.abs(sc.C + np.swapaxes(sc.C, 1, 2)).max())

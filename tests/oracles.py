@@ -6,9 +6,11 @@ dict-based exterior algebra kept here (:class:`InvariantForm` with
 :func:`exterior_d`), and the tests compare the two.  The structure equation
 itself is written out term by term here (:func:`coframe_differential`),
 independently of the library's structure tensor, and :func:`exterior_d`
-differentiates the generators through it.  The constant builders at the end
-are the library's former scalar index loops, kept as they were; the
-library's whole-array builders must reproduce them bit for bit.
+differentiates the generators through it; :func:`dense_exterior_d` is the
+contraction over all 2n generators that the library's bidegree blocks
+replaced.  The constant builders at the end are the library's former scalar
+index loops, kept as they were; the library's whole-array builders must
+reproduce them bit for bit.
 :func:`fd_gradient` differentiates a descent's objective over the basis of
 :func:`hermitian_basis`, one direction at a time.  :func:`report_json` is the
 encoder route the CLI's JSON writer replaced.
@@ -274,6 +276,24 @@ def three_form_coefficients(form):
     for idx in itertools.product(range(m), repeat=3):
         W[idx] = form.coefficient(idx)
     return W
+
+
+def dense_exterior_d(omega, N):
+    """d of the invariant 2-form ``1/2 sum omega[..., a, b] e_a ^ e_b``, any
+    bidegree, as the dense W with ``d omega = 1/6 sum W[..., r, s, t]
+    e_r ^ e_s ^ e_t``: the cyclic sum of ``Y[..., r, s, t] = sum_a N[a, r, s]
+    omega[..., a, t]`` over its last three slots, contracted over all 2n
+    generators.  This was the library's route before it split W by bidegree."""
+    Z = np.tensordot(omega, N, ([-2], [0]))  # Z[..., t, r, s] = Y[..., r, s, t]
+    return Z + np.moveaxis(Z, -3, -1) + np.moveaxis(Z, -1, -3)
+
+
+def bidegree_blocks(W):
+    """The (3,0), (2,1) and (1,2) blocks of a dense W, stacked as
+    ``lie_hermitian.exterior_d`` returns them."""
+    n = W.shape[-1] // 2
+    h, b = slice(0, n), slice(n, 2 * n)
+    return np.stack([W[..., h, h, h], W[..., h, h, b], W[..., h, b, b]])
 
 
 # ---------------------------------------------------------------------------

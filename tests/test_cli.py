@@ -263,6 +263,17 @@ def test_non_finite_report_names_its_key(tmp_path, capsys, monkeypatch, fmt, blo
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
+def test_non_finite_list_entry_names_the_list(tmp_path, capsys, monkeypatch, fmt):
+    real = cli.build_report
+    monkeypatch.setattr(cli, "build_report",
+                        lambda *a: {**real(*a), "extra": {"rows": [1.0, [2.0, NAN]]}})
+    code, out, err = _run(capsys, "analyze", _write(tmp_path, {"catalog": "so3c"}),
+                          "--format", fmt)
+    assert code == cli.EXIT_NUMERICAL and out == ""
+    assert err == "numerical failure: report contains a non-finite number at extra.rows\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_non_finite_input_number_exits_1(tmp_path, capsys, fmt, constant):
     # json reads NaN and Infinity, and 1e999 overflows to inf; none is a
@@ -273,6 +284,62 @@ def test_non_finite_input_number_exits_1(tmp_path, capsys, fmt, constant):
     assert code == cli.EXIT_INVALID_INPUT
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", [
+    b'{"catalog": "so3c", "note": ' + b"1" * 5000 + b"}",
+    b'{"catalog": "so3c", "note": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    b'{"catalog": "so3c", "note": "\xff\xfe"}',
+    b'{"n": 3, "C": [{"up": 1, "lo": [2, 3], "re": 1' + b"0" * 400 + b"}]}",
+    b'{"catalog": "abelian-1", "metric": [[[1' + b"0" * 400 + b", 0]]]}",
+], ids=["int-digits", "nested-100000", "invalid-utf8", "int-to-float-C", "int-to-float-metric"])
+def test_unreadable_document_exits_1_with_one_line(tmp_path, capsys, text):
+    path = tmp_path / "input.json"
+    path.write_bytes(text)
+    code, out, err = _run(capsys, "analyze", str(path), "--format", "json")
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_directory_as_document_exits_1(tmp_path, capsys):
+    code, out, err = _run(capsys, "analyze", str(tmp_path))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")], ids=["list", "dict"])
+def test_deeply_nested_input_is_echoed(tmp_path, fmt, opening, closing):
+    # a fresh interpreter: the report writer takes one stack frame per level
+    path = tmp_path / "input.json"
+    path.write_text('{"catalog": "so3c", "note": %s0%s}' % (opening * 900, closing * 900))
+    proc = _python("-m", "hermlab.cli", "analyze", str(path), "--format", fmt)
+    assert proc.returncode == cli.EXIT_OK and proc.stderr == ""
+
+
+# numeric options outside their range, one per option, and the values that
+# failed deep inside a run or were taken silently
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--tol", "nan"],
+    ["optimize", "--max-iter", "-1"],
+    ["optimize", "--grad-tol", "0"],
+    ["optimize", "--grad-tol", "nan"],
+    ["optimize", "--objective-tol", "inf"],
+    ["optimize", "--perturb", "nan"],
+    ["optimize", "--perturb", "-0.5"],
+    ["optimize", "--perturb", "0.1", "--seed", "-1"],
+    ["variation-check", "--fd-step", "0"],
+    ["variation-check", "--directions", "-2"],
+    ["variation-check", "--directions", "0"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_numeric_option_out_of_range_exits_1(tmp_path, capsys, argv):
+    path = _write(tmp_path, {"catalog": "so3c"})
+    code, out, err = _run(capsys, argv[0], path, *argv[1:])
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out == ""
+    option = next(a for a in reversed(argv) if a.startswith("--"))
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {option} must be ")
 
 
 # C^1_{23} = 1e200: |T|^2 and everything built from it overflow
@@ -322,7 +389,8 @@ ESCAPE_DOC = {
     "\u0000": {"\u00000": "\u0000", "": [], "e": {}},
     "note": "\"quoted\" \\ back\\slash\nnew line\ttab \u00e9 \u2713 \U0001f600 \u00000",
     "extra": {"deep": {"k\n\"": ["\u0000", {"z": "\\u0000", "null": None,
-                                         "x": [1.5, -0.0, 1e300, 7]}]},
+                                         "x": [1.5, -0.0, 1e300, 7],
+                                         "flags": [True, False, 10**30, -3]}]},
               "torsion": "\u00001", "A": [[0, 1]]},
 }
 

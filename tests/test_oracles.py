@@ -5,9 +5,11 @@ d(d e) = 0 residuals, Q_G, the pluriclosed residual, frame changes, the
 Strominger-parallel residuals) is compared with the route in ``oracles`` on
 seeded random valid structures under random metrics, on catalog entries,
 and, for validation and the exterior derivative, on random C/D that fail
-the Jacobi identity.  The BLAS-routed derivative templates, xi and the
-pluriclosed residual are also compared with the two-operand einsums they
-replaced.
+the Jacobi identity.  The exterior derivative's (3,0), (2,1) and (1,2)
+blocks are also compared with the dense contraction over all 2n generators,
+on families where C = 0 or D = 0 leaves only some of them non-zero.  The
+BLAS-routed derivative templates, xi and the pluriclosed residual are also
+compared with the two-operand einsums they replaced.
 
 The whole-array constant builders (so(k) constants, so(3, C) as real data,
 complexification, the Hermitian basis) must equal their scalar-loop
@@ -61,14 +63,16 @@ def _with_c_and_d(structures):
     return sum(np.abs(hs.sc.C).max() > 0 and np.abs(hs.sc.D).max() > 0 for hs in structures)
 
 
-def _non_jacobi_constants(seed, count=30):
+def _non_jacobi_constants(seed, count=30, with_C=True, with_D=True, smallest=2):
+    """Random C (antisymmetric) and D, either one set to zero on request."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        n = int(rng.integers(2, 6))
+        n = int(rng.integers(smallest, 6))
         C = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
         D = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
-        out.append(lh.StructureConstants(n, C - C.swapaxes(1, 2), D))
+        C = C - C.swapaxes(1, 2) if with_C else np.zeros_like(C)
+        out.append(lh.StructureConstants(n, C, D if with_D else np.zeros_like(D)))
     return out
 
 
@@ -85,6 +89,27 @@ def test_validate_dd_matches_exterior_derivative():
         failing += not rep.ok
     # the non-Jacobi inputs really exercise nonzero residuals
     assert failing >= 25
+
+    # non-Jacobi families whose d(d phi_j) lives in known bidegrees: with
+    # D = 0 only the (3,0) part is non-zero, with C = 0 only the mixed parts;
+    # each block must match the dense contraction, a zero block exactly
+    families = (
+        ((0,), _non_jacobi_constants(111, count=15, with_D=False, smallest=3)),
+        ((1, 2), _non_jacobi_constants(112, count=15, with_C=False)),
+    )
+    for live, family in families:
+        for sc in family:
+            n = sc.n
+            N = lh.structure_tensor(sc)
+            dense = oracles.dense_exterior_d(N[:n], N)
+            want = oracles.bidegree_blocks(dense)
+            got = lh.exterior_d(N[:n], N)
+            for k in range(3):
+                if k in live:
+                    assert _close(got[k], want[k]) and np.abs(want[k]).max() > 0.1
+                else:
+                    assert np.abs(got[k]).max() == 0.0 == np.abs(want[k]).max()
+            assert _close(lh.validate(sc).residual("dd_phi"), np.abs(dense).max())
 
 
 def test_gauduchon_residual_matches_form_route():
@@ -248,12 +273,15 @@ def test_exterior_d_matches_form_route():
         for p in (2, 1, 0):
             omega = _random_two_form(rng, n, p)
             want = oracles.three_form_coefficients(oracles.exterior_d(oracles.two_form(omega), sc))
-            assert _close(lh.exterior_d(omega, N), want)
+            assert _close(oracles.dense_exterior_d(omega, N), want)
+            # the library's blocks need a 2-form with no (0,2) part
+            if p:
+                assert _close(lh.exterior_d(omega, N), oracles.bidegree_blocks(want))
         # the rows of phi are the 2-forms d phi_j: validate's d(d phi_j)
         dd = lh.exterior_d(N[:n], N)
         for j in range(n):
             want = oracles.exterior_d(oracles.coframe_differential(sc, j), sc)
-            assert _close(dd[j], oracles.three_form_coefficients(want))
+            assert _close(dd[:, j], oracles.bidegree_blocks(oracles.three_form_coefficients(want)))
 
 
 # ---------------------------------------------------------------------------
