@@ -7,7 +7,8 @@ decoded, schema, a non-finite number or NaN/Infinity anywhere in the
 document, a metric not positive definite or with cond(H) above 1e13, failed
 structure validation, unknown catalog name, a malformed HERMLAB_TOL, a
 numeric option out of its range, an optimize start metric that cannot be
-analyzed);
+analyzed, a usage error: an unknown option or command, a missing argument,
+a value argparse cannot convert);
 2 numerical failure, including a report, in either format, that would
 contain a non-finite number; 3 "not critical" / "not converged" /
 "deviation above tolerance" outcomes.  A failure writes one stderr line.
@@ -454,7 +455,6 @@ def cmd_optimize(args):
         objective=args.objective,
         max_iter=args.max_iter,
         grad_tol=args.grad_tol,
-        det_normalized=args.det_normalized,
         objective_tol=args.objective_tol,
     )
     S0 = None
@@ -516,12 +516,21 @@ def _add_common(p):
     p.add_argument("--output", default=None, help="write the report to a file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits ``EXIT_INVALID_INPUT`` with one stderr line, not
+    argparse's usage block and exit 2, which here means numerical failure.
+    Subparsers are built from the same class."""
+
+    def error(self, message):
+        self.exit(EXIT_INVALID_INPUT, f"error: {message}\n")
+
+
 @functools.cache
 def make_parser():
     """The command-line parser, built on the first call and shared after it:
     ``parse_args`` returns a new namespace each time and leaves the parser
     as it was."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hermlab",
         description="Chern torsion tensors, variational residuals, and "
         "critical-metric search for left-invariant Hermitian structures.",
@@ -555,7 +564,6 @@ def make_parser():
     p.add_argument("--objective-tol", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--perturb", type=float, default=0.0, help="seeded random start size")
-    p.add_argument("--det-normalized", action="store_true")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("catalog", help="list or show named structures")

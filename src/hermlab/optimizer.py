@@ -3,6 +3,13 @@
 The cone is parametrized through the chart H(S) = R exp(S) R with
 R = H0^(1/2) and S Hermitian, which is positive definite for every S and
 reduces to the anchor metric at S = 0; :meth:`_Problem.metric` is the chart.
+Every objective is unchanged under H -> cH, that is under S -> S + tI, so
+its chart gradient is trace-free and a descent keeps det H = det H0 exp(tr S0).
+Only the caller's S0 and the Daleckii-Krein product that ends the gradient
+are made Hermitian, by :func:`_project`.  Every other chart matrix is a real
+linear combination of exactly Hermitian matrices; floating point rounds an
+entry and its conjugate alike, so it is exactly Hermitian and (X + X^H) / 2
+would return it bit for bit.
 
 For the torsion and Gauduchon functionals :func:`gradient` is analytic and
 needs no further analysis: the first variation V^(1/n) Re tr(h_u W) of
@@ -65,7 +72,6 @@ class OptimConfig:
     objective: str = "torsion_functional"
     max_iter: int = 200
     grad_tol: float = 1e-8
-    det_normalized: bool = False
     objective_tol: float = 0.0  # extra stop: objective at or below this value
 
     def __post_init__(self):
@@ -84,12 +90,9 @@ class OptimTrace:
     reason: str = ""
 
 
-def _project(S, det_normalized):
-    S = (S + S.conj().T) / 2
-    if det_normalized:
-        n = S.shape[0]
-        S = S - (np.trace(S) / n) * np.eye(n)
-    return S
+def _project(S):
+    """The Hermitian part (S + S^H) / 2 of S."""
+    return (S + S.conj().T) / 2
 
 
 class _Problem:
@@ -105,12 +108,8 @@ class _Problem:
         self.functional = "torsion_functional" if cfg.objective == "residual_norm" else cfg.objective
 
     def metric(self, S):
-        """H(S) = H0^(1/2) exp(S) H0^(1/2), always positive definite.
-
-        With ``det_normalized`` S is projected to trace zero first, so
-        det H(S) = det H0 (since det exp(S) = exp(tr S)).
-        """
-        vals, vecs = np.linalg.eigh(_project(S, self.cfg.det_normalized))
+        """H(S) = H0^(1/2) exp(S) H0^(1/2), always positive definite."""
+        vals, vecs = np.linalg.eigh(S)
         return self.root @ ((vecs * np.exp(vals)) @ vecs.conj().T) @ self.root
 
     def analyze(self, S):
@@ -141,8 +140,8 @@ def gradient(prob, S, pkg):
     """Gradient of the objective of ``prob`` (a :class:`_Problem`) at S.
 
     ``pkg`` is the analysis of the metric H(S).  Returns the Riesz
-    representative G: for every Hermitian K (trace-free with
-    ``det_normalized``), d/dt objective(S + t K) at 0 equals Re tr(K @ G).
+    representative G: for every Hermitian K, d/dt objective(S + t K) at 0
+    equals Re tr(K @ G).
     """
     G = _functional_gradient(prob, S, pkg)
     if prob.cfg.objective != "residual_norm" or not G.any():
@@ -154,14 +153,12 @@ def gradient(prob, S, pkg):
     plus, minus = S + FD_STEP * v, S - FD_STEP * v
     hess_v = (_functional_gradient(prob, plus, prob.analyze(plus))
               - _functional_gradient(prob, minus, prob.analyze(minus))) / (2 * FD_STEP)
-    return _project(2 * norm * hess_v, prob.cfg.det_normalized)
+    return 2 * norm * hess_v
 
 
 def _functional_gradient(prob, S, pkg):
     """Analytic chart gradient at S of ``prob.functional``, from the analysis
     ``pkg`` of H(S)."""
-    cfg = prob.cfg
-    S = _project(np.asarray(S, dtype=complex), cfg.det_normalized)
     # dH = R dexp_S(K) R and dF(dH) = Re tr(dH X) with X = conj(P) M P^T,
     # M = V^(1/n) W the unitary-frame Riesz matrix; so dF = Re tr(dexp_S(K) Y)
     M = pkg.volume ** (1.0 / pkg.n) * fn.variation_matrix(pkg, prob.functional)
@@ -175,8 +172,7 @@ def _functional_gradient(prob, S, pkg):
     d = np.abs(lam[:, None] - lam[None, :])
     ratio = np.where(d > 0, -np.expm1(-d) / np.where(d > 0, d, 1.0), 1.0)
     Gam = np.exp(np.maximum.outer(lam, lam)) * ratio
-    G = U @ (Gam * (U.conj().T @ Y @ U)) @ U.conj().T
-    return _project(G, cfg.det_normalized)
+    return _project(U @ (Gam * (U.conj().T @ Y @ U)) @ U.conj().T)
 
 
 def _inner(X, Y):
@@ -184,7 +180,7 @@ def _inner(X, Y):
     return float(np.vdot(X, Y).real)
 
 
-def _lbfgs_direction(G, memory, det_normalized):
+def _lbfgs_direction(G, memory):
     """-H G for the L-BFGS inverse Hessian H of the pairs (s, y) in ``memory``.
 
     The two-loop recursion, oldest pair first in ``memory``, with the initial
@@ -201,7 +197,7 @@ def _lbfgs_direction(G, memory, det_normalized):
         q = (_inner(s, y) / _inner(y, y)) * q
     for (s, y), a in zip(memory, reversed(alphas)):
         q = q + (a - _inner(y, q) / _inner(s, y)) * s
-    return _project(-q, det_normalized)
+    return -q
 
 
 def _line_search(prob, S, obj, d, slope):
@@ -214,7 +210,7 @@ def _line_search(prob, S, obj, d, slope):
     floor = np.finfo(float).eps * max(1.0, abs(obj))
     step = INITIAL_STEP
     while -step * slope >= floor:
-        cand = _project(S + step * d, prob.cfg.det_normalized)
+        cand = S + step * d
         # a long trial step can leave the numerically valid cone: the chart
         # overflows, H stops being positive definite in floats or cond(H)
         # passes the limit of the frame change to its unitary frame
@@ -243,9 +239,7 @@ def minimize(hs0, cfg, S0=None):
     """
     prob = _Problem(hs0, cfg)
     n = hs0.n
-    S = np.zeros((n, n), dtype=complex) if S0 is None else _project(
-        np.asarray(S0, dtype=complex), cfg.det_normalized
-    )
+    S = np.zeros((n, n), dtype=complex) if S0 is None else _project(np.asarray(S0, dtype=complex))
     trace = OptimTrace()
     try:
         pkg = prob.analyze(S)
@@ -274,7 +268,7 @@ def minimize(hs0, cfg, S0=None):
             if _inner(s, y) > 0:
                 memory.append((s, y))
         g2 = gnorm**2
-        d = _lbfgs_direction(G, memory, cfg.det_normalized)
+        d = _lbfgs_direction(G, memory)
         slope = _inner(G, d)
         decrement = min(g2, -slope) if slope < 0 else g2
         found = _line_search(prob, S, obj, d, slope) if slope < 0 else None

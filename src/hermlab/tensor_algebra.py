@@ -25,7 +25,7 @@ HERMITIAN_RTOL = 1e-12
 
 def require_finite(a, what="array"):
     a = np.asarray(a)
-    if not np.all(np.isfinite(a.view(float) if np.iscomplexobj(a) else a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{what} contains non-finite entries")
     return a
 

@@ -482,17 +482,15 @@ def analytic_gradient(prob, S):
     matrix exponential for each basis direction and the analytic first
     variation; the cross-check of the library's Daleckii-Krein gradient.
     """
-    cfg = prob.cfg
-    S = op._project(np.asarray(S, dtype=complex), cfg.det_normalized)
+    S = np.asarray(S, dtype=complex)
     pkg = prob.analyze(S)
     n = S.shape[0]
     G = np.zeros((n, n), dtype=complex)
     for K in hermitian_basis(n):
-        Kp = op._project(K, cfg.det_normalized)
-        _, dE = scipy.linalg.expm_frechet(S, Kp)
+        _, dE = scipy.linalg.expm_frechet(S, K)
         dH = prob.root @ dE @ prob.root
-        G += fn.first_variation(pkg, dH, cfg.objective) * K
-    return op._project(G, cfg.det_normalized)
+        G += fn.first_variation(pkg, dH, prob.cfg.objective) * K
+    return G
 
 
 def objective(prob, S):
@@ -505,9 +503,8 @@ def fd_gradient(prob, S, step=op.FD_STEP):
     one direction of :func:`hermitian_basis` at a time: 2 n^2 analyses, the
     reference for the library's analytic and Hessian-product gradients."""
     S = np.asarray(S, dtype=complex)
-    G = sum((objective(prob, S + step * K) - objective(prob, S - step * K)) / (2 * step) * K
-            for K in hermitian_basis(S.shape[0]))
-    return op._project(G, prob.cfg.det_normalized)
+    return sum((objective(prob, S + step * K) - objective(prob, S - step * K)) / (2 * step) * K
+               for K in hermitian_basis(S.shape[0]))
 
 
 def dense_bfgs_direction(G, pairs):

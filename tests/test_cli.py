@@ -493,19 +493,31 @@ def test_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
     assert check("--tol", "1.0") == (cli.EXIT_NOT_SATISFIED, 1.0, "torsion")
 
 
-@pytest.mark.parametrize("argv", [
-    ["--version"],
-    ["analyze", "--bogus"],
-    ["check-critical", "in.json", "--functional", "gauduchon", "--tol", "abc"],
-    ["optimize", "in.json", "--seed", "3", "--objective", "bogus"],
-    [],
-], ids=["version", "unknown-flag", "bad-tol", "bad-choice", "no-command"])
-def test_parser_works_after_system_exit(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], cli.EXIT_OK),
+    (["analyze", "--help"], cli.EXIT_OK),
+    (["analyze", "--bogus"], cli.EXIT_INVALID_INPUT),
+    (["check-critical", "in.json", "--functional", "gauduchon", "--tol", "abc"],
+     cli.EXIT_INVALID_INPUT),
+    (["optimize", "in.json", "--seed", "3", "--objective", "bogus"], cli.EXIT_INVALID_INPUT),
+    (["optimize", "in.json", "--max-iter", "abc"], cli.EXIT_INVALID_INPUT),
+    (["optimize", "in.json", "--det-normalized"], cli.EXIT_INVALID_INPUT),
+    ([], cli.EXIT_INVALID_INPUT),
+], ids=["version", "help", "unknown-flag", "bad-tol", "bad-choice", "bad-int", "removed-flag",
+        "no-command"])
+def test_parser_works_after_system_exit(tmp_path, capsys, argv, code):
+    # a usage error exits 1 with one "error:" line, not argparse's exit 2,
+    # which would read as a numerical failure
     path = _write(tmp_path, {"catalog": "iwasawa"})
     first = _run(capsys, "check-critical", path, "--format", "json")
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         cli.main(argv)
-    capsys.readouterr()
+    assert exc.value.code == code
+    err = capsys.readouterr().err
+    if code == cli.EXIT_INVALID_INPUT:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
     assert _run(capsys, "check-critical", path, "--format", "json") == first
     _, out, _ = _run(capsys, "optimize", path, "--max-iter", "2", "--format", "json")
     assert json.loads(out)["optimization"]["seed"] == 0

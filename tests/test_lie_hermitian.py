@@ -337,3 +337,25 @@ def test_catalog_metric_override():
     H = np.diag([2.0, 3.0])
     hs = lh.catalog("kodaira-thurston", metric=H)
     assert np.allclose(hs.H, H)
+
+
+# ---------------------------------------------------------------------------
+# construction from non-contiguous arrays
+
+
+def test_hermitian_structure_accepts_transposed_metric(rng):
+    # H.T has a strided last axis; the finiteness check must still read it
+    sc = lh.catalog("iwasawa").sc
+    H = random_hpd(rng, 3)
+    assert np.array_equal(lh.HermitianStructure(sc, H.T).H, H.T)
+    H[2, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        lh.HermitianStructure(sc, H.T)
+
+
+def test_structure_constants_accept_transposed_tensors():
+    sc = lh.catalog("so3c").sc
+    C, D = sc.C.T.copy().T, sc.D.T.copy().T  # equal values, Fortran order
+    assert not C.flags.c_contiguous
+    rebuilt = lh.StructureConstants(sc.n, C, D)
+    assert np.array_equal(rebuilt.C, sc.C) and np.array_equal(rebuilt.D, sc.D)

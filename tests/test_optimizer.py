@@ -31,12 +31,12 @@ def test_hermitian_basis_orthonormal():
                 assert ip == pytest.approx(1.0 if a == b else 0.0, abs=1e-14)
 
 
-def _chart(S, H0=None, det_normalized=False):
+def _chart(S, H0=None):
     """H(S) through the descent's chart anchored at H0 (default: identity)."""
     n = np.shape(S)[0]
     H0 = np.eye(n) if H0 is None else H0
     hs = lh.HermitianStructure(lh.StructureConstants.zero(n), H0)
-    return op._Problem(hs, op.OptimConfig(det_normalized=det_normalized)).metric(S)
+    return op._Problem(hs, op.OptimConfig()).metric(S)
 
 
 def _gradient(hs, cfg, S=None):
@@ -60,14 +60,6 @@ def test_parametrize_always_positive_definite(rng):
         S = 3.0 * random_hermitian(rng, 3)
         H = _chart(S, random_hpd(rng, 3))
         assert np.linalg.eigvalsh(H).min() > 0
-
-
-def test_parametrize_det_normalized(rng):
-    H0 = random_hpd(rng, 3)
-    d0 = np.linalg.det(H0).real
-    for _ in range(10):
-        H = _chart(random_hermitian(rng, 3), H0, det_normalized=True)
-        assert np.linalg.det(H).real == pytest.approx(d0, rel=1e-10)
 
 
 def test_config_validation():
@@ -100,15 +92,16 @@ def test_gradient_nonzero_off_critical():
 
 
 def _gradient_cases(rng, objectives=tuple(fn.FUNCTIONALS), two_step=0):
-    """(problem, S) over ``objectives``, both chart modes and random anchors.
+    """(problem, S) over ``objectives`` and random anchors.
 
-    S is zero, random, or has a repeated eigenvalue.  so3c, iwasawa and
-    sokc-4 have eta = 0 for every metric, so G vanishes there; the n = 2
-    random structures and kodaira-thurston carry the nonzero G cases.
-    ``two_step`` structures with C != 0 and D != 0 (n = 3, 4) follow.
+    S is zero, random, or has a repeated eigenvalue, and exactly Hermitian,
+    as every S a descent analyzes is.  so3c, iwasawa and sokc-4 have eta = 0
+    for every metric, so G vanishes there; the n = 2 random structures and
+    kodaira-thurston carry the nonzero G cases.  ``two_step`` structures with
+    C != 0 and D != 0 (n = 3, 4) follow.
     """
     structures = [lh.catalog(name).sc for name in ("so3c", "iwasawa", "kodaira-thurston", "sokc-4")]
-    structures += [random_structure(rng, 2) for _ in range(2)]
+    structures += [random_structure(rng, 2) for _ in range(5)]
     structures += [random_two_step_structure(rng, 3 + k % 2, 2) for k in range(two_step)]
     for sc in structures:
         n = sc.n
@@ -116,13 +109,11 @@ def _gradient_cases(rng, objectives=tuple(fn.FUNCTIONALS), two_step=0):
         lam = rng.standard_normal(n)
         lam[1] = lam[0]
         U = random_unitary(rng, n)
-        repeated = 0.5 * (U * lam) @ U.conj().T
+        repeated = op._project(0.5 * (U * lam) @ U.conj().T)
         for objective in objectives:
-            for det_normalized in (False, True):
-                cfg = op.OptimConfig(objective=objective, det_normalized=det_normalized)
-                prob = op._Problem(hs, cfg)
-                for S in (np.zeros((n, n), dtype=complex), 0.3 * random_hermitian(rng, n), repeated):
-                    yield prob, S
+            prob = op._Problem(hs, op.OptimConfig(objective=objective))
+            for S in (np.zeros((n, n), dtype=complex), 0.3 * random_hermitian(rng, n), repeated):
+                yield prob, S
 
 
 def _rel(G, ref):
@@ -183,6 +174,26 @@ def test_residual_norm_is_scale_invariant(rng):
             assert abs(f - f0) <= 1e-12 * f0, (name, t)
 
 
+def test_chart_gradient_is_trace_free(rng):
+    # every objective is invariant under S -> S + tI, so <I, G> = tr G = 0;
+    # residual_norm's gradient carries the Hessian product's rounding
+    checked = Counter()
+    for name in ("so3c", "iwasawa", "kodaira-thurston", "sokc-4"):
+        sc = lh.catalog(name).sc
+        for _ in range(10):
+            hs = lh.HermitianStructure(sc, random_hpd(rng, sc.n))
+            S = 0.3 * random_hermitian(rng, sc.n)
+            for objective, tol in (("torsion_functional", 1e-12), ("gauduchon_functional", 1e-12),
+                                   ("residual_norm", 1e-8)):
+                prob = op._Problem(hs, op.OptimConfig(objective=objective))
+                G = op.gradient(prob, S, prob.analyze(S))
+                norm = np.linalg.norm(G)
+                if norm > 1e-12:  # G's gradient is rounding noise (1e-31) where eta = 0
+                    assert abs(np.trace(G)) <= tol * norm, (name, objective)
+                    checked[objective] += 1
+    assert checked == {"torsion_functional": 40, "gauduchon_functional": 10, "residual_norm": 40}
+
+
 def test_residual_norm_is_squared_residual_at_identity_anchor():
     # at S = 0 of an identity anchor the chart gradient of F is -Q_F
     for name in ("iwasawa", "kodaira-thurston"):
@@ -234,12 +245,12 @@ def test_gradient_directional_derivative(rng):
 # L-BFGS direction
 
 
-def _pair_history(rng, n, count, det_normalized):
+def _pair_history(rng, n, count):
     """``count`` seeded pairs (s, y) with <s, y> > 0, as minimize keeps them."""
     pairs = []
     while len(pairs) < count:
-        s = op._project(random_hermitian(rng, n), det_normalized)
-        y = op._project(s + 0.8 * random_hermitian(rng, n), det_normalized)
+        s = random_hermitian(rng, n)
+        y = s + 0.8 * random_hermitian(rng, n)
         if op._inner(s, y) > 0:
             pairs.append((s, y))
     return pairs
@@ -247,16 +258,13 @@ def _pair_history(rng, n, count, det_normalized):
 
 def test_lbfgs_direction_matches_dense_bfgs(rng):
     for n in (2, 3, 4):
-        for det_normalized in (False, True):
-            for count in (0, 1, 3, op.MEMORY):
-                pairs = _pair_history(rng, n, count, det_normalized)
-                G = random_hermitian(rng, n)
-                d = op._lbfgs_direction(G, deque(pairs), det_normalized)
-                ref = op._project(oracles.dense_bfgs_direction(G, pairs), det_normalized)
-                assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref), (n, count)
-                assert np.abs(d - d.conj().T).max() == 0.0
-                if det_normalized:
-                    assert abs(np.trace(d)) <= 1e-12 * np.linalg.norm(d)
+        for count in (0, 1, 3, op.MEMORY):
+            pairs = _pair_history(rng, n, count)
+            G = random_hermitian(rng, n)
+            d = op._lbfgs_direction(G, deque(pairs))
+            ref = oracles.dense_bfgs_direction(G, pairs)
+            assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref), (n, count)
+            assert np.abs(d - d.conj().T).max() == 0.0
 
 
 def test_minimize_keeps_only_positive_curvature_pairs(monkeypatch):
@@ -278,9 +286,9 @@ def test_minimize_keeps_only_positive_curvature_pairs(monkeypatch):
 
     lbfgs_direction = op._lbfgs_direction
 
-    def direction(G, memory, det_normalized):
+    def direction(G, memory):
         seen.extend(op._inner(s, y) for s, y in memory)
-        return lbfgs_direction(G, memory, det_normalized)
+        return lbfgs_direction(G, memory)
 
     monkeypatch.setattr(op._Problem, "analyze", lambda self, S: S)
     monkeypatch.setattr(op._Problem, "value",
@@ -303,9 +311,9 @@ def test_failed_search_restarts_along_minus_gradient(rng, monkeypatch):
     searches = []  # (forced failure, d, slope) per line search
     lbfgs_direction, line_search = op._lbfgs_direction, op._line_search
 
-    def direction(G, memory, det_normalized):
+    def direction(G, memory):
         memories.append(len(memory))
-        return lbfgs_direction(G, memory, det_normalized)
+        return lbfgs_direction(G, memory)
 
     def search(prob, S, obj, d, slope):
         fail = memories[-1] == 3 and not any(f for f, _, _ in searches)
@@ -365,23 +373,20 @@ def test_minimize_recovers_so3c_critical_point(rng):
     ("sokc-4", 0.1, 0, 24.0),
     ("sokc-4", 0.1, 7, 24.0),
 ])
-@pytest.mark.parametrize("det_normalized", [False, True])
-def test_residual_norm_descent_reaches_critical_metric(name, perturb, seed, critical,
-                                                      det_normalized):
+def test_residual_norm_descent_reaches_critical_metric(name, perturb, seed, critical):
     # the descent of |G_F|^2 from the start cmd_optimize builds ends at a
     # critical metric of F, scale-free residual included, and, as the
-    # objective is scale-invariant, keeps the volume of its (projected) start
+    # objective is scale-invariant, keeps the volume of its start
     hs = lh.catalog(name)
     S0 = random_hermitian(np.random.default_rng(seed), hs.n)
     S0 *= perturb / np.linalg.norm(S0)
-    cfg = op.OptimConfig(objective="residual_norm", det_normalized=det_normalized)
-    trace = op.minimize(hs, cfg, S0=S0)
+    trace = op.minimize(hs, op.OptimConfig(objective="residual_norm"), S0=S0)
     assert trace.converged, trace.reason
     pkg = trace.pkg_star
     assert abs(fn.torsion_functional(pkg) - critical) <= 1e-8 * critical
     _, qnorm = fn.torsion_critical_residual(pkg)
     assert pkg.volume ** (1.0 / hs.n) * qnorm <= 1e-8
-    assert abs(np.log(pkg.volume) - np.trace(op._project(S0, det_normalized)).real) <= 1e-6
+    assert abs(np.log(pkg.volume) - np.trace(S0).real) <= 1e-6
 
 
 def test_minimize_returns_analysis_of_final_metric(rng):
@@ -434,11 +439,31 @@ def test_minimize_singular_frame_at_start_is_invalid_start_point(monkeypatch):
         op.minimize(lh.catalog("iwasawa"), op.OptimConfig())
 
 
-def test_minimize_det_normalized_keeps_volume(rng):
+def test_minimize_keeps_volume(rng):
+    # F is scale-invariant, so its descent moves along trace-free directions
+    # and det H* = det H0 exp(tr S0), with det H0 = 1 on kodaira-thurston
     hs = lh.catalog("kodaira-thurston")
-    cfg = op.OptimConfig(max_iter=20, det_normalized=True)
-    trace = op.minimize(hs, cfg, S0=0.2 * random_hermitian(rng, 2))
-    assert np.linalg.det(trace.H_star).real == pytest.approx(1.0, rel=1e-9)
+    S0 = 0.2 * random_hermitian(rng, 2)
+    trace = op.minimize(hs, op.OptimConfig(max_iter=20), S0=S0)
+    assert len(trace.iterations) > 5
+    assert np.linalg.det(trace.H_star).real == pytest.approx(np.exp(np.trace(S0).real), rel=1e-9)
+
+
+def test_descent_analyzes_only_exactly_hermitian_charts(rng, monkeypatch):
+    # minimize symmetrizes S0 and the gradient once; every other chart point
+    # is a real combination of exactly Hermitian matrices and stays one
+    seen = []
+    analyze = op._Problem.analyze
+    monkeypatch.setattr(op._Problem, "analyze",
+                        lambda self, S: seen.append(S) or analyze(self, S))
+    for name, objective in (("kodaira-thurston", "gauduchon_functional"),
+                            ("iwasawa", "torsion_functional"), ("so3c", "residual_norm")):
+        hs = lh.catalog(name)
+        S0 = 0.3 * (rng.standard_normal((hs.n, hs.n)) + 1j * rng.standard_normal((hs.n, hs.n)))
+        seen.clear()
+        trace = op.minimize(hs, op.OptimConfig(objective=objective, max_iter=20), S0=S0)
+        assert len(trace.iterations) > 5 and len(seen) > 10, name
+        assert all(np.array_equal(S, S.conj().T) for S in seen), name
 
 
 def test_minimize_reports_max_iterations():
