@@ -19,7 +19,7 @@ from .lie_hermitian import (
     unitary_reduction,
     validate,
 )
-from .optimizer import OptimConfig, OptimTrace, minimize
+from .optimizer import OptimConfig, minimize
 from .tensor_algebra import cholesky
 from .torsion_engine import TorsionPackage, analyze
 
@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "HermitianStructure",
     "OptimConfig",
-    "OptimTrace",
     "RealLieData",
     "StructureConstants",
     "TorsionPackage",

@@ -1,17 +1,18 @@
 """Predicates for the special metric classes.
 
-All checks run on the unitary-frame tensors of a TorsionPackage and report
-both a boolean flag and the residual magnitude that was thresholded, so
-callers can judge borderline cases themselves.  :func:`classify` returns
-them as the report's ``classification`` block: each class maps to
-``{"flag", "residual"}``, ``stp`` to ``{"flag", "residuals"}`` and
-``nilpotent_J`` to ``{"flag", "witness"}``, next to the ``tol`` used.
+Every check but the nilpotent-J one runs on the unitary-frame tensors of a
+TorsionPackage and returns the residual it measures: one number, or for
+:func:`stp_check` a dict of them.  :func:`classify` is the one place where a
+residual meets the tolerance; it returns the report's ``classification``
+block: each class maps to ``{"flag", "residual"}``, ``stp`` to
+``{"flag", "residuals"}`` and ``nilpotent_J`` to ``{"flag", "witness"}``,
+next to the ``tol`` used, so callers can judge borderline cases themselves.
 
-The exception is the nilpotent-J check, a combinatorial test on the
-structure constants in the given frame: it asks whether some relabeling of
-the generators makes (C, D) triangular, reads the nonzero entries as a
-dependency relation between generators and places them greedily, smallest
-ready generator first; the lexicographically smallest order is the witness.
+The nilpotent-J check is a combinatorial test on the structure constants in
+the given frame: it asks whether some relabeling of the generators makes
+(C, D) triangular, reads the nonzero entries as a dependency relation
+between generators and places them greedily, smallest ready generator
+first; the lexicographically smallest order is the witness.
 """
 
 from __future__ import annotations
@@ -42,20 +43,21 @@ def lck_torsion(eta):
     return T / max(n - 1, 1)
 
 
-def lck_check(pkg, tol=DEFAULT_TOL):
-    """Is the torsion of the exact LCK shape built from its own trace?"""
-    residual = float(np.abs(pkg.T - lck_torsion(pkg.eta)).max())
-    return residual <= tol, residual
+def lck_check(pkg):
+    """Distance max |T - lck_torsion(eta)| of the torsion from the exact LCK
+    shape built from its own trace."""
+    return float(np.abs(pkg.T - lck_torsion(pkg.eta)).max())
 
 
-def stp_identity_residuals(pkg):
+def stp_check(pkg):
     """Residuals of the parallel-torsion identities of an analyzed metric.
 
-    Keys (the first three each contract in O(n^5), as do
-    :func:`pluriclosed_residual` and the d(d phi) check of
-    ``lie_hermitian.validate``; the rest are O(n^4) or less):
+    The metric is Strominger torsion parallel when the first two vanish; the
+    derived identities are reported for cross-validation.  Keys (the first
+    three each contract in O(n^5), as do :func:`pluriclosed_residual` and the
+    d(d phi) check of ``lie_hermitian.validate``; the rest are O(n^4) or less):
       nabla_s_hol / nabla_s_bar -- the Strominger derivative of T, i.e. the
-        templates at Gamma = D + T (both must vanish for STP);
+        templates at Gamma = D + T;
       quadratic_hol -- the purely quadratic identity (vanishing of the
         holomorphic T*T combination, the template at Gamma = T);
       eta_contraction -- sum_r eta_r T^r_{ik};
@@ -71,17 +73,6 @@ def stp_identity_residuals(pkg):
         "eta_contraction": float(np.abs(np.einsum("r,rik->ik", eta, T)).max()),
         "phi_xi_vs_BA": float(np.abs((pkg.phi - pkg.xi) - (pkg.B - pkg.A)).max()),
     }
-
-
-def stp_check(pkg, tol=DEFAULT_TOL):
-    """Strominger torsion parallel: max |nabla^s T| <= tol.
-
-    Decided directly from the Strominger-connection derivative; the derived
-    quadratic identities are reported as residuals for cross-validation.
-    """
-    residuals = stp_identity_residuals(pkg)
-    flag = max(residuals["nabla_s_hol"], residuals["nabla_s_bar"]) <= tol
-    return flag, residuals
 
 
 def nilpotent_J_check(sc):
@@ -140,8 +131,7 @@ def classify(pkg, sc, tol=DEFAULT_TOL):
     def thresholded(residual):
         return {"flag": residual <= tol, "residual": residual}
 
-    lck_flag, lck_res = lck_check(pkg, tol)
-    stp_flag, stp_res = stp_check(pkg, tol)
+    stp = stp_check(pkg)
     nilp_flag, witness = nilpotent_J_check(sc)
     return {
         "tol": tol,
@@ -149,7 +139,8 @@ def classify(pkg, sc, tol=DEFAULT_TOL):
         "balanced": thresholded(float(np.abs(pkg.eta).max())),
         "gauduchon": thresholded(abs(pkg.norm_eta2 - pkg.chi)),
         "pluriclosed": thresholded(pluriclosed_residual(pkg)),
-        "lck_shape": {"flag": lck_flag, "residual": lck_res},
-        "stp": {"flag": stp_flag, "residuals": stp_res},
+        "lck_shape": thresholded(lck_check(pkg)),
+        # Strominger torsion parallel: both nabla^s T residuals within tol
+        "stp": {"flag": max(stp["nabla_s_hol"], stp["nabla_s_bar"]) <= tol, "residuals": stp},
         "nilpotent_J": {"flag": nilp_flag, "witness": witness},
     }

@@ -11,7 +11,8 @@ analyzed, a usage error: an unknown option or command, a missing argument,
 a value argparse cannot convert);
 2 numerical failure, including a report, in either format, that would
 contain a non-finite number; 3 "not critical" / "not converged" /
-"deviation above tolerance" outcomes.  A failure writes one stderr line.
+"deviation above tolerance" outcomes.  A failure writes one stderr line:
+``error: ...`` for exit 1, ``numerical failure: ...`` for exit 2.
 
 Input documents are JSON with exactly one of:
   * ``"catalog": "<name>"``
@@ -24,7 +25,9 @@ plus an optional ``"metric"`` given as an n x n array of [re, im] pairs
 
 A report is one dict: ``build_report`` places the torsion tensors as numpy
 arrays and takes the ``classification`` and ``residuals`` blocks as
-``classifiers.classify`` and ``functionals.residual_report`` return them.
+``classifiers.classify`` and ``functionals.residual_report`` return them;
+``optimize`` adds the ``optimization`` block as ``optimizer.minimize``
+returns it, plus the ``seed``.
 ``emit`` is the one encoder.  Its JSON output is the bytes of
 ``json.dumps(report, sort_keys=True, indent=2)`` with every array as nested
 [re, im] pairs: it writes the report's dicts and lists, the echoed input
@@ -65,8 +68,8 @@ EXIT_NUMERICAL = 2
 EXIT_NOT_SATISFIED = 3
 
 
-class InputError(Exception):
-    """Schema-level problem with an input document."""
+class InputError(HermlabError):
+    """Schema-level problem with an input document, or an unusable option."""
 
 
 # ---------------------------------------------------------------------------
@@ -462,28 +465,13 @@ def cmd_optimize(args):
         S0 = _random_hermitian(np.random.default_rng(args.seed), hs.n)
         S0 *= args.perturb / np.linalg.norm(S0)
     try:
-        trace = op.minimize(hs, cfg, S0=S0)
+        block, pkg_star = op.minimize(hs, cfg, S0=S0)
     except InvalidStartPoint as exc:
         raise InputError(f"start metric from --perturb {args.perturb:g} is unusable: {exc}") from exc
-    report = build_report(hs.sc, trace.pkg_star, vrep, doc, args.tol)
-    last = trace.iterations[-1]
-    report["optimization"] = {
-        "objective": args.objective,
-        "seed": args.seed,
-        "converged": trace.converged,
-        "reason": trace.reason,
-        "iterations": len(trace.iterations) - 1,
-        "final_objective": last[1],
-        "final_gradient_norm": last[2],
-        "final_residual_norm": last[3],
-        "H_star": trace.H_star,
-        "trace": [
-            {"iteration": it, "objective": obj, "gradient_norm": gn, "residual_norm": qn}
-            for it, obj, gn, qn in trace.iterations
-        ],
-    }
+    report = build_report(hs.sc, pkg_star, vrep, doc, args.tol)
+    report["optimization"] = {**block, "seed": args.seed}
     emit(report, args)
-    return EXIT_OK if trace.converged else EXIT_NOT_SATISFIED
+    return EXIT_OK if block["converged"] else EXIT_NOT_SATISFIED
 
 
 def cmd_catalog(args):
@@ -493,9 +481,8 @@ def cmd_catalog(args):
         return EXIT_OK
     try:
         hs = lh.catalog(args.name)
-    except UnknownCatalogEntry:
-        sys.stderr.write(f"unknown catalog entry: {args.name}\n")
-        return EXIT_INVALID_INPUT
+    except UnknownCatalogEntry as exc:
+        raise InputError(f"unknown catalog entry: {exc}") from exc
     sys.stdout.write(f"{args.name}: n = {hs.n}\n")
     for line in lh.structure_equations_text(hs.sc):
         sys.stdout.write("  " + line + "\n")
@@ -620,13 +607,10 @@ def main(argv=None):
         # also as floating-point warnings of the computation behind it
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (InputError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID_INPUT
     except (NumericalFailure, FloatingPointError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
-    except HermlabError as exc:
+    except (HermlabError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT
 

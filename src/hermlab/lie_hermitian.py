@@ -140,12 +140,6 @@ class ValidationReport:
     def ok(self):
         return all(c.passed for c in self.checks)
 
-    def residual(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c.residual
-        raise KeyError(name)
-
 
 # ---------------------------------------------------------------------------
 # exterior derivative

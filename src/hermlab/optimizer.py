@@ -39,12 +39,15 @@ rounding: a descent whose last search fails while the decrement
 min(|G|^2, -<G, d>) (|G|^2 when <G, d> >= 0) is at most
 ``PRECISION_FLOOR * eps * max(1, |f|)`` ends as converged with reason
 ``precision_limit``, any other with reason ``stagnated``.
+
+:func:`minimize` returns the descent as the report's ``optimization`` block,
+with the analysis of its final metric beside it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,15 +82,8 @@ class OptimConfig:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
-
-
-@dataclass
-class OptimTrace:
-    iterations: list = field(default_factory=list)  # (it, obj, gnorm, qnorm)
-    H_star: np.ndarray | None = None
-    pkg_star: te.TorsionPackage | None = None  # the analysis of H_star
-    converged: bool = False
-    reason: str = ""
+        if self.max_iter < 0:  # the start is always a trace row
+            raise ValueError("max_iter must be non-negative")
 
 
 def _project(S):
@@ -230,6 +226,16 @@ def _line_search(prob, S, obj, d, slope):
 def minimize(hs0, cfg, S0=None):
     """L-BFGS with Armijo backtracking in the S-chart.
 
+    Returns ``(block, pkg_star)``: ``block`` is the report's ``optimization``
+    block without the CLI's ``seed``, and ``pkg_star`` the analysis of its
+    final metric ``H_star``.  The block holds ``objective``, ``converged``,
+    ``reason``, ``iterations`` (accepted steps), the last ``trace`` row's
+    values as ``final_objective``, ``final_gradient_norm`` and
+    ``final_residual_norm``, ``H_star`` and ``trace``: one row
+    ``{"iteration", "objective", "gradient_norm", "residual_norm"}`` per
+    iterate, the start included, ``residual_norm`` being |Q| of the
+    functional the objective reads.
+
     A trial step whose metric cannot be analyzed (overflowing chart, not
     positive definite in floating point, cond(H) past ``_COND_LIMIT``,
     non-positive determinant, non-finite objective) counts as a rejected
@@ -240,28 +246,28 @@ def minimize(hs0, cfg, S0=None):
     prob = _Problem(hs0, cfg)
     n = hs0.n
     S = np.zeros((n, n), dtype=complex) if S0 is None else _project(np.asarray(S0, dtype=complex))
-    trace = OptimTrace()
     try:
         pkg = prob.analyze(S)
         obj = prob.value(S, pkg)
     except _UNUSABLE as exc:
         raise InvalidStartPoint(str(exc)) from exc
+    trace = []
+    converged = False
     memory = deque(maxlen=MEMORY)  # (s, y) pairs, oldest first
     previous = None  # (S, G) before the last accepted step
     for it in range(cfg.max_iter + 1):
         G = gradient(prob, S, pkg)
         gnorm = float(np.linalg.norm(G))
-        trace.iterations.append((it, obj, gnorm, prob.residual_norm(pkg)))
+        trace.append({"iteration": it, "objective": obj, "gradient_norm": gnorm,
+                      "residual_norm": prob.residual_norm(pkg)})
         if gnorm <= cfg.grad_tol:
-            trace.converged = True
-            trace.reason = "gradient_tolerance"
+            converged, reason = True, "gradient_tolerance"
             break
         if cfg.objective_tol > 0 and obj <= cfg.objective_tol:
-            trace.converged = True
-            trace.reason = "objective_tolerance"
+            converged, reason = True, "objective_tolerance"
             break
         if it == cfg.max_iter:
-            trace.reason = "max_iterations"
+            reason = "max_iterations"
             break
         if previous is not None:
             s, y = S - previous[0], G - previous[1]
@@ -279,13 +285,22 @@ def minimize(hs0, cfg, S0=None):
             # below the floor the attainable decrease, about the decrement,
             # is lost in the rounding of the objective: no trial is accepted
             if decrement <= PRECISION_FLOOR * np.finfo(float).eps * max(1.0, abs(obj)):
-                trace.converged = True
-                trace.reason = "precision_limit"
+                converged, reason = True, "precision_limit"
             else:
-                trace.reason = "stagnated"
+                reason = "stagnated"
             break
         previous = (S, G)
         S, obj, pkg = found
-    trace.H_star = prob.metric(S)
-    trace.pkg_star = pkg
-    return trace
+    last = trace[-1]
+    block = {
+        "objective": cfg.objective,
+        "converged": converged,
+        "reason": reason,
+        "iterations": len(trace) - 1,
+        "final_objective": last["objective"],
+        "final_gradient_norm": last["gradient_norm"],
+        "final_residual_norm": last["residual_norm"],
+        "H_star": prob.metric(S),
+        "trace": trace,
+    }
+    return block, pkg

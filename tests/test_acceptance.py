@@ -117,8 +117,8 @@ def test_acceptance_06_gauduchon_critical_points_are_balanced():
             rng = np.random.default_rng(seed)
             S0 = random_hermitian(rng, hs.n)
             S0 *= 0.2 / max(np.linalg.norm(S0), 1e-12)
-            trace = op.minimize(hs, cfg, S0=S0)
-            pkg = te.analyze(lh.HermitianStructure(hs.sc, trace.H_star))
+            opt, _ = op.minimize(hs, cfg, S0=S0)
+            pkg = te.analyze(lh.HermitianStructure(hs.sc, opt["H_star"]))
             _, qg = fn.gauduchon_critical_residual(pkg)
             if qg <= 1e-8:
                 eta = pkg.eta
@@ -189,12 +189,12 @@ def test_acceptance_10_optimizer_sanity():
     ok = True
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
-        trace = op.minimize(
+        opt, _ = op.minimize(
             lh.catalog("abelian-3"),
             op.OptimConfig(max_iter=50),
             S0=random_hermitian(rng, 3),
         )
-        ok = ok and trace.converged and trace.iterations[-1][1] == 0.0
+        ok = ok and opt["converged"] and opt["final_objective"] == 0.0
 
     rng = np.random.default_rng(RNG_SEED + 5)
     S0 = random_hermitian(rng, 3)
@@ -203,12 +203,12 @@ def test_acceptance_10_optimizer_sanity():
     cfg = op.OptimConfig(
         objective="residual_norm", max_iter=500, grad_tol=1e-10, objective_tol=1e-13
     )
-    trace = op.minimize(hs, cfg, S0=S0)
+    opt, _ = op.minimize(hs, cfg, S0=S0)
     _, qnorm = fn.torsion_critical_residual(
-        te.analyze(lh.HermitianStructure(hs.sc, trace.H_star))
+        te.analyze(lh.HermitianStructure(hs.sc, opt["H_star"]))
     )
-    ok = ok and trace.converged and qnorm <= 1e-6 and len(trace.iterations) <= 501
-    objs = [row[1] for row in trace.iterations]
+    ok = ok and opt["converged"] and qnorm <= 1e-6 and len(opt["trace"]) <= 501
+    objs = [row["objective"] for row in opt["trace"]]
     ok = ok and all(b <= a + 1e-14 for a, b in zip(objs, objs[1:]))
     _report(10, "optimizer convergence and monotone descent", ok)
 

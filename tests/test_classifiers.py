@@ -104,8 +104,7 @@ def test_lck_shape_closed_forms(rng):
 def test_lck_check_accepts_exact_shape(rng):
     eta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     pkg = types.SimpleNamespace(T=cl.lck_torsion(eta), eta=eta, n=3)
-    flag, residual = cl.lck_check(pkg)
-    assert flag and residual <= 1e-14
+    assert cl.lck_check(pkg) <= 1e-14
 
 
 def test_lck_check_kahler_is_trivially_lck():
@@ -141,9 +140,9 @@ def test_lck_shape_never_torsion_critical(rng):
 def test_stp_identities_so3c():
     hs = lh.catalog("so3c")
     pkg = te.analyze(hs)
-    flag, res = cl.stp_check(pkg)
-    assert flag
-    for value in res.values():
+    stp = cl.classify(pkg, hs.sc)["stp"]
+    assert stp["flag"]
+    for value in stp["residuals"].values():
         assert value <= 1e-12
     # parallel torsion forces phi - xi = B - A componentwise
     assert np.abs((pkg.phi - pkg.xi) - (pkg.B - pkg.A)).max() <= 1e-12
@@ -152,10 +151,9 @@ def test_stp_identities_so3c():
 def test_stp_identities_consistent(rng):
     # whenever the nabla^s residuals vanish the derived identities do too
     for name in ("so3c", "sokc-4", "iwasawa", "kodaira-thurston"):
-        hs = lh.catalog(name)
-        pkg = te.analyze(hs)
-        flag, res = cl.stp_check(pkg)
-        if flag:
+        stp = _classify(name)["stp"]
+        res = stp["residuals"]
+        if stp["flag"]:
             assert res["quadratic_hol"] <= 1e-10
             assert res["eta_contraction"] <= 1e-10
             assert res["phi_xi_vs_BA"] <= 1e-10
@@ -166,7 +164,7 @@ def test_stp_balanced_with_zero_residual_gives_proportional_B():
     for name in ("so3c", "sokc-4"):
         hs = lh.catalog(name)
         pkg = te.analyze(hs)
-        flag, _ = cl.stp_check(pkg)
+        flag = cl.classify(pkg, hs.sc)["stp"]["flag"]
         _, qnorm = fn.torsion_critical_residual(pkg)
         assert flag and qnorm <= 1e-10
         assert np.abs(pkg.eta).max() <= 1e-12

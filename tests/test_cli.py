@@ -12,6 +12,7 @@ import pytest
 import hermlab
 import hermlab.cli as cli
 import hermlab.lie_hermitian as lh
+import hermlab.optimizer as op
 import hermlab.tensor_algebra as ta
 import hermlab.torsion_engine as te
 
@@ -531,12 +532,23 @@ def test_parser_works_after_system_exit(tmp_path, capsys, argv, code):
         (["check-critical", "--functional", "gauduchon"], 1, {"catalog": "iwasawa"}),
         (["variation-check", "--directions", "3"], 1 + 2 * 3, {"catalog": "iwasawa"}),
         (["analyze"], 1, KT_REAL),
+        # None: the descent's own analyses, and none after it returns
+        (["optimize", "--perturb", "0.1", "--seed", "3"], None, {"catalog": "sokc-4"}),
     ],
-    ids=["argv0-1", "argv1-1", "argv2-1", "argv3-7", "real-algebra"],
+    ids=["argv0-1", "argv1-1", "argv2-1", "argv3-7", "real-algebra", "optimize"],
 )
 def test_one_analysis_and_validation_per_report(tmp_path, capsys, monkeypatch, argv, analyses,
                                                 doc):
     calls = Counter()
+    after_descent = []  # analyses counted when minimize returns
+    minimize = op.minimize
+
+    def counted_minimize(*args, **kwargs):
+        result = minimize(*args, **kwargs)
+        after_descent.append(calls["analyze"])
+        return result
+
+    monkeypatch.setattr(op, "minimize", counted_minimize)
 
     def count(module, name):
         real = getattr(module, name)
@@ -552,6 +564,9 @@ def test_one_analysis_and_validation_per_report(tmp_path, capsys, monkeypatch, a
     path = _write(tmp_path, doc)
     code, _, _ = _run(capsys, argv[0], path, *argv[1:])
     assert code in (cli.EXIT_OK, cli.EXIT_NOT_SATISFIED)
+    if analyses is None:
+        assert len(after_descent) == 1 and after_descent[0] > 1
+        analyses = after_descent[0]
     assert calls == {"analyze": analyses, "validate": 1}
 
 
@@ -836,6 +851,40 @@ def test_optimize_not_converged_exit_3(tmp_path, capsys):
     assert json.loads(out)["optimization"]["converged"] is False
 
 
+OPTIMIZATION_KEYS = {"objective", "seed", "converged", "reason", "iterations", "final_objective",
+                     "final_gradient_norm", "final_residual_norm", "H_star", "trace"}
+
+
+@pytest.mark.parametrize("objective, value, norm", [
+    ("torsion_functional", "F_value", "norm_Q_F"),
+    ("gauduchon_functional", "G_value", "norm_Q_G"),
+    ("residual_norm", None, "norm_Q_F"),
+])
+@pytest.mark.parametrize("name, seed", [("so3c", "2"), ("sokc-4", "7")])
+def test_optimization_block_is_consistent(tmp_path, capsys, name, seed, objective, value, norm):
+    # the block is minimize's own: its last trace row is the final metric,
+    # whose analysis the report's residuals block reads
+    path = _write(tmp_path, {"catalog": name})
+    code, out, _ = _run(capsys, "optimize", path, "--objective", objective, "--perturb", "0.1",
+                        "--seed", seed, "--format", "json")
+    assert code in (cli.EXIT_OK, cli.EXIT_NOT_SATISFIED)
+    report = json.loads(out)
+    opt, res = report["optimization"], report["residuals"]
+    assert opt.keys() == OPTIMIZATION_KEYS
+    assert opt["objective"] == objective and opt["seed"] == int(seed)
+    trace = opt["trace"]
+    assert all(row.keys() == {"iteration", "objective", "gradient_norm", "residual_norm"}
+               for row in trace)
+    assert [row["iteration"] for row in trace] == list(range(len(trace)))
+    assert opt["iterations"] == len(trace) - 1
+    assert trace[-1] == {"iteration": opt["iterations"], "objective": opt["final_objective"],
+                         "gradient_norm": opt["final_gradient_norm"],
+                         "residual_norm": opt["final_residual_norm"]}
+    assert opt["final_residual_norm"] == res[norm]
+    if value is not None:
+        assert opt["final_objective"] == res[value]
+
+
 # ---------------------------------------------------------------------------
 # catalog subcommand
 
@@ -853,10 +902,11 @@ def test_catalog_show(capsys):
     assert "d f1 = f2 ^ f3" in out
 
 
-def test_catalog_show_unknown(capsys):
-    code, _, err = _run(capsys, "catalog", "show", "bogus")
-    assert code == cli.EXIT_INVALID_INPUT
-    assert "unknown" in err
+def test_catalog_show_unknown(tmp_path, capsys):
+    # the one error line that analyze writes for the same name
+    code, out, err = _run(capsys, "catalog", "show", "bogus")
+    assert (code, out, err) == (cli.EXIT_INVALID_INPUT, "", "error: unknown catalog entry: bogus\n")
+    assert _run(capsys, "analyze", _write(tmp_path, {"catalog": "bogus"}))[2] == err
 
 
 # the exact text of `catalog show`: it reads the catalog's constants (the so(k)

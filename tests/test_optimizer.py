@@ -67,6 +67,8 @@ def test_config_validation():
         op.OptimConfig(objective="nope")
     with pytest.raises(ValueError):
         op.OptimConfig(grad_tol=0.0)
+    with pytest.raises(ValueError):
+        op.OptimConfig(max_iter=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +298,8 @@ def test_minimize_keeps_only_positive_curvature_pairs(monkeypatch):
     monkeypatch.setattr(op._Problem, "residual_norm", lambda self, pkg: 0.0)
     monkeypatch.setattr(op, "gradient", gradient)
     monkeypatch.setattr(op, "_lbfgs_direction", direction)
-    trace = op.minimize(lh.catalog("kodaira-thurston"), op.OptimConfig(), S0=0.1 * sum(basis))
-    assert trace.reason == "gradient_tolerance"
+    opt, _ = op.minimize(lh.catalog("kodaira-thurston"), op.OptimConfig(), S0=0.1 * sum(basis))
+    assert opt["reason"] == "gradient_tolerance"
     pairs = [op._inner(S1 - S0, G1 - G0) for (S0, G0), (S1, G1) in zip(steps, steps[1:])]
     assert min(pairs) < 0 < max(pairs)
     assert seen and min(seen) > 0
@@ -322,9 +324,9 @@ def test_failed_search_restarts_along_minus_gradient(rng, monkeypatch):
 
     monkeypatch.setattr(op, "_lbfgs_direction", direction)
     monkeypatch.setattr(op, "_line_search", search)
-    trace = op.minimize(lh.catalog("iwasawa"), op.OptimConfig(max_iter=12),
-                        S0=0.2 * random_hermitian(rng, 3))
-    assert trace.reason == "max_iterations"
+    opt, _ = op.minimize(lh.catalog("iwasawa"), op.OptimConfig(max_iter=12),
+                         S0=0.2 * random_hermitian(rng, 3))
+    assert opt["reason"] == "max_iterations"
     k = [f for f, _, _ in searches].index(True)
     _, d, slope = searches[k + 1]
     assert slope == pytest.approx(-np.linalg.norm(d) ** 2, rel=1e-12)
@@ -341,16 +343,16 @@ def test_minimize_abelian_converges_immediately(rng):
         hs = lh.catalog("abelian-3")
         local = np.random.default_rng(seed)
         S0 = random_hermitian(local, 3)
-        trace = op.minimize(hs, op.OptimConfig(max_iter=50), S0=S0)
-        assert trace.converged
-        assert trace.iterations[-1][1] == 0.0
+        opt, _ = op.minimize(hs, op.OptimConfig(max_iter=50), S0=S0)
+        assert opt["converged"]
+        assert opt["final_objective"] == 0.0
 
 
 def test_minimize_so3c_starts_converged():
     hs = lh.catalog("so3c")
-    trace = op.minimize(hs, op.OptimConfig(grad_tol=1e-6))
-    assert trace.converged and len(trace.iterations) == 1
-    assert np.abs(trace.H_star - np.eye(3)).max() <= 1e-12
+    opt, _ = op.minimize(hs, op.OptimConfig(grad_tol=1e-6))
+    assert opt["converged"] and opt["iterations"] == 0
+    assert np.abs(opt["H_star"] - np.eye(3)).max() <= 1e-12
 
 
 def test_minimize_recovers_so3c_critical_point(rng):
@@ -360,10 +362,10 @@ def test_minimize_recovers_so3c_critical_point(rng):
     cfg = op.OptimConfig(
         objective="residual_norm", max_iter=500, grad_tol=1e-10, objective_tol=1e-13
     )
-    trace = op.minimize(hs, cfg, S0=S0)
-    assert trace.converged, trace.reason
+    opt, _ = op.minimize(hs, cfg, S0=S0)
+    assert opt["converged"], opt["reason"]
     _, qnorm = fn.torsion_critical_residual(
-        te.analyze(lh.HermitianStructure(hs.sc, trace.H_star))
+        te.analyze(lh.HermitianStructure(hs.sc, opt["H_star"]))
     )
     assert qnorm <= 1e-6
 
@@ -380,9 +382,8 @@ def test_residual_norm_descent_reaches_critical_metric(name, perturb, seed, crit
     hs = lh.catalog(name)
     S0 = random_hermitian(np.random.default_rng(seed), hs.n)
     S0 *= perturb / np.linalg.norm(S0)
-    trace = op.minimize(hs, op.OptimConfig(objective="residual_norm"), S0=S0)
-    assert trace.converged, trace.reason
-    pkg = trace.pkg_star
+    opt, pkg = op.minimize(hs, op.OptimConfig(objective="residual_norm"), S0=S0)
+    assert opt["converged"], opt["reason"]
     assert abs(fn.torsion_functional(pkg) - critical) <= 1e-8 * critical
     _, qnorm = fn.torsion_critical_residual(pkg)
     assert pkg.volume ** (1.0 / hs.n) * qnorm <= 1e-8
@@ -391,20 +392,20 @@ def test_residual_norm_descent_reaches_critical_metric(name, perturb, seed, crit
 
 def test_minimize_returns_analysis_of_final_metric(rng):
     hs = lh.catalog("iwasawa")
-    trace = op.minimize(hs, op.OptimConfig(max_iter=5), S0=0.2 * random_hermitian(rng, 3))
-    want = te.analyze(lh.HermitianStructure(hs.sc, trace.H_star))
+    opt, pkg_star = op.minimize(hs, op.OptimConfig(max_iter=5), S0=0.2 * random_hermitian(rng, 3))
+    want = te.analyze(lh.HermitianStructure(hs.sc, opt["H_star"]))
     for name in ("T", "A", "B", "phi", "xi"):
-        assert np.array_equal(getattr(trace.pkg_star, name), getattr(want, name))
-    assert np.array_equal(te.covariant_derivative_T(trace.pkg_star.T, trace.pkg_star.sc_u.D),
+        assert np.array_equal(getattr(pkg_star, name), getattr(want, name))
+    assert np.array_equal(te.covariant_derivative_T(pkg_star.T, pkg_star.sc_u.D),
                           te.covariant_derivative_T(want.T, want.sc_u.D))
-    assert trace.pkg_star.volume == want.volume
+    assert pkg_star.volume == want.volume
 
 
 def test_minimize_descent_is_monotone(rng):
     hs = lh.catalog("iwasawa")
     cfg = op.OptimConfig(max_iter=30)
-    trace = op.minimize(hs, cfg, S0=0.2 * random_hermitian(rng, 3))
-    objs = [row[1] for row in trace.iterations]
+    opt, _ = op.minimize(hs, cfg, S0=0.2 * random_hermitian(rng, 3))
+    objs = [row["objective"] for row in opt["trace"]]
     assert all(b <= a + 1e-14 for a, b in zip(objs, objs[1:]))
     assert objs[-1] < objs[0]
 
@@ -423,10 +424,10 @@ def test_minimize_rejects_singular_frame_trial(rng, monkeypatch):
         return unitary_reduction(hs)
 
     monkeypatch.setattr(lh, "unitary_reduction", failing_once)
-    trace = op.minimize(hs, op.OptimConfig(max_iter=5), S0=0.2 * random_hermitian(rng, 3))
+    opt, _ = op.minimize(hs, op.OptimConfig(max_iter=5), S0=0.2 * random_hermitian(rng, 3))
     assert len(calls) > 2
-    assert len(trace.iterations) == 6 and trace.reason == "max_iterations"
-    objs = [row[1] for row in trace.iterations]
+    assert opt["iterations"] == 5 and opt["reason"] == "max_iterations"
+    objs = [row["objective"] for row in opt["trace"]]
     assert all(b < a for a, b in zip(objs, objs[1:]))
 
 
@@ -444,9 +445,9 @@ def test_minimize_keeps_volume(rng):
     # and det H* = det H0 exp(tr S0), with det H0 = 1 on kodaira-thurston
     hs = lh.catalog("kodaira-thurston")
     S0 = 0.2 * random_hermitian(rng, 2)
-    trace = op.minimize(hs, op.OptimConfig(max_iter=20), S0=S0)
-    assert len(trace.iterations) > 5
-    assert np.linalg.det(trace.H_star).real == pytest.approx(np.exp(np.trace(S0).real), rel=1e-9)
+    opt, _ = op.minimize(hs, op.OptimConfig(max_iter=20), S0=S0)
+    assert opt["iterations"] > 4
+    assert np.linalg.det(opt["H_star"]).real == pytest.approx(np.exp(np.trace(S0).real), rel=1e-9)
 
 
 def test_descent_analyzes_only_exactly_hermitian_charts(rng, monkeypatch):
@@ -461,17 +462,17 @@ def test_descent_analyzes_only_exactly_hermitian_charts(rng, monkeypatch):
         hs = lh.catalog(name)
         S0 = 0.3 * (rng.standard_normal((hs.n, hs.n)) + 1j * rng.standard_normal((hs.n, hs.n)))
         seen.clear()
-        trace = op.minimize(hs, op.OptimConfig(objective=objective, max_iter=20), S0=S0)
-        assert len(trace.iterations) > 5 and len(seen) > 10, name
+        opt, _ = op.minimize(hs, op.OptimConfig(objective=objective, max_iter=20), S0=S0)
+        assert opt["iterations"] > 4 and len(seen) > 10, name
         assert all(np.array_equal(S, S.conj().T) for S in seen), name
 
 
 def test_minimize_reports_max_iterations():
     hs = lh.catalog("kodaira-thurston")
     cfg = op.OptimConfig(objective="gauduchon_functional", max_iter=3)
-    trace = op.minimize(hs, cfg, S0=0.3 * np.diag([1.0, -1.0]).astype(complex))
-    assert not trace.converged
-    assert trace.reason in ("max_iterations", "stagnated")
+    opt, _ = op.minimize(hs, cfg, S0=0.3 * np.diag([1.0, -1.0]).astype(complex))
+    assert not opt["converged"]
+    assert opt["reason"] in ("max_iterations", "stagnated")
 
 
 def test_gauduchon_descent_shrinks_eta(rng):
@@ -479,15 +480,15 @@ def test_gauduchon_descent_shrinks_eta(rng):
     hs = lh.catalog("kodaira-thurston")
     cfg = op.OptimConfig(objective="gauduchon_functional", max_iter=150, grad_tol=1e-9)
     S0 = 0.2 * random_hermitian(rng, 2)
-    trace = op.minimize(hs, cfg, S0=S0)
-    hs_star = lh.HermitianStructure(hs.sc, trace.H_star)
+    opt, _ = op.minimize(hs, cfg, S0=S0)
+    hs_star = lh.HermitianStructure(hs.sc, opt["H_star"])
     pkg = te.analyze(hs_star)
     _, qg = fn.gauduchon_critical_residual(pkg)
     eta = pkg.eta
     if qg <= 1e-8:
         assert np.linalg.norm(eta) <= 1e-4
     # descent must have lowered the energy either way
-    assert trace.iterations[-1][1] < trace.iterations[0][1]
+    assert opt["final_objective"] < opt["trace"][0]["objective"]
 
 
 def test_descent_analysis_budget(monkeypatch):
@@ -512,9 +513,9 @@ def test_descent_analysis_budget(monkeypatch):
         hs = lh.catalog(name)
         S0 = random_hermitian(np.random.default_rng(seed), hs.n)  # as cmd_optimize builds it
         S0 *= 0.1 / np.linalg.norm(S0)
-        trace = op.minimize(hs, op.OptimConfig(max_iter=500), S0=S0)
-        assert trace.reason in ("gradient_tolerance", "precision_limit"), (name, seed)
-        steps += len(trace.iterations) - 1
+        opt, _ = op.minimize(hs, op.OptimConfig(max_iter=500), S0=S0)
+        assert opt["reason"] in ("gradient_tolerance", "precision_limit"), (name, seed)
+        steps += opt["iterations"]
     assert len(calls) <= 2.5 * steps, (len(calls), steps)
     failed = [cost for fail, cost in searches if fail]
     assert failed and max(failed) <= 8, failed

@@ -11,10 +11,12 @@ def test_readme_quick_tour_descends():
     assert len(blocks) == 1
     namespace = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)
-    trace = namespace["trace"]
-    assert trace.converged
+    opt = namespace["opt"]
+    assert opt["converged"]
     # the start is perturbed, so the descent takes real steps to F = 6
-    assert len(trace.iterations) - 1 > 1
-    assert trace.iterations[0][1] > trace.iterations[-1][1]
-    assert abs(trace.iterations[-1][1] - 6.0) <= 1e-8
+    assert opt["iterations"] > 1
+    assert opt["trace"][0]["objective"] > opt["final_objective"]
+    assert abs(opt["final_objective"] - 6.0) <= 1e-8
+    # the analysis minimize returns is the one its last objective read
+    assert namespace["F_star"] == opt["final_objective"]
     assert namespace["pkg"].norm_T2 == 2.0
