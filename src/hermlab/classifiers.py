@@ -49,7 +49,7 @@ def lck_check(pkg):
     return float(np.abs(pkg.T - lck_torsion(pkg.eta)).max())
 
 
-def stp_check(pkg):
+def stp_check(pkg, work=None):
     """Residuals of the parallel-torsion identities of an analyzed metric.
 
     The metric is Strominger torsion parallel when the first two vanish; the
@@ -62,14 +62,30 @@ def stp_check(pkg):
         holomorphic T*T combination, the template at Gamma = T);
       eta_contraction -- sum_r eta_r T^r_{ik};
       phi_xi_vs_BA -- phi - xi - (B - A).
+
+    The templates run in ``work`` (a ``torsion_engine.workspace``, allocated
+    when none is passed), and each ``max|.|`` is reduced in its spent second
+    half.  When D = 0 the Strominger connection is T and ``nabla_s_hol`` is
+    ``quadratic_hol``, so a report builds two templates, and three otherwise.
     """
     T, eta = pkg.T, pkg.eta
+    if work is None:
+        work = te.workspace(pkg.n)
+    # |.| of a template (in work[0]) goes into the first n^4 floats of work[1]
+    spent = work[1].view(float).reshape(work.shape)[0]
+
+    def max_abs(template, gamma):
+        return float(np.abs(template(T, gamma, work), out=spent).max())
+
     # nabla^s T is the template at the Strominger connection (linear in Gamma)
     S = pkg.sc_u.D + T
+    quadratic_hol = max_abs(te.holomorphic_derivative_T, T)
+    # with D = 0 the Strominger connection is T, whose template is built
+    nabla_s_hol = max_abs(te.holomorphic_derivative_T, S) if pkg.sc_u.D.any() else quadratic_hol
     return {
-        "nabla_s_hol": float(np.abs(te.holomorphic_derivative_T(T, S)).max()),
-        "nabla_s_bar": float(np.abs(te.covariant_derivative_T(T, S)).max()),
-        "quadratic_hol": float(np.abs(te.holomorphic_derivative_T(T, T)).max()),
+        "nabla_s_hol": nabla_s_hol,
+        "nabla_s_bar": max_abs(te.covariant_derivative_T, S),
+        "quadratic_hol": quadratic_hol,
         "eta_contraction": float(np.abs(np.einsum("r,rik->ik", eta, T)).max()),
         "phi_xi_vs_BA": float(np.abs((pkg.phi - pkg.xi) - (pkg.B - pkg.A)).max()),
     }
@@ -105,20 +121,32 @@ def nilpotent_J_check(sc):
     return True, tuple(order)
 
 
-def pluriclosed_residual(pkg):
+def pluriclosed_residual(pkg, work=None):
     """Norm of del delbar omega in the unitary frame.
 
     delbar omega = 1/2 sum B[a,b,c] phi_a ^ phibar_b ^ phibar_c with
     B = -i conj(T).  Applying del gives the (2,2)-form whose coefficients,
     antisymmetrized in both pairs, are K[p,q,r,s]; its norm over canonical
-    terms is |K| / 2.
+    terms is |K| / 2.  Both products and both antisymmetrizations run in
+    ``work`` (a ``torsion_engine.workspace``, allocated when none is
+    passed).
     """
+    n = pkg.n
+    m = n * n
+    if work is None:
+        work = te.workspace(n)
+    W, K = work
     B = -1j * pkg.T.conj()
-    W = -0.25 * np.tensordot(pkg.sc_u.C, B, axes=(0, 0))  # W[p,q,r,s]
-    W -= np.tensordot(B, pkg.sc_u.D, axes=(1, 1)).transpose(0, 3, 2, 1)
-    K = W - W.swapaxes(0, 1)
-    K = K - K.swapaxes(2, 3)
-    return 0.5 * float(np.linalg.norm(K))
+    # W[p,q,r,s] = -1/4 sum_x C[x,p,q] B[x,r,s]
+    np.matmul(pkg.sc_u.C.reshape(n, m).T, B.reshape(n, m), out=W.reshape(m, m))
+    W *= -0.25
+    # sum_x B[p,x,s] D[r,x,q], laid out [p,s,r,q]
+    np.matmul(B.transpose(0, 2, 1).reshape(m, n), pkg.sc_u.D.transpose(1, 0, 2).reshape(n, m),
+              out=K.reshape(m, m))
+    W -= K.transpose(0, 3, 2, 1)
+    np.subtract(W, W.swapaxes(0, 1), out=K)
+    np.subtract(K, K.swapaxes(2, 3), out=W)
+    return 0.5 * float(np.linalg.norm(W))
 
 
 def classify(pkg, sc, tol=DEFAULT_TOL):
@@ -131,14 +159,16 @@ def classify(pkg, sc, tol=DEFAULT_TOL):
     def thresholded(residual):
         return {"flag": residual <= tol, "residual": residual}
 
-    stp = stp_check(pkg)
+    # the n^5 classifiers share one workspace
+    work = te.workspace(pkg.n)
+    stp = stp_check(pkg, work)
     nilp_flag, witness = nilpotent_J_check(sc)
     return {
         "tol": tol,
         "kahler": thresholded(float(np.abs(pkg.T).max())),
         "balanced": thresholded(float(np.abs(pkg.eta).max())),
         "gauduchon": thresholded(abs(pkg.norm_eta2 - pkg.chi)),
-        "pluriclosed": thresholded(pluriclosed_residual(pkg)),
+        "pluriclosed": thresholded(pluriclosed_residual(pkg, work)),
         "lck_shape": thresholded(lck_check(pkg)),
         # Strominger torsion parallel: both nabla^s T residuals within tol
         "stp": {"flag": max(stp["nabla_s_hol"], stp["nabla_s_bar"]) <= tol, "residuals": stp},

@@ -20,6 +20,8 @@ Input documents are JSON with exactly one of:
     "re": x, "im": y}`` (1-based indices)
   * ``"real_algebra": {"dim": 2n, "f": [{"up": c, "lo": [a, b],
     "val": x}], "J": [[...]]}``
+where ``n``, ``dim`` and every index are JSON integers (``2.0``, ``true``
+and ``"2"`` are rejected)
 plus an optional ``"metric"`` given as an n x n array of [re, im] pairs
 (default: identity).
 
@@ -88,12 +90,19 @@ def _parse_metric(doc, n):
         raise InputError(f"metric entries must be [re, im] pairs: {exc}") from exc
 
 
+def _integer(value):
+    """A JSON integer as it was written: a float or a bool raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
 def _read_terms(entries, size, name, value):
     """0-based (up, i, k, value(entry)) of each ``{"up", "lo"}`` term entry."""
     for entry in entries:
         try:
-            up = int(entry["up"])
-            i, k = (int(v) for v in entry["lo"])
+            up = _integer(entry["up"])
+            i, k = (_integer(v) for v in entry["lo"])
             val = value(entry)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed {name} entry: {entry!r}") from exc
@@ -141,7 +150,7 @@ def _parse_structure(doc):
     elif "real_algebra" in doc:
         ra = doc["real_algebra"]
         try:
-            dim = int(ra["dim"])
+            dim = _integer(ra["dim"])
             J = np.array(ra["J"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError("malformed real_algebra block") from exc
@@ -156,9 +165,9 @@ def _parse_structure(doc):
             raise InputError(f"real algebra rejected: {exc}") from exc
     else:
         try:
-            n = int(doc["n"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError("'n' is required with explicit C/D input") from exc
+            n = _integer(doc["n"])
+        except (KeyError, TypeError) as exc:
+            raise InputError("an integer 'n' is required with explicit C/D input") from exc
         C = _parse_tensor_terms(doc.get("C", []), n, "C")
         D = _parse_tensor_terms(doc.get("D", []), n, "D")
         sc = lh.StructureConstants(n, C, D)

@@ -57,24 +57,48 @@ def ab_tensors(T):
     return A, B
 
 
-def holomorphic_derivative_T(T, gamma):
-    """T^j_{ik, l} (unbarred covariant derivative) for left-invariant data."""
-    out = -np.tensordot(T, gamma, axes=(1, 0)).transpose(0, 2, 1, 3)
-    out -= np.tensordot(T, gamma, axes=(2, 0))
-    out += np.tensordot(T, gamma, axes=(0, 1)).transpose(2, 0, 1, 3)
-    return out
+def workspace(n):
+    """The complex (2, n, n, n, n) buffer an n^5 template writes into."""
+    return np.empty((2, n, n, n, n), dtype=complex)
 
 
-def covariant_derivative_T(T, gamma):
-    """T^j_{ik, lbar} for left-invariant data, an O(n^5) tensor no analysis builds:
+def holomorphic_derivative_T(T, gamma, work=None):
+    """T^j_{ik, l} (unbarred covariant derivative) for left-invariant data:
+
+    out[j,i,k,l] = sum_r ( G^j_{rl} T^r_{ik} - T^j_{ir} G^r_{kl} - T^j_{rk} G^r_{il} ).
+
+    Each term is one (n^2, n) @ (n, n^2) product written into ``work`` (a
+    :func:`workspace`, allocated when none is passed): the second and third
+    land in ``work[1]`` and are added into ``work[0]`` through a transposed
+    view.  Returns ``work[0]``, laid out as [j,i,k,l].
+    """
+    n = T.shape[0]
+    m = n * n
+    if work is None:
+        work = workspace(n)
+    out, tmp = work
+    # sum_r T[j,i,r] G[r,k,l], laid out [j,i,k,l]
+    np.matmul(T.reshape(m, n), gamma.reshape(n, m), out=out.reshape(m, m))
+    # sum_r T[j,r,k] G[r,i,l], laid out [j,k,i,l]
+    np.matmul(T.transpose(0, 2, 1).reshape(m, n), gamma.reshape(n, m), out=tmp.reshape(m, m))
+    out += tmp.transpose(0, 2, 1, 3)
+    # sum_r T[r,i,k] G[j,r,l], laid out [i,k,j,l]
+    np.matmul(T.reshape(n, m).T, gamma.transpose(1, 0, 2).reshape(n, m), out=tmp.reshape(m, m))
+    return np.subtract(tmp.transpose(2, 0, 1, 3), out, out=out)
+
+
+def covariant_derivative_T(T, gamma, work=None):
+    """T^j_{ik, lbar} for left-invariant data, an n^4 tensor that costs n^5
+    to contract and that no analysis builds:
 
     DT[j,i,k,l] = sum_r ( T^j_{rk} conj(G^i_{rl}) + T^j_{ir} conj(G^k_{rl})
                           - T^r_{ik} conj(G^r_{jl}) ),
 
-    the holomorphic template with the connection matrices of the barred
-    directions, omega(ebar_l) = -omega(e_l)^H for a unitary connection.
+    the holomorphic template, in ``work`` if given, with the connection
+    matrices of the barred directions, omega(ebar_l) = -omega(e_l)^H for a
+    unitary connection.
     """
-    return holomorphic_derivative_T(T, -gamma.conj().transpose(1, 0, 2))
+    return holomorphic_derivative_T(T, -gamma.conj().transpose(1, 0, 2), work)
 
 
 def phi_xi_tensors(T, gamma, eta):

@@ -26,7 +26,6 @@ import hermlab.functionals as fn
 import hermlab.lie_hermitian as lh
 import hermlab.optimizer as op
 import hermlab.tensor_algebra as ta
-import hermlab.torsion_engine as te
 from hermlab.errors import DimensionMismatch, JacobiViolation, NotIntegrable, SingularFrame
 
 
@@ -554,11 +553,12 @@ def stp_identity_residuals(pkg):
 
     nabla^s T is nabla^c T plus T*T terms; here those terms are hand-written
     contractions added to the Chern derivative, where the library takes the
-    Chern-derivative templates at the Strominger connection D + T.
+    Chern-derivative templates at the Strominger connection D + T.  The
+    Chern derivatives are this module's einsum templates, not the library's.
     """
     T, eta = pkg.T, pkg.eta
-    Thol = te.holomorphic_derivative_T(T, pkg.sc_u.D)
-    DT = te.covariant_derivative_T(T, pkg.sc_u.D)
+    Thol = holomorphic_derivative_T(T, pkg.sc_u.D)
+    DT = covariant_derivative_T(T, pkg.sc_u.D)
     r1 = np.einsum("jrk,ril->jikl", T, T)
     r1 += np.einsum("jir,rkl->jikl", T, T)
     r1 -= np.einsum("rik,jrl->jikl", T, T)

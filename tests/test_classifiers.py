@@ -12,7 +12,7 @@ import hermlab.lie_hermitian as lh
 import hermlab.torsion_engine as te
 
 import oracles
-from conftest import random_hpd, random_unitary
+from conftest import random_hpd, random_two_step_structure, random_unitary
 
 
 def _classify(name, H=None, tol=1e-9):
@@ -170,6 +170,24 @@ def test_stp_balanced_with_zero_residual_gives_proportional_B():
         assert np.abs(pkg.eta).max() <= 1e-12
         c = np.trace(pkg.B).real / pkg.n
         assert np.abs(pkg.B - c * np.eye(pkg.n)).max() <= 1e-10
+
+
+def test_n5_classifiers_overwrite_a_stale_workspace(rng):
+    # stp_check and pluriclosed_residual in a workspace full of NaN, as
+    # classify shares one between them, against calls that allocate their own
+    structures = [lh.catalog(name, metric=random_hpd(rng, n))
+                  for name, n in (("kodaira-thurston", 2), ("so3c", 3), ("sokc-4", 6))]
+    structures.append(lh.HermitianStructure(random_two_step_structure(rng, 4, 2),
+                                            random_hpd(rng, 4)))
+    for hs in structures:
+        pkg, n = te.analyze(hs), hs.sc.n
+        work = np.full((2, n, n, n, n), np.nan, dtype=complex)
+        assert cl.stp_check(pkg, work) == cl.stp_check(pkg)
+        work.fill(np.nan)
+        assert cl.pluriclosed_residual(pkg, work) == cl.pluriclosed_residual(pkg)
+        block = cl.classify(pkg, hs.sc)
+        assert block["stp"]["residuals"] == cl.stp_check(pkg)
+        assert block["pluriclosed"]["residual"] == cl.pluriclosed_residual(pkg)
 
 
 # ---------------------------------------------------------------------------

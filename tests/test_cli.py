@@ -180,12 +180,19 @@ def test_analyze_invalid_inputs_exit_1(tmp_path, capsys):
          None),
         ({"real_algebra": {"dim": 4, "f": [{"up": 3, "lo": [1, 1], "val": 1.0}], "J": KT_J}},
          None),
+        # n, dim and indices are JSON integers, not numbers int() accepts
+        ({"n": 2, "C": [{"up": 1, "lo": [1.9, 2], "re": 1.0},
+                        {"up": 1, "lo": [2, 1], "re": -1.0}]}, None),
+        ({"n": True, "C": []}, None),
+        ({"n": "3", "C": []}, None),
+        ({"real_algebra": {"dim": 2.7, "f": [], "J": [[0, -1], [1, 0]]}}, None),
         ({"catalog": "so3c"}, "abc"),
         ({"catalog": "so3c"}, "nan"),
         ({"catalog": "so3c", "metric": SINGULAR_METRIC}, None),
     ],
     ids=["nan-C", "nan-D", "nan-metric", "nan-real-f", "nan-real-metric",
          "malformed-metric", "malformed-real-f", "range-real-f", "repeated-real-f",
+         "fractional-lo", "bool-n", "string-n", "fractional-dim",
          "tol-abc", "tol-nan", "cond-H"],
 )
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch, doc, env_tol):
@@ -570,10 +577,12 @@ def test_one_analysis_and_validation_per_report(tmp_path, capsys, monkeypatch, a
     assert calls == {"analyze": analyses, "validate": 1}
 
 
-def test_reports_build_nabla_T_three_times_and_analyses_never(tmp_path, capsys, monkeypatch):
-    # nabla T is an n^5 tensor: the Strominger-parallel check of a report
-    # builds three, one of them through covariant_derivative_T, and an
-    # analysis, which every descent step runs, builds none
+def test_reports_build_nabla_T_three_times_unless_D_is_zero_and_analyses_never(
+        tmp_path, capsys, monkeypatch):
+    # nabla T is an n^4 tensor that costs n^5: the Strominger-parallel check
+    # of a report builds three, one of them through covariant_derivative_T,
+    # or two when D = 0 and the Strominger connection is T; an analysis,
+    # which every descent step runs, builds none
     calls = Counter()
     for name in ("holomorphic_derivative_T", "covariant_derivative_T"):
         real = getattr(te, name)
@@ -581,8 +590,11 @@ def test_reports_build_nabla_T_three_times_and_analyses_never(tmp_path, capsys, 
                             calls.update([name]) or real(*a))
     te.analyze(lh.catalog("sokc-4"))
     assert not calls
-    code, _, _ = _run(capsys, "analyze", _write(tmp_path, {"catalog": "sokc-4"}))
-    assert code == cli.EXIT_OK and calls["holomorphic_derivative_T"] == 3
+    for name, templates in (("sokc-4", 2), ("kodaira-thurston", 3)):
+        calls.clear()
+        code, _, _ = _run(capsys, "analyze", _write(tmp_path, {"catalog": name}))
+        assert code == cli.EXIT_OK
+        assert calls == {"holomorphic_derivative_T": templates, "covariant_derivative_T": 1}
 
 
 def _python(*args):

@@ -164,6 +164,77 @@ def test_stp_residuals_equal_written_out_contractions():
     assert nonzero >= 10
 
 
+def _upper_triangular_nilpotent(k):
+    """n(k, C), the strictly upper-triangular k x k matrices with basis E_ab
+    (a < b) in level order, as the benchmark's report ladder builds it."""
+    pairs = sorted(((a, b) for a in range(k) for b in range(a + 1, k)),
+                   key=lambda p: (p[1] - p[0], p[0]))
+    index = {p: m for m, p in enumerate(pairs)}
+    n = len(pairs)
+    C = np.zeros((n, n, n), dtype=complex)
+    for (a, b), i in index.items():
+        for (b2, c), j in index.items():
+            if b2 == b:  # [E_ab, E_bc] = E_ac
+                C[index[(a, c)], i, j] = -1.0
+                C[index[(a, c)], j, i] = 1.0
+    return lh.StructureConstants(n, C, np.zeros_like(C))
+
+
+def _kodaira_thurston_sum(copies):
+    """The sum of Kodaira-Thurston copies, d phi_{2m+2} = phi_{2m+1} ^ phibar_{2m+1}."""
+    n = 2 * copies
+    D = np.zeros((n, n, n), dtype=complex)
+    for m in range(copies):
+        D[2 * m, 2 * m + 1, 2 * m] = -1.0
+    return lh.StructureConstants(n, np.zeros_like(D), D)
+
+
+def _strominger_residuals(pkg):
+    """max |nabla^s T| in the unbarred and the barred direction, by the
+    einsum templates."""
+    S = pkg.sc_u.D + pkg.T
+    return (float(np.abs(oracles.holomorphic_derivative_T(pkg.T, S)).max()),
+            float(np.abs(oracles.covariant_derivative_T(pkg.T, S)).max()))
+
+
+def test_stp_with_D_zero_reads_nabla_s_hol_from_quadratic_hol():
+    # D = 0 makes the Strominger connection D + T equal to T, so stp_check
+    # builds that template once and reports it under both keys; by the
+    # Jacobi identity it vanishes, while the barred derivative does not
+    rng = np.random.default_rng(113)
+    bases = [lh.catalog(name).sc for name in ("sokc-4", "sokc-5", "iwasawa")]
+    bases += [_upper_triangular_nilpotent(k) for k in (4, 5)]
+    for sc in bases:
+        assert lh.validate(sc).ok
+        for _ in range(2):
+            pkg = te.analyze(lh.HermitianStructure(sc, random_hpd(rng, sc.n)))
+            assert not pkg.sc_u.D.any()
+            res = cl.stp_check(pkg)
+            hol, bar = _strominger_residuals(pkg)
+            assert res["nabla_s_hol"] == res["quadratic_hol"]
+            assert _close(res["nabla_s_hol"], hol) and _close(res["nabla_s_bar"], bar)
+            assert res["nabla_s_bar"] > 1e-3
+
+
+def test_stp_with_D_nonzero_builds_the_strominger_template():
+    # the two maxima may still meet where D contributes nothing, so most
+    # draws, not all, must tell them apart
+    rng = np.random.default_rng(127)
+    differ = 0
+    for copies in (2, 3):
+        sc = _kodaira_thurston_sum(copies)
+        assert lh.validate(sc).ok
+        for _ in range(4):
+            pkg = te.analyze(lh.HermitianStructure(sc, random_hpd(rng, sc.n)))
+            assert pkg.sc_u.D.any()
+            res = cl.stp_check(pkg)
+            hol, bar = _strominger_residuals(pkg)
+            assert _close(res["nabla_s_hol"], hol) and _close(res["nabla_s_bar"], bar)
+            assert res["nabla_s_hol"] > 1e-3
+            differ += abs(res["nabla_s_hol"] - res["quadratic_hol"]) > 1e-3 * res["quadratic_hol"]
+    assert differ >= 6
+
+
 def _template_structures():
     """Every catalog entry, then 60 seeded random structures and 20 seeded
     2-step structures, frame-mixed, under random metrics."""

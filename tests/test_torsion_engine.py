@@ -129,6 +129,25 @@ def test_covariant_derivative_keeps_antisymmetry(rng):
         assert np.abs(DT + np.swapaxes(DT, 1, 2)).max() <= 1e-12
 
 
+def test_templates_overwrite_a_stale_workspace(rng):
+    # every term is written before it is read, so a workspace full of NaN
+    # gives the bits of a call that allocates its own
+    structures = [lh.catalog("kodaira-thurston"), lh.catalog("sokc-4", metric=random_hpd(rng, 6))]
+    for _ in range(6):
+        n = int(rng.integers(2, 5))
+        structures.append(lh.HermitianStructure(random_structure(rng, n), random_hpd(rng, n)))
+    for hs in structures:
+        pkg = te.analyze(hs)
+        T, D, n = pkg.T, pkg.sc_u.D, pkg.n
+        work = np.empty((2, n, n, n, n), dtype=complex)
+        for template in (te.holomorphic_derivative_T, te.covariant_derivative_T):
+            for gamma in (D, T, D + T):
+                work.fill(np.nan)
+                got = template(T, gamma, work)
+                assert np.shares_memory(got, work)
+                assert np.array_equal(got, template(T, gamma))
+
+
 def test_phi_xi_chi_values():
     pkg = _analyze("so3c")
     assert np.abs(pkg.phi).max() <= 1e-15
