@@ -5,10 +5,11 @@ Commands: analyze, check-critical, variation-check, optimize, catalog.
 Exit codes: 0 success; 1 invalid input (a document that cannot be read or
 decoded, schema, a non-finite number or NaN/Infinity anywhere in the
 document, a metric not positive definite or with cond(H) above 1e13, failed
-structure validation, unknown catalog name, a malformed HERMLAB_TOL, a
-numeric option out of its range, an optimize start metric that cannot be
-analyzed, a usage error: an unknown option or command, a missing argument,
-a value argparse cannot convert);
+structure validation, unknown catalog name, a structure too large to
+allocate, a numeric option out of its range, an optimize start metric or a
+variation-check finite-difference metric that cannot be analyzed, a usage
+error: an unknown option or command, a missing argument, a value argparse
+cannot convert);
 2 numerical failure, including a report, in either format, that would
 contain a non-finite number; 3 "not critical" / "not converged" /
 "deviation above tolerance" outcomes.  A failure writes one stderr line:
@@ -38,7 +39,7 @@ document included, level by level, fills each array's layout template
 writes each scalar as json does.  The text output formats the arrays
 directly, after the JSON encoding has checked that every number is finite.
 
-The environment variable HERMLAB_TOL overrides the default tolerance,
+``--tol`` is the one tolerance input; its default is
 ``tensor_algebra.DEFAULT_TOL`` (shown in ``--help``).  Seeded randomness
 uses numpy's default_rng (PCG64), so traces are reproducible across
 platforms.
@@ -50,7 +51,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -62,7 +62,8 @@ from . import lie_hermitian as lh
 from . import optimizer as op
 from . import tensor_algebra as ta
 from . import torsion_engine as te
-from .errors import HermlabError, InvalidStartPoint, NumericalFailure, UnknownCatalogEntry
+from .errors import (HermlabError, InvalidStartPoint, NotPositiveDefinite, NumericalFailure,
+                     SingularFrame, UnknownCatalogEntry)
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -437,7 +438,11 @@ def cmd_variation_check(args):
     for _ in range(args.directions):
         h = _random_hermitian(rng, hs.n)
         analytic = fn.first_variation(pkg, h)
-        fd = fn.fd_first_variation(hs, h, step=args.fd_step)
+        try:
+            fd = fn.fd_first_variation(hs, h, step=args.fd_step)
+        except (NotPositiveDefinite, SingularFrame) as exc:
+            raise InputError(f"--fd-step {args.fd_step:g} gives a finite-difference metric "
+                             f"that is unusable: {exc}") from exc
         dev = abs(analytic - fd)
         denom = max(abs(analytic), abs(fd))
         if denom > abs_tol:
@@ -505,8 +510,8 @@ def cmd_catalog(args):
 def _add_common(p):
     p.add_argument("input", help="path to a JSON input document")
     p.add_argument(
-        "--tol", type=float, default=None,
-        help=f"tolerance (default {ta.DEFAULT_TOL:g}, or HERMLAB_TOL when set)",
+        "--tol", type=float, default=ta.DEFAULT_TOL,
+        help=f"tolerance (default {ta.DEFAULT_TOL:g})",
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None, help="write the report to a file")
@@ -554,10 +559,10 @@ def make_parser():
 
     p = sub.add_parser("optimize", help="descend over the metric cone")
     _add_common(p)
-    p.add_argument("--objective", choices=op.OBJECTIVES, default="torsion_functional")
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--grad-tol", type=float, default=1e-8)
-    p.add_argument("--objective-tol", type=float, default=0.0)
+    p.add_argument("--objective", choices=op.OBJECTIVES, default=op.OptimConfig.objective)
+    p.add_argument("--max-iter", type=int, default=op.OptimConfig.max_iter)
+    p.add_argument("--grad-tol", type=float, default=op.OptimConfig.grad_tol)
+    p.add_argument("--objective-tol", type=float, default=op.OptimConfig.objective_tol)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--perturb", type=float, default=0.0, help="seeded random start size")
     p.set_defaults(func=cmd_optimize)
@@ -594,24 +599,11 @@ def _check_options(args):
             raise InputError(f"--{dest.replace('_', '-')} must be {what}, got {value!r}")
 
 
-def _env_tol():
-    text = os.environ.get("HERMLAB_TOL", str(ta.DEFAULT_TOL))
-    try:
-        tol = float(text)
-        if np.isfinite(tol):
-            return tol
-    except ValueError:
-        pass
-    raise InputError(f"HERMLAB_TOL must be a finite number, got {text!r}")
-
-
 def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
         _check_options(args)
-        if getattr(args, "tol", None) is None and hasattr(args, "tol"):
-            args.tol = _env_tol()
         # a non-finite result is reported once, by the report's encoder, not
         # also as floating-point warnings of the computation behind it
         with np.errstate(all="ignore"):
@@ -619,7 +611,7 @@ def main(argv=None):
     except (NumericalFailure, FloatingPointError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
-    except (HermlabError, OSError, json.JSONDecodeError) as exc:
+    except (HermlabError, OSError, json.JSONDecodeError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT
 

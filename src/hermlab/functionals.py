@@ -19,10 +19,9 @@ coefficient matrix of i(del etabar - delbar eta - eta ^ etabar) - a Id, zero
 exactly at critical points of G; it is contracted directly from eta and the
 unitary-frame D.
 
-Both first variations have the form V^(1/n) Re tr(h_u W) with W = -Q_F for F
-and W = -Q_G for G (:func:`variation_matrix`); :func:`first_variation`
-evaluates it along one direction and the optimizer's chart gradient reads
-the whole matrix.
+Both first variations have the form -V^(1/n) Re tr(h_u Q), with Q = Q_F for
+F and Q = Q_G for G; :func:`first_variation` evaluates it along one
+direction and the optimizer's chart gradient reads the whole matrix.
 
 Every quantity here is evaluated at one metric and takes that metric's
 :class:`~hermlab.torsion_engine.TorsionPackage`; only
@@ -86,37 +85,32 @@ FUNCTIONALS = {
 }
 
 
-def variation_matrix(pkg, functional="torsion_functional"):
-    """Unitary-frame matrix W = -Q of a functional's first variation.
-
-    ``functional`` is a key of :data:`FUNCTIONALS`: ``"torsion_functional"``
-    (Q = Q_F) or ``"gauduchon_functional"`` (Q = Q_G).  For every Hermitian
-    direction h, d/dt functional(H + t h) at t = 0 equals
-    V^(1/n) Re tr(h_u @ W), with h_u the direction in the unitary frame, so
-    V^(1/n) W is the Riesz matrix of the variation.  The sign is negative
-    for both functionals; it is pinned by agreement with
-    :func:`fd_first_variation`.
-    """
-    if functional not in FUNCTIONALS:
-        raise ValueError(f"no first variation for {functional!r}")
-    Q, _ = FUNCTIONALS[functional][1](pkg)
-    return -Q
+def _functional(name):
+    """The ``(value, residual)`` pair of :data:`FUNCTIONALS` named ``name``."""
+    if name not in FUNCTIONALS:
+        raise ValueError(f"no first variation for {name!r}")
+    return FUNCTIONALS[name]
 
 
 def first_variation(pkg, h, functional="torsion_functional"):
     """Analytic derivative d/dt functional(H + t h) at t = 0.
 
-    Equals V^(1/n) Re tr(h_u @ W) with W = :func:`variation_matrix` and
-    h_u = P^T h conj(P) the direction h expressed in the unitary frame.
+    ``functional`` is a key of :data:`FUNCTIONALS`: ``"torsion_functional"``
+    (Q = Q_F) or ``"gauduchon_functional"`` (Q = Q_G).  The derivative is
+    V^(1/n) Re tr(h_u @ -Q), with h_u = P^T h conj(P) the direction h
+    expressed in the unitary frame, so -V^(1/n) Q is the Riesz matrix of the
+    variation.  The sign is negative for both functionals; it is pinned by
+    agreement with :func:`fd_first_variation`.
     """
+    Q, _ = _functional(functional)[1](pkg)
     h_u = pkg.P.T @ np.asarray(h, dtype=complex) @ pkg.P.conj()
     v = pkg.volume ** (1.0 / pkg.n)
-    return float(v * np.trace(h_u @ variation_matrix(pkg, functional)).real)
+    return float(v * np.trace(h_u @ -Q).real)
 
 
 def fd_first_variation(hs, h, step=1e-4, functional="torsion_functional"):
     """Central finite difference of a functional along H + t h."""
-    value, _ = FUNCTIONALS[functional]
+    value, _ = _functional(functional)
     h = np.asarray(h, dtype=complex)
     plus = te.analyze(lh.HermitianStructure(hs.sc, hs.H + step * h))
     minus = te.analyze(lh.HermitianStructure(hs.sc, hs.H - step * h))

@@ -12,10 +12,10 @@ entry and its conjugate alike, so it is exactly Hermitian and (X + X^H) / 2
 would return it bit for bit.
 
 For the torsion and Gauduchon functionals :func:`gradient` is analytic and
-needs no further analysis: the first variation V^(1/n) Re tr(h_u W) of
-:func:`functionals.variation_matrix` is pulled back through the chart with
-the Daleckii-Krein divided differences of exp (Higham, *Functions of
-Matrices*, 2008, ch. 3).  ``residual_norm`` is |G_F|^2 = Re tr(G_F G_F),
+needs no further analysis: the first variation V^(1/n) Re tr(h_u @ -Q) of
+:func:`functionals.first_variation`, Q the functional's residual, is pulled
+back through the chart with the Daleckii-Krein divided differences of exp
+(Higham, *Functions of Matrices*, 2008, ch. 3).  ``residual_norm`` is |G_F|^2 = Re tr(G_F G_F),
 the squared chart gradient of the torsion functional: it vanishes exactly
 at the critical points of F and, like F, is invariant under S -> S + tI.
 Its gradient is 2 Hess_F G_F, where the Hessian product is one central
@@ -100,8 +100,10 @@ class _Problem:
         vals, vecs = np.linalg.eigh(np.asarray(hs0.H, dtype=complex))
         self.root = (vecs * np.sqrt(vals)) @ vecs.conj().T  # H0^(1/2)
         self.cfg = cfg
-        # the functional whose analytic gradient the objective reads
-        self.functional = "torsion_functional" if cfg.objective == "residual_norm" else cfg.objective
+        # the value and residual of the functional whose analytic gradient
+        # the objective reads
+        self.value_of, self.residual_of = fn.FUNCTIONALS[
+            "torsion_functional" if cfg.objective == "residual_norm" else cfg.objective]
 
     def metric(self, S):
         """H(S) = H0^(1/2) exp(S) H0^(1/2), always positive definite."""
@@ -122,13 +124,13 @@ class _Problem:
             G = _functional_gradient(self, S, pkg)
             val = _inner(G, G)
         else:
-            val = fn.FUNCTIONALS[self.functional][0](pkg)
+            val = self.value_of(pkg)
         if not np.isfinite(val):
             raise NumericalFailure("objective evaluated to a non-finite value")
         return val
 
     def residual_norm(self, pkg):
-        _, norm = fn.FUNCTIONALS[self.functional][1](pkg)
+        _, norm = self.residual_of(pkg)
         return norm
 
 
@@ -153,11 +155,12 @@ def gradient(prob, S, pkg):
 
 
 def _functional_gradient(prob, S, pkg):
-    """Analytic chart gradient at S of ``prob.functional``, from the analysis
-    ``pkg`` of H(S)."""
+    """Analytic chart gradient at S of the functional of ``prob``, from the
+    analysis ``pkg`` of H(S)."""
     # dH = R dexp_S(K) R and dF(dH) = Re tr(dH X) with X = conj(P) M P^T,
-    # M = V^(1/n) W the unitary-frame Riesz matrix; so dF = Re tr(dexp_S(K) Y)
-    M = pkg.volume ** (1.0 / pkg.n) * fn.variation_matrix(pkg, prob.functional)
+    # M = V^(1/n) (-Q) the unitary-frame Riesz matrix; so dF = Re tr(dexp_S(K) Y)
+    Q, _ = prob.residual_of(pkg)
+    M = pkg.volume ** (1.0 / pkg.n) * -Q
     Y = prob.root @ (pkg.P.conj() @ M @ pkg.P.T) @ prob.root
     # Daleckii-Krein: with S = U diag(lam) U^H, dexp_S(K) = U (Gam o U^H K U) U^H
     # with Gam_ij = (e^lam_i - e^lam_j) / (lam_i - lam_j), written as

@@ -163,41 +163,32 @@ def test_analyze_invalid_inputs_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "doc, env_tol",
+    "doc",
     [
-        ({"n": 3, "C": [{"up": 1, "lo": [2, 3], "re": NAN}]}, None),
-        ({"n": 2, "D": [{"up": 2, "lo": [1, 1], "im": NAN}]}, None),
-        ({"catalog": "abelian-2",
-          "metric": [[[NAN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, None),
-        ({"real_algebra": {"dim": 4, "f": [{"up": 3, "lo": [1, 2], "val": NAN}], "J": KT_J}},
-         None),
-        ({"real_algebra": {"dim": 4, "f": [], "J": KT_J},
-          "metric": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [NAN, 0.0]]]}, None),
-        ({"catalog": "abelian-2", "metric": [["a", "b"], [1, 2]]}, None),
-        ({"real_algebra": {"dim": 4, "f": [{"up": 3, "lo": [1], "val": 1.0}], "J": KT_J}},
-         None),
-        ({"real_algebra": {"dim": 4, "f": [{"up": 5, "lo": [1, 2], "val": 1.0}], "J": KT_J}},
-         None),
-        ({"real_algebra": {"dim": 4, "f": [{"up": 3, "lo": [1, 1], "val": 1.0}], "J": KT_J}},
-         None),
+        {"n": 3, "C": [{"up": 1, "lo": [2, 3], "re": NAN}]},
+        {"n": 2, "D": [{"up": 2, "lo": [1, 1], "im": NAN}]},
+        {"catalog": "abelian-2",
+         "metric": [[[NAN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+        {"real_algebra": {"dim": 4, "f": [{"up": 3, "lo": [1, 2], "val": NAN}], "J": KT_J}},
+        {"real_algebra": {"dim": 4, "f": [], "J": KT_J},
+         "metric": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [NAN, 0.0]]]},
+        {"catalog": "abelian-2", "metric": [["a", "b"], [1, 2]]},
+        {"real_algebra": {"dim": 4, "f": [{"up": 3, "lo": [1], "val": 1.0}], "J": KT_J}},
+        {"real_algebra": {"dim": 4, "f": [{"up": 5, "lo": [1, 2], "val": 1.0}], "J": KT_J}},
+        {"real_algebra": {"dim": 4, "f": [{"up": 3, "lo": [1, 1], "val": 1.0}], "J": KT_J}},
         # n, dim and indices are JSON integers, not numbers int() accepts
-        ({"n": 2, "C": [{"up": 1, "lo": [1.9, 2], "re": 1.0},
-                        {"up": 1, "lo": [2, 1], "re": -1.0}]}, None),
-        ({"n": True, "C": []}, None),
-        ({"n": "3", "C": []}, None),
-        ({"real_algebra": {"dim": 2.7, "f": [], "J": [[0, -1], [1, 0]]}}, None),
-        ({"catalog": "so3c"}, "abc"),
-        ({"catalog": "so3c"}, "nan"),
-        ({"catalog": "so3c", "metric": SINGULAR_METRIC}, None),
+        {"n": 2, "C": [{"up": 1, "lo": [1.9, 2], "re": 1.0},
+                       {"up": 1, "lo": [2, 1], "re": -1.0}]},
+        {"n": True, "C": []},
+        {"n": "3", "C": []},
+        {"real_algebra": {"dim": 2.7, "f": [], "J": [[0, -1], [1, 0]]}},
+        {"catalog": "so3c", "metric": SINGULAR_METRIC},
     ],
     ids=["nan-C", "nan-D", "nan-metric", "nan-real-f", "nan-real-metric",
          "malformed-metric", "malformed-real-f", "range-real-f", "repeated-real-f",
-         "fractional-lo", "bool-n", "string-n", "fractional-dim",
-         "tol-abc", "tol-nan", "cond-H"],
+         "fractional-lo", "bool-n", "string-n", "fractional-dim", "cond-H"],
 )
-def test_bad_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch, doc, env_tol):
-    if env_tol is not None:
-        monkeypatch.setenv("HERMLAB_TOL", env_tol)
+def test_bad_input_exits_1_with_one_line(tmp_path, capsys, doc):
     code, out, err = _run(capsys, "analyze", _write(tmp_path, doc), "--format", "json")
     assert code == cli.EXIT_INVALID_INPUT
     assert out == ""
@@ -481,8 +472,7 @@ def test_json_arrays_of_any_layout_equal_encoder_oracle(tmp_path, capsys, monkey
 # the parser, built once per process
 
 
-def test_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("HERMLAB_TOL", raising=False)
+def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert cli.make_parser() is cli.make_parser()
     iwa = _write(tmp_path, {"catalog": "iwasawa"})  # |Q_F| = 3.27
 
@@ -494,10 +484,6 @@ def test_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
 
     assert check("--tol", "10.0", "--functional", "gauduchon") == (cli.EXIT_OK, 10.0, "gauduchon")
     assert check() == (cli.EXIT_NOT_SATISFIED, ta.DEFAULT_TOL, "torsion")
-    monkeypatch.setenv("HERMLAB_TOL", "10.0")
-    assert check() == (cli.EXIT_OK, 10.0, "torsion")
-    monkeypatch.setenv("HERMLAB_TOL", "1e-6")
-    assert check() == (cli.EXIT_NOT_SATISFIED, 1e-6, "torsion")
     assert check("--tol", "1.0") == (cli.EXIT_NOT_SATISFIED, 1.0, "torsion")
 
 
@@ -725,11 +711,14 @@ def test_check_critical_tolerance_flag(tmp_path, capsys):
     assert code == cli.EXIT_OK
 
 
-def test_tol_env_override(tmp_path, capsys, monkeypatch):
+def test_tol_is_read_from_the_option_only(tmp_path, capsys, monkeypatch):
+    # an environment variable does not move the tolerance; the report shows
+    # the one in use
     monkeypatch.setenv("HERMLAB_TOL", "10.0")
-    iwa = _write(tmp_path, {"catalog": "iwasawa"})
-    code, _, _ = _run(capsys, "check-critical", iwa)
-    assert code == cli.EXIT_OK
+    iwa = _write(tmp_path, {"catalog": "iwasawa"})  # |Q_F| = 3.27
+    code, out, _ = _run(capsys, "check-critical", iwa, "--format", "json")
+    assert code == cli.EXIT_NOT_SATISFIED
+    assert json.loads(out)["criticality"]["tol"] == 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -746,6 +735,14 @@ def test_variation_check_passes(tmp_path, capsys):
         rep = json.loads(out)["variation_check"]
         assert rep["passed"] is True
         assert rep["max_relative_deviation"] <= 1e-5
+
+
+def test_variation_check_names_an_unusable_fd_step(tmp_path, capsys):
+    # H - 10 h is not positive definite: the option is at fault, not the input
+    path = _write(tmp_path, {"catalog": "iwasawa"})
+    code, out, err = _run(capsys, "variation-check", path, "--fd-step", "10")
+    assert (code, out) == (cli.EXIT_INVALID_INPUT, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: --fd-step 10 ")
 
 
 def test_variation_check_seed_reproducible(tmp_path, capsys):
@@ -919,6 +916,22 @@ def test_catalog_show_unknown(tmp_path, capsys):
     code, out, err = _run(capsys, "catalog", "show", "bogus")
     assert (code, out, err) == (cli.EXIT_INVALID_INPUT, "", "error: unknown catalog entry: bogus\n")
     assert _run(capsys, "analyze", _write(tmp_path, {"catalog": "bogus"}))[2] == err
+
+
+# n = 300000 asks for n^3 arrays of 192 PiB (real) or 384 PiB (complex), more
+# than a 64-bit address space holds: the allocation fails before any memory
+# is touched
+@pytest.mark.parametrize("argv", [
+    ["analyze", {"n": 300000, "C": []}],
+    ["analyze", {"catalog": "abelian-300000"}],
+    ["analyze", {"real_algebra": {"dim": 300000, "f": [], "J": [[0, -1], [1, 0]]}}],
+    ["catalog", "show", "abelian-300000"],
+], ids=["explicit", "catalog", "real-algebra", "catalog-show"])
+def test_structure_too_large_to_allocate_exits_1(tmp_path, capsys, argv):
+    argv = [_write(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_INVALID_INPUT, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: Unable to allocate")
 
 
 # the exact text of `catalog show`: it reads the catalog's constants (the so(k)

@@ -256,7 +256,12 @@ def test_first_variation_matches_fd_for_both_functionals(rng, functional):
 
 def test_first_variation_rejects_unknown_functional():
     with pytest.raises(ValueError):
-        fn.variation_matrix(_pkg("iwasawa"), "residual_norm")
+        fn.first_variation(_pkg("iwasawa"), np.eye(3), "residual_norm")
+
+
+def test_fd_first_variation_rejects_unknown_functional():
+    with pytest.raises(ValueError):
+        fn.fd_first_variation(lh.catalog("iwasawa"), np.eye(3), functional="residual_norm")
 
 
 def test_first_variation_linear_in_direction(rng):
