@@ -3,17 +3,18 @@
 Commands: analyze, check-critical, variation-check, optimize, catalog.
 
 Exit codes: 0 success; 1 invalid input (a document that cannot be read or
-decoded, schema, a non-finite number or NaN/Infinity anywhere in the
-document, a metric not positive definite or with cond(H) above 1e13, failed
-structure validation, unknown catalog name, a structure too large to
-allocate, a numeric option out of its range, an optimize start metric or a
-variation-check finite-difference metric that cannot be analyzed, a usage
-error: an unknown option or command, a missing argument, a value argparse
-cannot convert);
-2 numerical failure, including a report, in either format, that would
-contain a non-finite number; 3 "not critical" / "not converged" /
-"deviation above tolerance" outcomes.  A failure writes one stderr line:
-``error: ...`` for exit 1, ``numerical failure: ...`` for exit 2.
+decoded, schema, such as a term list that is not a list, a non-finite number
+or NaN/Infinity anywhere in the document, a metric not positive definite or
+with cond(H) above 1e13, failed structure validation, unknown catalog name
+or one that is not a string, a structure too large to allocate, a numeric
+option out of its range, an optimize start metric or a variation-check
+finite-difference metric that cannot be analyzed, a usage error: an unknown
+option or command, a missing argument, a value argparse cannot convert);
+2 numerical failure, including a metric whose unitary frame overflows and a
+report, in either format, that would contain a non-finite number; 3 "not
+critical" / "not converged" / "deviation above tolerance" outcomes.  A
+failure writes one stderr line: ``error: ...`` for exit 1, ``numerical
+failure: ...`` for exit 2.
 
 Input documents are JSON with exactly one of:
   * ``"catalog": "<name>"``
@@ -100,6 +101,8 @@ def _integer(value):
 
 def _read_terms(entries, size, name, value):
     """0-based (up, i, k, value(entry)) of each ``{"up", "lo"}`` term entry."""
+    if not isinstance(entries, list):
+        raise InputError(f"{name} must be a list of terms")
     for entry in entries:
         try:
             up = _integer(entry["up"])
@@ -381,11 +384,9 @@ def _load_structure(args):
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             doc = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
-    except json.JSONDecodeError:
-        raise
     except (ValueError, RecursionError) as exc:
-        # invalid UTF-8, an integer past Python's digit limit, or nesting
-        # deeper than the decoder's recursion limit
+        # invalid JSON or UTF-8, an integer past Python's digit limit, or
+        # nesting deeper than the decoder's recursion limit
         raise InputError(f"unreadable input document: {exc}") from exc
     hs = parse_input(doc)
     vrep = lh.validate(hs.sc)
@@ -403,35 +404,34 @@ def _random_hermitian(rng, n):
     return (x + x.conj().T) / 2
 
 
-def cmd_analyze(args):
-    hs, doc, vrep = _load_structure(args)
-    report = build_report(hs.sc, te.analyze(hs), vrep, doc, args.tol)
-    emit(report, args)
-    return EXIT_OK
+def cmd_analyze(args, hs, doc, vrep):
+    return build_report(hs.sc, te.analyze(hs), vrep, doc, args.tol), True
 
 
-def cmd_check_critical(args):
-    hs, doc, vrep = _load_structure(args)
+def cmd_check_critical(args, hs, doc, vrep):
     report = build_report(hs.sc, te.analyze(hs), vrep, doc, args.tol)
-    if args.functional == "torsion":
-        norm = report["residuals"]["norm_Q_F"]
-    else:
-        norm = report["residuals"]["norm_Q_G"]
+    norm = report["residuals"]["norm_Q_F" if args.functional == "torsion" else "norm_Q_G"]
+    critical = norm <= args.tol
     report["criticality"] = {
         "functional": args.functional,
         "residual_norm": norm,
         "tol": args.tol,
-        "critical": norm <= args.tol,
+        "critical": critical,
     }
-    emit(report, args)
-    return EXIT_OK if norm <= args.tol else EXIT_NOT_SATISFIED
+    return report, critical
 
 
-def cmd_variation_check(args):
-    hs, doc, vrep = _load_structure(args)
+# variation-check's bounds, which --tol does not move.  A central difference
+# of step 1e-4 is off by up to 1.5e-6 relative (iwasawa), a wrong variation by O(1)
+_FD_REL_TOL = 1e-5
+# a variation below this is compared absolutely: 20 times the rounding of the
+# quotient at F = 24, but under its truncation error (1e-7 at step 1e-4)
+_FD_ABS_TOL = 1e-9
+
+
+def cmd_variation_check(args, hs, doc, vrep):
     pkg = te.analyze(hs)
     rng = np.random.default_rng(args.seed)
-    rel_tol, abs_tol = 1e-5, 1e-9
     worst_rel = 0.0
     passed = True
     rows = []
@@ -445,12 +445,12 @@ def cmd_variation_check(args):
                              f"that is unusable: {exc}") from exc
         dev = abs(analytic - fd)
         denom = max(abs(analytic), abs(fd))
-        if denom > abs_tol:
+        if denom > _FD_ABS_TOL:
             rel = dev / denom
-            ok = rel <= rel_tol
+            ok = rel <= _FD_REL_TOL
             worst_rel = max(worst_rel, rel)
         else:
-            ok = dev <= abs_tol
+            ok = dev <= _FD_ABS_TOL
         passed = passed and ok
         rows.append({"analytic": analytic, "fd": fd, "deviation": dev, "ok": ok})
     report = build_report(hs.sc, pkg, vrep, doc, args.tol)
@@ -462,12 +462,10 @@ def cmd_variation_check(args):
         "rows": rows,
         "passed": passed,
     }
-    emit(report, args)
-    return EXIT_OK if passed else EXIT_NOT_SATISFIED
+    return report, passed
 
 
-def cmd_optimize(args):
-    hs, doc, vrep = _load_structure(args)
+def cmd_optimize(args, hs, doc, vrep):
     cfg = op.OptimConfig(
         objective=args.objective,
         max_iter=args.max_iter,
@@ -484,8 +482,7 @@ def cmd_optimize(args):
         raise InputError(f"start metric from --perturb {args.perturb:g} is unusable: {exc}") from exc
     report = build_report(hs.sc, pkg_star, vrep, doc, args.tol)
     report["optimization"] = {**block, "seed": args.seed}
-    emit(report, args)
-    return EXIT_OK if block["converged"] else EXIT_NOT_SATISFIED
+    return report, block["converged"]
 
 
 def cmd_catalog(args):
@@ -569,11 +566,8 @@ def make_parser():
 
     p = sub.add_parser("catalog", help="list or show named structures")
     csub = p.add_subparsers(dest="action", required=True)
-    pl = csub.add_parser("list")
-    pl.set_defaults(func=cmd_catalog, action="list")
-    ps = csub.add_parser("show")
-    ps.add_argument("name")
-    ps.set_defaults(func=cmd_catalog, action="show")
+    csub.add_parser("list")
+    csub.add_parser("show").add_argument("name")
 
     return parser
 
@@ -600,6 +594,7 @@ def _check_options(args):
 
 
 def main(argv=None):
+    """Run one command: the one place that writes a report and picks an exit code."""
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
@@ -607,11 +602,15 @@ def main(argv=None):
         # a non-finite result is reported once, by the report's encoder, not
         # also as floating-point warnings of the computation behind it
         with np.errstate(all="ignore"):
-            return args.func(args)
-    except (NumericalFailure, FloatingPointError) as exc:
+            if args.command == "catalog":
+                return cmd_catalog(args)
+            report, satisfied = args.func(args, *_load_structure(args))
+            emit(report, args)
+        return EXIT_OK if satisfied else EXIT_NOT_SATISFIED
+    except NumericalFailure as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
-    except (HermlabError, OSError, json.JSONDecodeError, MemoryError) as exc:
+    except (HermlabError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT
 

@@ -40,13 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_algebra as ta
-from .errors import (
-    DimensionMismatch,
-    JacobiViolation,
-    NotIntegrable,
-    SingularFrame,
-    UnknownCatalogEntry,
-)
+from .errors import (DimensionMismatch, JacobiViolation, NotIntegrable, NumericalFailure,
+                     SingularFrame, UnknownCatalogEntry)
 
 # a frame whose condition number exceeds this loses all but ~3 digits in
 # double precision; it bounds a matrix, not an algebraic residual
@@ -331,7 +326,8 @@ def unitary_reduction(hs):
 
     Uses ``P = (L^T)^{-1}`` from the Cholesky factor ``H = L L*`` so the
     output is deterministic; for ``H = I`` the frame is unchanged.
-    Raises :class:`SingularFrame` when cond(H) exceeds ``_COND_LIMIT``.
+    Raises :class:`SingularFrame` when cond(H) exceeds ``_COND_LIMIT`` and
+    :class:`NumericalFailure` when the unitary frame's C or D overflows.
     Returns ``(P, sc_unitary)``.
     """
     L = ta.cholesky(hs.H)
@@ -340,7 +336,10 @@ def unitary_reduction(hs):
     if cond > _COND_LIMIT:
         raise SingularFrame(f"metric is numerically singular: cond(H) = {cond:.3e}")
     P = np.linalg.inv(L.T)
-    return P, _transform(hs.sc, P)
+    try:
+        return P, _transform(hs.sc, P)
+    except ValueError as exc:  # StructureConstants found a non-finite entry
+        raise NumericalFailure(f"unitary frame of the metric overflows: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +377,8 @@ def catalog_names():
 
 def catalog(name, metric=None):
     """A named validated structure, with the identity metric by default."""
+    if not isinstance(name, str):
+        raise UnknownCatalogEntry(repr(name))
     name = name.strip()
     m = re.fullmatch(r"abelian-(\d+)", name)
     if m:

@@ -146,6 +146,14 @@ def realified_so(k):
     return lh.RealLieData(2 * n, f, standard_J(n))
 
 
+# d phi_1 = -1e200 phi_2 ^ phi_3 under the metric 1e-250 I: the unitary frame
+# P = 1e125 I scales C by 1e125, past the largest double
+OVERFLOWING_FRAME_DOC = {
+    "n": 3,
+    "C": [{"up": 1, "lo": [2, 3], "re": 1e200}, {"up": 1, "lo": [3, 2], "re": -1e200}],
+    "metric": [[[1e-250 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)],
+}
+
 CATALOG_SAMPLE = ["abelian-2", "abelian-3", "so3c", "sokc-4", "iwasawa", "kodaira-thurston"]
 
 

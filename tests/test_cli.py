@@ -17,8 +17,8 @@ import hermlab.tensor_algebra as ta
 import hermlab.torsion_engine as te
 
 import oracles
-from conftest import (CATALOG_SAMPLE, explicit_document, random_gl, random_hpd,
-                      random_structure, random_two_step_structure, realified_so)
+from conftest import (CATALOG_SAMPLE, OVERFLOWING_FRAME_DOC, explicit_document, random_gl,
+                      random_hpd, random_structure, random_two_step_structure, realified_so)
 
 NAN = float("nan")
 KT_J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
@@ -84,6 +84,10 @@ def test_parse_real_algebra_input():
         {"n": 2, "C": [{"up": 1, "lo": [1], "re": 1.0}]},
         {"catalog": "so3c", "metric": [[1]]},
         "not a dict",
+        {"n": 2, "C": 5},
+        {"n": 2, "C": None},
+        {"real_algebra": {"dim": 4, "f": 3, "J": KT_J}},
+        {"catalog": 5},
     ],
 )
 def test_parse_rejects_malformed(doc):
@@ -183,10 +187,16 @@ def test_analyze_invalid_inputs_exit_1(tmp_path, capsys):
         {"n": "3", "C": []},
         {"real_algebra": {"dim": 2.7, "f": [], "J": [[0, -1], [1, 0]]}},
         {"catalog": "so3c", "metric": SINGULAR_METRIC},
+        # a term list that is not a list, a catalog name that is not a string
+        {"n": 2, "C": 5},
+        {"n": 2, "C": None},
+        {"real_algebra": {"dim": 4, "f": 3, "J": KT_J}},
+        {"catalog": 5},
     ],
     ids=["nan-C", "nan-D", "nan-metric", "nan-real-f", "nan-real-metric",
          "malformed-metric", "malformed-real-f", "range-real-f", "repeated-real-f",
-         "fractional-lo", "bool-n", "string-n", "fractional-dim", "cond-H"],
+         "fractional-lo", "bool-n", "string-n", "fractional-dim", "cond-H",
+         "int-C", "null-C", "int-real-f", "int-catalog"],
 )
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, doc):
     code, out, err = _run(capsys, "analyze", _write(tmp_path, doc), "--format", "json")
@@ -299,6 +309,24 @@ def test_unreadable_document_exits_1_with_one_line(tmp_path, capsys, text):
     assert code == cli.EXIT_INVALID_INPUT
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_invalid_json_is_an_unreadable_document(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text("{not json")
+    code, out, err = _run(capsys, "analyze", str(path))
+    assert (code, out) == (cli.EXIT_INVALID_INPUT, "")
+    assert err == ("error: unreadable input document: Expecting property name enclosed "
+                   "in double quotes: line 1 column 2 (char 1)\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-critical", "variation-check"])
+def test_overflowing_unitary_frame_exits_2(tmp_path, capsys, command):
+    path = _write(tmp_path, OVERFLOWING_FRAME_DOC)
+    code, out, err = _run(capsys, command, path, "--format", "json")
+    assert (code, out) == (cli.EXIT_NUMERICAL, "")
+    assert err == ("numerical failure: unitary frame of the metric overflows: "
+                   "C contains non-finite entries\n")
 
 
 def test_directory_as_document_exits_1(tmp_path, capsys):
@@ -840,6 +868,28 @@ def test_optimize_unusable_perturbed_start_exits_1(tmp_path, seed):
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: start metric from --perturb 40 is unusable: ")
+
+
+@pytest.mark.parametrize("doc, perturb, reason", [
+    ({"catalog": "so3c"}, "1000", ""),  # exp(S0), |S0| = 1000, is not positive definite
+    (OVERFLOWING_FRAME_DOC, "0", "unitary frame of the metric overflows"),
+], ids=["perturb-1000", "overflowing-frame"])
+def test_optimize_unusable_start_names_perturb(tmp_path, capsys, doc, perturb, reason):
+    code, out, err = _run(capsys, "optimize", _write(tmp_path, doc), "--perturb", perturb)
+    assert (code, out) == (cli.EXIT_INVALID_INPUT, "")
+    assert len(err.splitlines()) == 1 and reason in err
+    assert err.startswith(f"error: start metric from --perturb {perturb} is unusable: ")
+
+
+def test_optimize_stagnated_exits_3(tmp_path, capsys, monkeypatch):
+    # a line search that fails far above the rounding floor stops the descent
+    # as stagnated, not converged
+    monkeypatch.setattr(op, "_line_search", lambda *args: None)
+    path = _write(tmp_path, {"catalog": "so3c"})
+    code, out, _ = _run(capsys, "optimize", path, "--perturb", "0.3", "--format", "json")
+    assert code == cli.EXIT_NOT_SATISFIED
+    opt = json.loads(out)["optimization"]
+    assert (opt["reason"], opt["converged"], opt["iterations"]) == ("stagnated", False, 0)
 
 
 def test_optimize_non_positive_definite_metric_exits_1(tmp_path, capsys):

@@ -5,6 +5,8 @@ import pytest
 
 import hermlab.lie_hermitian as lh
 from hermlab.errors import (
+    DimensionMismatch,
+    JacobiViolation,
     NotIntegrable,
     SingularFrame,
     UnknownCatalogEntry,
@@ -19,6 +21,7 @@ from conftest import (
     random_structure,
     random_unitary,
     realified_so,
+    standard_J,
 )
 
 
@@ -182,6 +185,24 @@ def test_complexify_rejects_non_integrable():
         lh.complexify(lh.RealLieData(4, f, J))
 
 
+def test_complexify_rejects_jacobi_violation():
+    # [x1, x2] = x3 and [x1, x3] = x1: the Jacobi sum of (x1, x2, x3) is
+    # [x2, [x3, x1]] + [x3, [x1, x2]] = [x1, x2] = x3
+    f = np.zeros((4, 4, 4))
+    f[2, 0, 1], f[2, 1, 0] = 1.0, -1.0
+    f[0, 0, 2], f[0, 2, 0] = 1.0, -1.0
+    with pytest.raises(JacobiViolation):
+        lh.complexify(lh.RealLieData(4, f, standard_J(2)))
+
+
+def test_complexify_rejects_a_singular_complexified_basis():
+    # J = A J0 A^-1 with A = diag(1, 1e-14): J^2 = -I, but its +i eigenvector
+    # (1e14 i, 1) and its conjugate make a frame of condition number 1e14
+    J = np.array([[0.0, -1e14], [1e-14, 0.0]])
+    with pytest.raises(SingularFrame, match="complexified basis"):
+        lh.complexify(lh.RealLieData(2, np.zeros((2, 2, 2)), J))
+
+
 def test_complexify_rejects_bad_J():
     J = np.eye(4)  # J^2 = +I
     with pytest.raises(Exception):
@@ -271,6 +292,12 @@ def test_frame_change_rejects_singular():
     sc = lh.catalog("abelian-2").sc
     with pytest.raises(SingularFrame):
         lh.frame_change(sc, np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def test_frame_change_rejects_a_frame_of_another_dimension():
+    sc = lh.catalog("so3c").sc
+    with pytest.raises(DimensionMismatch, match="3x3"):
+        lh.frame_change(sc, np.eye(2))
 
 
 def test_unitary_reduction_identity_metric():

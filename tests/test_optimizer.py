@@ -5,15 +5,16 @@ from collections import Counter, deque
 import numpy as np
 import pytest
 
+import hermlab.cli as cli
 import hermlab.functionals as fn
 import hermlab.lie_hermitian as lh
 import hermlab.optimizer as op
 import hermlab.torsion_engine as te
-from hermlab.errors import InvalidStartPoint, SingularFrame
+from hermlab.errors import InvalidStartPoint, NumericalFailure, SingularFrame
 
 import oracles
-from conftest import (random_hermitian, random_hpd, random_structure, random_two_step_structure,
-                      random_unitary)
+from conftest import (OVERFLOWING_FRAME_DOC, random_hermitian, random_hpd, random_structure,
+                      random_two_step_structure, random_unitary)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +439,32 @@ def test_minimize_singular_frame_at_start_is_invalid_start_point(monkeypatch):
     monkeypatch.setattr(lh, "unitary_reduction", singular)
     with pytest.raises(InvalidStartPoint, match="numerically singular"):
         op.minimize(lh.catalog("iwasawa"), op.OptimConfig())
+
+
+def test_minimize_overflowing_unitary_frame_at_start_is_invalid_start_point():
+    hs = cli.parse_input(OVERFLOWING_FRAME_DOC)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidStartPoint, match="unitary frame of the metric overflows") as info:
+            op.minimize(hs, op.OptimConfig())
+    assert isinstance(info.value.__cause__, NumericalFailure)
+
+
+def test_minimize_rejects_overflowing_unitary_frame_trial(rng, monkeypatch):
+    # a trial metric whose unitary frame overflows is a rejected trial
+    calls = []
+    transform = lh._transform
+
+    def overflowing_once(sc, P):
+        calls.append(1)
+        if len(calls) == 2:  # the first trial step; call 1 analyzes the start
+            raise ValueError("C contains non-finite entries")
+        return transform(sc, P)
+
+    monkeypatch.setattr(lh, "_transform", overflowing_once)
+    opt, _ = op.minimize(lh.catalog("iwasawa"), op.OptimConfig(max_iter=5),
+                         S0=0.2 * random_hermitian(rng, 3))
+    assert len(calls) > 2
+    assert opt["iterations"] == 5 and opt["reason"] == "max_iterations"
 
 
 def test_minimize_keeps_volume(rng):

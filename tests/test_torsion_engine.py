@@ -6,9 +6,10 @@ import pytest
 import hermlab.cli as cli
 import hermlab.lie_hermitian as lh
 import hermlab.torsion_engine as te
+from hermlab.errors import NumericalFailure
 
 import oracles
-from conftest import random_hpd, random_structure, random_unitary
+from conftest import OVERFLOWING_FRAME_DOC, random_hpd, random_structure, random_unitary
 
 
 def _analyze(name, H=None):
@@ -272,3 +273,10 @@ def test_analyze_reports_consistent_package(rng):
     assert pkg.n == 3
     assert pkg.norm_T2 == pytest.approx(float(np.sum(np.abs(pkg.T) ** 2)))
     assert np.abs(pkg.eta - te.torsion_one_form(pkg.T)).max() == 0.0
+
+
+def test_analyze_overflowing_unitary_frame_is_a_numerical_failure():
+    hs = cli.parse_input(OVERFLOWING_FRAME_DOC)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailure, match="unitary frame of the metric overflows"):
+            te.analyze(hs)
