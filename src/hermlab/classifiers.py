@@ -50,45 +50,26 @@ def lck_check(pkg):
 
 
 def stp_check(pkg, work=None):
-    """Residuals of the parallel-torsion identities of an analyzed metric.
+    """The residuals of Strominger torsion parallel: max |nabla^s T| in the
+    unbarred (``nabla_s_hol``) and the barred (``nabla_s_bar``) direction.
 
-    The metric is Strominger torsion parallel when the first two vanish; the
-    derived identities are reported for cross-validation.  Keys (the first
-    three each contract in O(n^5), as do :func:`pluriclosed_residual` and the
-    d(d phi) check of ``lie_hermitian.validate``; the rest are O(n^4) or less):
-      nabla_s_hol / nabla_s_bar -- the Strominger derivative of T, i.e. the
-        templates at Gamma = D + T;
-      quadratic_hol -- the purely quadratic identity (vanishing of the
-        holomorphic T*T combination, the template at Gamma = T);
-      eta_contraction -- sum_r eta_r T^r_{ik};
-      phi_xi_vs_BA -- phi - xi - (B - A).
-
-    The templates run in ``work`` (a ``torsion_engine.workspace``, allocated
-    when none is passed), and each ``max|.|`` is reduced in its spent second
-    half.  When D = 0 the Strominger connection is T and ``nabla_s_hol`` is
-    ``quadratic_hol``, so a report builds two templates, and three otherwise.
+    nabla^s T is the template at the Strominger connection Gamma = D + T,
+    which contracts in O(n^5), as do :func:`pluriclosed_residual` and the
+    d(d phi) check of ``lie_hermitian.validate``.  Both templates run in
+    ``work`` (a ``torsion_engine.workspace``, allocated when none is passed),
+    and each ``max|.|`` is reduced in its spent second half.
     """
-    T, eta = pkg.T, pkg.eta
     if work is None:
         work = te.workspace(pkg.n)
     # |.| of a template (in work[0]) goes into the first n^4 floats of work[1]
     spent = work[1].view(float).reshape(work.shape)[0]
 
     def max_abs(template, gamma):
-        return float(np.abs(template(T, gamma, work), out=spent).max())
+        return float(np.abs(template(pkg.T, gamma, work), out=spent).max())
 
-    # nabla^s T is the template at the Strominger connection (linear in Gamma)
-    S = pkg.sc_u.D + T
-    quadratic_hol = max_abs(te.holomorphic_derivative_T, T)
-    # with D = 0 the Strominger connection is T, whose template is built
-    nabla_s_hol = max_abs(te.holomorphic_derivative_T, S) if pkg.sc_u.D.any() else quadratic_hol
-    return {
-        "nabla_s_hol": nabla_s_hol,
-        "nabla_s_bar": max_abs(te.covariant_derivative_T, S),
-        "quadratic_hol": quadratic_hol,
-        "eta_contraction": float(np.abs(np.einsum("r,rik->ik", eta, T)).max()),
-        "phi_xi_vs_BA": float(np.abs((pkg.phi - pkg.xi) - (pkg.B - pkg.A)).max()),
-    }
+    S = pkg.sc_u.D + pkg.T
+    return {"nabla_s_hol": max_abs(te.holomorphic_derivative_T, S),
+            "nabla_s_bar": max_abs(te.covariant_derivative_T, S)}
 
 
 def nilpotent_J_check(sc):
@@ -171,6 +152,6 @@ def classify(pkg, sc, tol=DEFAULT_TOL):
         "pluriclosed": thresholded(pluriclosed_residual(pkg, work)),
         "lck_shape": thresholded(lck_check(pkg)),
         # Strominger torsion parallel: both nabla^s T residuals within tol
-        "stp": {"flag": max(stp["nabla_s_hol"], stp["nabla_s_bar"]) <= tol, "residuals": stp},
+        "stp": {"flag": max(stp.values()) <= tol, "residuals": stp},
         "nilpotent_J": {"flag": nilp_flag, "witness": witness},
     }

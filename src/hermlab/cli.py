@@ -5,7 +5,8 @@ Commands: analyze, check-critical, variation-check, optimize, catalog.
 Exit codes: 0 success; 1 invalid input (a document that cannot be read or
 decoded, schema, such as a term list that is not a list, a non-finite number
 or NaN/Infinity anywhere in the document, a metric not positive definite or
-with cond(H) above 1e13, failed structure validation, unknown catalog name
+with cond(H) above 1e13, failed structure validation, a structure that is
+not unimodular, unknown catalog name
 or one that is not a string, a structure too large to allocate, a numeric
 option out of its range, an optimize start metric or a variation-check
 finite-difference metric that cannot be analyzed, a usage error: an unknown
@@ -395,6 +396,7 @@ def _load_structure(args):
             "structure constants failed validation: "
             + ", ".join(f"{c.name}={c.residual:.3e}" for c in vrep.checks if not c.passed)
         )
+    lh.require_unimodular(hs.sc)
     return hs, doc, vrep
 
 
@@ -421,11 +423,12 @@ def cmd_check_critical(args, hs, doc, vrep):
     return report, critical
 
 
-# variation-check's bounds, which --tol does not move.  A central difference
-# of step 1e-4 is off by up to 1.5e-6 relative (iwasawa), a wrong variation by O(1)
+# variation-check's bounds, which --tol does not move.  The Richardson
+# difference of step 1e-4 is off by rounding, up to 5e-9 relative on random
+# structures, a wrong variation by O(1)
 _FD_REL_TOL = 1e-5
-# a variation below this is compared absolutely: 20 times the rounding of the
-# quotient at F = 24, but under its truncation error (1e-7 at step 1e-4)
+# a variation below this is compared absolutely: at a critical metric the
+# difference reads its rounding, up to 1.8e-10 on sokc-4 (F = 24)
 _FD_ABS_TOL = 1e-9
 
 

@@ -17,8 +17,8 @@ class NotIntegrable(HermlabError):
     """The almost complex structure fails the integrability condition."""
 
 
-class JacobiViolation(HermlabError):
-    """Structure constants fail the Jacobi identity / d*d = 0."""
+class NotUnimodular(HermlabError):
+    """The Lie algebra is not unimodular: some ad X has a non-zero trace."""
 
 
 class SingularFrame(HermlabError):

@@ -109,12 +109,23 @@ def first_variation(pkg, h, functional="torsion_functional"):
 
 
 def fd_first_variation(hs, h, step=1e-4, functional="torsion_functional"):
-    """Central finite difference of a functional along H + t h."""
+    """Finite-difference derivative of a functional along H + t h.
+
+    The Richardson combination (4 D(step/2) - D(step)) / 3 of the central
+    differences D(s) = (f(H + s h) - f(H - s h)) / (2s): the step^2 terms of
+    their truncation cancel, leaving O(step^4), so at a critical metric,
+    where the derivative is 0, it reads rounding rather than step^2 times
+    the third variation.  Four analyses.
+    """
     value, _ = _functional(functional)
     h = np.asarray(h, dtype=complex)
-    plus = te.analyze(lh.HermitianStructure(hs.sc, hs.H + step * h))
-    minus = te.analyze(lh.HermitianStructure(hs.sc, hs.H - step * h))
-    return (value(plus) - value(minus)) / (2 * step)
+
+    def central(s):
+        plus = te.analyze(lh.HermitianStructure(hs.sc, hs.H + s * h))
+        minus = te.analyze(lh.HermitianStructure(hs.sc, hs.H - s * h))
+        return (value(plus) - value(minus)) / (2 * s)
+
+    return (4 * central(step / 2) - central(step)) / 3
 
 
 def residual_report(pkg):

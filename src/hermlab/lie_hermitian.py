@@ -15,8 +15,10 @@ the 2n generators e = (phi, phibar) it returns N with
 so ``N[j,i,k] = -C[j,i,k]`` and ``N[j,i,n+k] = -conj(D[i,j,k])`` for the
 rows of phi (D enters with its first lower slot bound to the form label);
 the rows of phibar are their conjugates with phi and phibar swapped.
-:func:`structure_equations_text` reads N, and :func:`validate` reads it
-through :func:`exterior_d`, the derivative of 2-forms given as coefficient
+:func:`structure_equations_text` and :func:`unimodularity_residual` read
+N (the bracket is [x_r, x_s] = -sum_p N[p,r,s] x_p on the dual frame x, so
+tr ad x_r = -sum_p N[p,r,p]), and :func:`validate` reads it through
+:func:`exterior_d`, the derivative of 2-forms given as coefficient
 arrays: the rows ``N[:n]`` are the 2-forms d phi_j.  The structure is
 integrable, so d phi_j has no (0,2) part: the rows of phi have a zero
 phibar-phibar block and the rows of phibar a zero phi-phi block, and
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_algebra as ta
-from .errors import (DimensionMismatch, JacobiViolation, NotIntegrable, NumericalFailure,
+from .errors import (DimensionMismatch, NotIntegrable, NotUnimodular, NumericalFailure,
                      SingularFrame, UnknownCatalogEntry)
 
 # a frame whose condition number exceeds this loses all but ~3 digits in
@@ -222,15 +224,29 @@ def validate(sc):
     return ValidationReport(checks)
 
 
+def unimodularity_residual(sc):
+    """max_r |tr ad e_r| over the 2n generators, which is max_r |sum_p N[p,r,p]|:
+    zero exactly on a unimodular algebra."""
+    return float(np.abs(np.einsum("prp->r", structure_tensor(sc))).max())
+
+
+def require_unimodular(sc):
+    """Raise :class:`NotUnimodular` when :func:`unimodularity_residual`
+    exceeds ``DEFAULT_TOL``.
+
+    Q_F and Q_G are first variations only on a unimodular algebra: they
+    integrate by parts over a compact quotient, and a Lie group with a
+    lattice is unimodular (Milnor, *Curvatures of left invariant metrics on
+    Lie groups*, Adv. Math. 1976, Lemma 6.2).
+    """
+    residual = unimodularity_residual(sc)
+    if residual > ta.DEFAULT_TOL:
+        raise NotUnimodular(f"structure is not unimodular: max |tr ad| = {residual:.3e}, "
+                            "so Q_F and Q_G are not first variations")
+
+
 # ---------------------------------------------------------------------------
 # complexification of real data
-
-
-def _real_jacobi_residual(f):
-    # cyclic sum of f^e_{ad} f^d_{bc} over (a,b,c)
-    t = np.einsum("ead,dbc->eabc", f, f)
-    cyc = t + np.transpose(t, (0, 2, 3, 1)) + np.transpose(t, (0, 3, 1, 2))
-    return float(np.abs(cyc).max())
 
 
 def _pivot_columns(A, k):
@@ -251,11 +267,12 @@ def complexify(rl):
     """Structure constants of the (1,0)-frame induced by (f, J).
 
     Raises ``ValueError`` when J*J = -I fails or ``f`` is not antisymmetric
-    in its lower pair beyond ``DEFAULT_TOL``, :class:`JacobiViolation` when the
-    real constants fail Jacobi, and :class:`NotIntegrable` when the bracket of
-    two (1,0)-fields has a (0,1)-component exceeding it (Nijenhuis
-    obstruction).  The result is not passed through :func:`validate`; callers
-    that need d*d = 0 checked validate it themselves, as the CLI does.
+    in its lower pair beyond ``DEFAULT_TOL``, and :class:`NotIntegrable` when
+    the bracket of two (1,0)-fields has a (0,1)-component exceeding it
+    (Nijenhuis obstruction).  The Jacobi identity of ``f`` is the identity
+    d*d = 0 of the result, which is not passed through :func:`validate`:
+    callers that need it checked validate the result themselves, as the CLI
+    does for every input.
     """
     dim, f, J, tol = rl.dim, rl.f, rl.J, ta.DEFAULT_TOL
     n = dim // 2
@@ -265,9 +282,6 @@ def complexify(rl):
     asym = float(np.abs(f + f.swapaxes(1, 2)).max())
     if asym > tol:
         raise ValueError(f"f is not antisymmetric in its lower pair: residual {asym:.3e}")
-    jac = _real_jacobi_residual(f)
-    if jac > tol:
-        raise JacobiViolation(f"real Jacobi residual {jac:.3e}")
 
     # basis of the +i eigenspace of J: independent columns of (I - iJ)/2,
     # located by column pivoting but kept un-orthogonalized so structured
@@ -337,7 +351,9 @@ def unitary_reduction(hs):
         raise SingularFrame(f"metric is numerically singular: cond(H) = {cond:.3e}")
     P = np.linalg.inv(L.T)
     try:
-        return P, _transform(hs.sc, P)
+        # an overflow is reported once, as the NumericalFailure below
+        with np.errstate(over="ignore", invalid="ignore"):
+            return P, _transform(hs.sc, P)
     except ValueError as exc:  # StructureConstants found a non-finite entry
         raise NumericalFailure(f"unitary frame of the metric overflows: {exc}") from exc
 

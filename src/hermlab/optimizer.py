@@ -55,7 +55,7 @@ from . import functionals as fn
 from . import tensor_algebra as ta
 from . import torsion_engine as te
 from .errors import InvalidStartPoint, NotPositiveDefinite, NumericalFailure, SingularFrame
-from .lie_hermitian import HermitianStructure
+from .lie_hermitian import HermitianStructure, require_unimodular
 
 OBJECTIVES = (*fn.FUNCTIONALS, "residual_norm")
 
@@ -95,6 +95,7 @@ class _Problem:
     """The objective of a descent from ``hs0`` as a function of the chart S."""
 
     def __init__(self, hs0, cfg):
+        require_unimodular(hs0.sc)  # else the gradient is no first variation
         self.sc = hs0.sc
         ta.cholesky(hs0.H)  # the anchor metric must be positive definite
         vals, vecs = np.linalg.eigh(np.asarray(hs0.H, dtype=complex))
@@ -111,20 +112,27 @@ class _Problem:
         return self.root @ ((vecs * np.exp(vals)) @ vecs.conj().T) @ self.root
 
     def analyze(self, S):
-        H = self.metric(S)
-        if not np.isfinite(H).all():
-            raise NumericalFailure("metric overflowed in the exponential chart")
-        return te.analyze(HermitianStructure(self.sc, H))
+        """The analysis of H(S).  A step can leave the numerically valid
+        cone: the chart overflows, H stops being positive definite in floats
+        or cond(H) passes the limit of the frame change to its unitary frame.
+        Each raises one of ``_UNUSABLE``, not also a floating-point warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            H = self.metric(S)
+            if not np.isfinite(H).all():
+                raise NumericalFailure("metric overflowed in the exponential chart")
+            return te.analyze(HermitianStructure(self.sc, H))
 
     def value(self, S, pkg):
-        """The objective at S, whose metric has the analysis ``pkg``."""
+        """The objective at S, whose metric has the analysis ``pkg``: a
+        non-finite one raises NumericalFailure, not also a warning."""
         if pkg.volume <= 0:
             raise NumericalFailure("metric has non-positive determinant")
-        if self.cfg.objective == "residual_norm":
-            G = _functional_gradient(self, S, pkg)
-            val = _inner(G, G)
-        else:
-            val = self.value_of(pkg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.cfg.objective == "residual_norm":
+                G = _functional_gradient(self, S, pkg)
+                val = _inner(G, G)
+            else:
+                val = self.value_of(pkg)
         if not np.isfinite(val):
             raise NumericalFailure("objective evaluated to a non-finite value")
         return val
@@ -210,13 +218,9 @@ def _line_search(prob, S, obj, d, slope):
     step = INITIAL_STEP
     while -step * slope >= floor:
         cand = S + step * d
-        # a long trial step can leave the numerically valid cone: the chart
-        # overflows, H stops being positive definite in floats or cond(H)
-        # passes the limit of the frame change to its unitary frame
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                cand_pkg = prob.analyze(cand)
-                cand_obj = prob.value(cand, cand_pkg)
+            cand_pkg = prob.analyze(cand)
+            cand_obj = prob.value(cand, cand_pkg)
         except _UNUSABLE:
             step *= SHRINK
             continue
@@ -243,8 +247,9 @@ def minimize(hs0, cfg, S0=None):
     positive definite in floating point, cond(H) past ``_COND_LIMIT``,
     non-positive determinant, non-finite objective) counts as a rejected
     trial and the step shrinks.
-    A start point that cannot be analyzed raises :class:`InvalidStartPoint`;
-    a failure in a gradient raises as it is.
+    A structure that is not unimodular raises ``NotUnimodular``, a start
+    point that cannot be analyzed :class:`InvalidStartPoint`; a failure in a
+    gradient raises as it is.
     """
     prob = _Problem(hs0, cfg)
     n = hs0.n

@@ -58,6 +58,41 @@ def n2_family(c):
     return lh.StructureConstants(2, C, D)
 
 
+def semidirect(weights):
+    """The complex Lie algebra C x| C^k with [e1, e_{1+m}] = weights[m] e_{1+m},
+    so D = 0; unimodular exactly when the weights sum to 0."""
+    n = len(weights) + 1
+    C = np.zeros((n, n, n), dtype=complex)
+    for m, w in enumerate(weights, start=1):
+        C[m, 0, m], C[m, m, 0] = w, -w
+    return lh.StructureConstants(n, C, np.zeros((n, n, n)))
+
+
+def nakamura():
+    """The Nakamura algebra C x| C^2: [e1, e2] = e2 and [e1, e3] = -e3.
+    Unimodular and solvable, but not nilpotent (Nakamura, *Complex
+    parallelisable manifolds and their small deformations*, J. Diff. Geom.
+    1975)."""
+    return semidirect((1.0, -1.0))
+
+
+def hopf_real():
+    """su(2) + R, [e1, e2] = e3 and cyclic, with J e1 = e2 and J e3 = e4:
+    the Hopf surface S^3 x S^1 as a real algebra."""
+    f = np.zeros((4, 4, 4))
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        f[c, a, b], f[c, b, a] = 1.0, -1.0
+    J = np.zeros((4, 4))
+    J[1, 0], J[0, 1] = 1.0, -1.0
+    J[3, 2], J[2, 3] = 1.0, -1.0
+    return lh.RealLieData(4, f, J)
+
+
+def hopf():
+    """The Hopf structure :func:`hopf_real` through ``complexify``; D != 0."""
+    return lh.complexify(hopf_real())
+
+
 def random_base_structure(rng, n):
     """A valid structure of complex dimension n, not yet frame-mixed."""
     if n == 2:
@@ -144,6 +179,20 @@ def realified_so(k):
     f[n:, n:, :n] = c
     f[:n, n:, n:] = -c
     return lh.RealLieData(2 * n, f, standard_J(n))
+
+
+def realified(sc):
+    """The real algebra of the structure ``sc`` with its complex structure
+    ``standard_J``: the bracket -N of the structure tensor, written in the
+    real basis u_a = e_a + ebar_a, v_a = i (e_a - ebar_a), on which
+    ``complexify`` picks e_a back.  Built for any C and D, Jacobi or not."""
+    n = sc.n
+    a = np.arange(n)
+    M = np.zeros((2 * n, 2 * n), dtype=complex)  # the columns u_a, v_a over (e, ebar)
+    M[a, a] = M[n + a, a] = 1.0
+    M[a, n + a], M[n + a, n + a] = 1j, -1j
+    f = np.einsum("cp,prs,ra,sb->cab", np.linalg.inv(M), -lh.structure_tensor(sc), M, M)
+    return lh.RealLieData(2 * n, f.real, standard_J(n))
 
 
 # d phi_1 = -1e200 phi_2 ^ phi_3 under the metric 1e-250 I: the unitary frame

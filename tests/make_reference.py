@@ -9,7 +9,7 @@ positive definite metrics.  The random inputs are stored next to their values
 random builders staying the same.
 
 Values: the torsion scalars and tensors, both residual matrices and
-functionals, the five Strominger-parallel residuals, every classification
+functionals, the two Strominger-parallel residuals, every classification
 flag with the residual behind it, and the nilpotent-J witness;
 ``tests/test_reference.py`` compares them with the library.  Regenerate only
 on a commit whose outputs are trusted: the file pins every later commit to

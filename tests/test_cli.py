@@ -11,14 +11,16 @@ import pytest
 
 import hermlab
 import hermlab.cli as cli
+import hermlab.functionals as fn
 import hermlab.lie_hermitian as lh
 import hermlab.optimizer as op
 import hermlab.tensor_algebra as ta
 import hermlab.torsion_engine as te
 
 import oracles
-from conftest import (CATALOG_SAMPLE, OVERFLOWING_FRAME_DOC, explicit_document, random_gl,
-                      random_hpd, random_structure, random_two_step_structure, realified_so)
+from conftest import (CATALOG_SAMPLE, OVERFLOWING_FRAME_DOC, explicit_document, hopf_real,
+                      nakamura, random_gl, random_hpd, random_structure,
+                      random_two_step_structure, realified_so)
 
 NAN = float("nan")
 KT_J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
@@ -320,6 +322,39 @@ def test_invalid_json_is_an_unreadable_document(tmp_path, capsys):
                    "in double quotes: line 1 column 2 (char 1)\n")
 
 
+# aff(C) and C x| C^2 with weights (1, 1): valid, but not unimodular
+NON_UNIMODULAR = {
+    "aff-C": ({"n": 2, "C": [{"up": 2, "lo": [1, 2], "re": 1.0},
+                             {"up": 2, "lo": [2, 1], "re": -1.0}]}, "1.000e+00"),
+    "C-x-C2": ({"n": 3, "C": [{"up": 2, "lo": [1, 2], "re": 1.0},
+                              {"up": 2, "lo": [2, 1], "re": -1.0},
+                              {"up": 3, "lo": [1, 3], "re": 1.0},
+                              {"up": 3, "lo": [3, 1], "re": -1.0}]}, "2.000e+00"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(NON_UNIMODULAR))
+@pytest.mark.parametrize("command", ["analyze", "check-critical", "variation-check", "optimize"])
+def test_non_unimodular_structure_exits_1(tmp_path, capsys, command, label):
+    doc, trace = NON_UNIMODULAR[label]
+    code, out, err = _run(capsys, command, _write(tmp_path, doc), "--format", "json")
+    assert (code, out) == (cli.EXIT_INVALID_INPUT, "")
+    assert err == (f"error: structure is not unimodular: max |tr ad| = {trace}, "
+                   "so Q_F and Q_G are not first variations\n")
+
+
+def test_real_algebra_failing_jacobi_fails_validation(tmp_path, capsys):
+    # complexify accepts this realification of a non-Jacobi structure and
+    # leaves the Jacobi identity to validate's d(d phi) = 0
+    doc = {"real_algebra": {"dim": 4, "f": [{"up": 3, "lo": [2, 4], "val": -2.0},
+                                            {"up": 4, "lo": [1, 3], "val": -2.0}],
+                            "J": [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]}}
+    code, out, err = _run(capsys, "analyze", _write(tmp_path, doc))
+    assert (code, out) == (cli.EXIT_INVALID_INPUT, "")
+    assert err == ("error: structure constants failed validation: "
+                   "dd_phi=1.000e+00, dd_phibar=1.000e+00\n")
+
+
 @pytest.mark.parametrize("command", ["analyze", "check-critical", "variation-check"])
 def test_overflowing_unitary_frame_exits_2(tmp_path, capsys, command):
     path = _write(tmp_path, OVERFLOWING_FRAME_DOC)
@@ -551,12 +586,12 @@ def test_parser_works_after_system_exit(tmp_path, capsys, argv, code):
         (["analyze"], 1, {"catalog": "iwasawa"}),
         (["check-critical"], 1, {"catalog": "iwasawa"}),
         (["check-critical", "--functional", "gauduchon"], 1, {"catalog": "iwasawa"}),
-        (["variation-check", "--directions", "3"], 1 + 2 * 3, {"catalog": "iwasawa"}),
+        (["variation-check", "--directions", "3"], 1 + 4 * 3, {"catalog": "iwasawa"}),
         (["analyze"], 1, KT_REAL),
         # None: the descent's own analyses, and none after it returns
         (["optimize", "--perturb", "0.1", "--seed", "3"], None, {"catalog": "sokc-4"}),
     ],
-    ids=["argv0-1", "argv1-1", "argv2-1", "argv3-7", "real-algebra", "optimize"],
+    ids=["argv0-1", "argv1-1", "argv2-1", "argv3-13", "real-algebra", "optimize"],
 )
 def test_one_analysis_and_validation_per_report(tmp_path, capsys, monkeypatch, argv, analyses,
                                                 doc):
@@ -591,24 +626,35 @@ def test_one_analysis_and_validation_per_report(tmp_path, capsys, monkeypatch, a
     assert calls == {"analyze": analyses, "validate": 1}
 
 
-def test_reports_build_nabla_T_three_times_unless_D_is_zero_and_analyses_never(
-        tmp_path, capsys, monkeypatch):
+def test_reports_build_nabla_T_twice_and_analyses_never(tmp_path, capsys, monkeypatch):
     # nabla T is an n^4 tensor that costs n^5: the Strominger-parallel check
-    # of a report builds three, one of them through covariant_derivative_T,
-    # or two when D = 0 and the Strominger connection is T; an analysis,
-    # which every descent step runs, builds none
+    # of a report builds the two its flag reads, one by each template call,
+    # whether or not D = 0; an analysis, which every descent step runs,
+    # builds none.  The barred template builds on the unbarred one, so a
+    # call made inside a counted call is not counted again.
     calls = Counter()
+    depth = []
+
+    def counting(name, real):
+        def counted(*args):
+            if not depth:
+                calls[name] += 1
+            depth.append(name)
+            try:
+                return real(*args)
+            finally:
+                depth.pop()
+        return counted
+
     for name in ("holomorphic_derivative_T", "covariant_derivative_T"):
-        real = getattr(te, name)
-        monkeypatch.setattr(te, name, lambda *a, real=real, name=name:
-                            calls.update([name]) or real(*a))
+        monkeypatch.setattr(te, name, counting(name, getattr(te, name)))
     te.analyze(lh.catalog("sokc-4"))
     assert not calls
-    for name, templates in (("sokc-4", 2), ("kodaira-thurston", 3)):
+    for name in ("sokc-4", "kodaira-thurston"):
         calls.clear()
         code, _, _ = _run(capsys, "analyze", _write(tmp_path, {"catalog": name}))
         assert code == cli.EXIT_OK
-        assert calls == {"holomorphic_derivative_T": templates, "covariant_derivative_T": 1}
+        assert calls == {"holomorphic_derivative_T": 1, "covariant_derivative_T": 1}
 
 
 def _python(*args):
@@ -763,6 +809,40 @@ def test_variation_check_passes(tmp_path, capsys):
         rep = json.loads(out)["variation_check"]
         assert rep["passed"] is True
         assert rep["max_relative_deviation"] <= 1e-5
+
+
+@pytest.mark.parametrize("doc", [
+    {"catalog": "so3c"},
+    {"catalog": "sokc-4"},
+    explicit_document(nakamura(), np.eye(3)),
+    _real_algebra_doc(hopf_real()),
+], ids=["so3c", "sokc-4", "nakamura", "hopf"])
+def test_variation_check_passes_at_critical_and_solvable_metrics(tmp_path, capsys, doc):
+    # so3c and sokc-4 are critical: the analytic variation is 0 and the
+    # Richardson difference reads rounding, below the absolute bound
+    path = _write(tmp_path, doc)
+    for seed in range(10):
+        code, out, err = _run(capsys, "variation-check", path, "--seed", str(seed))
+        assert (code, err) == (cli.EXIT_OK, ""), (seed, out)
+
+
+def test_variation_check_fails_a_wrong_Q_F(tmp_path, capsys, monkeypatch):
+    # Q_F with the sign of its xi term flipped must fail on Kodaira-Thurston,
+    # where xi != 0; on D = 0 structures xi = 0 and the mutation cannot show
+    torsion_critical_residual = fn.torsion_critical_residual
+
+    def flipped_xi(pkg):
+        Q, _ = torsion_critical_residual(pkg)
+        Q = Q + 4 * (pkg.xi + pkg.xi.conj().T)
+        return Q, float(np.linalg.norm(Q))
+
+    path = _write(tmp_path, {"catalog": "kodaira-thurston"})
+    assert np.abs(te.analyze(lh.catalog("kodaira-thurston")).xi).max() > 0.1
+    assert _run(capsys, "variation-check", path)[0] == cli.EXIT_OK
+    monkeypatch.setattr(fn, "torsion_critical_residual", flipped_xi)
+    code, out, _ = _run(capsys, "variation-check", path)
+    assert code == cli.EXIT_NOT_SATISFIED
+    assert "passed=False" in out
 
 
 def test_variation_check_names_an_unusable_fd_step(tmp_path, capsys):

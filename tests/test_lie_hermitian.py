@@ -1,13 +1,16 @@
 """Structure constants, validation, complexification, frames, catalog."""
 
+import re
+
 import numpy as np
 import pytest
 
+import hermlab.classifiers as cl
 import hermlab.lie_hermitian as lh
 from hermlab.errors import (
     DimensionMismatch,
-    JacobiViolation,
     NotIntegrable,
+    NotUnimodular,
     SingularFrame,
     UnknownCatalogEntry,
 )
@@ -15,12 +18,19 @@ from hermlab.errors import (
 import oracles
 from conftest import (
     CATALOG_SAMPLE,
+    direct_sum,
+    hopf,
+    hopf_real,
+    n2_family,
+    nakamura,
     random_gl,
     random_hpd,
     random_real_basis_change,
     random_structure,
+    random_two_step_structure,
     random_unitary,
     realified_so,
+    semidirect,
     standard_J,
 )
 
@@ -185,14 +195,17 @@ def test_complexify_rejects_non_integrable():
         lh.complexify(lh.RealLieData(4, f, J))
 
 
-def test_complexify_rejects_jacobi_violation():
-    # [x1, x2] = x3 and [x1, x3] = x1: the Jacobi sum of (x1, x2, x3) is
-    # [x2, [x3, x1]] + [x3, [x1, x2]] = [x1, x2] = x3
+def test_complexify_leaves_jacobi_to_validate():
+    # the realification of d phi_1 = -phi_2 ^ phibar_2, d phi_2 = -phi_1 ^
+    # phibar_1: f fails Jacobi, complexify returns the structure all the same,
+    # and validate's d(d phi) = 0, which decides Jacobi, rejects it
     f = np.zeros((4, 4, 4))
-    f[2, 0, 1], f[2, 1, 0] = 1.0, -1.0
-    f[0, 0, 2], f[0, 2, 0] = 1.0, -1.0
-    with pytest.raises(JacobiViolation):
-        lh.complexify(lh.RealLieData(4, f, standard_J(2)))
+    f[2, 1, 3], f[2, 3, 1] = -2.0, 2.0
+    f[3, 0, 2], f[3, 2, 0] = -2.0, 2.0
+    sc = lh.complexify(lh.RealLieData(4, f, standard_J(2)))
+    assert oracles.real_jacobi_residual(f) == 4.0
+    residual = {c.name: c.residual for c in lh.validate(sc).checks}
+    assert residual == {"C_antisymmetry": 0.0, "dd_phi": 1.0, "dd_phibar": 1.0}
 
 
 def test_complexify_rejects_a_singular_complexified_basis():
@@ -207,6 +220,47 @@ def test_complexify_rejects_bad_J():
     J = np.eye(4)  # J^2 = +I
     with pytest.raises(Exception):
         lh.complexify(lh.RealLieData(4, np.zeros((4, 4, 4)), J))
+
+
+# ---------------------------------------------------------------------------
+# unimodularity
+
+
+@pytest.mark.parametrize("weights, trace", [((1.0,), 1.0), ((1.0, 1.0), 2.0)],
+                         ids=["aff-C", "C-x-C2-weights-1-1"])
+def test_non_unimodular_structures_are_rejected(weights, trace):
+    sc = semidirect(weights)
+    assert lh.validate(sc).ok
+    assert lh.unimodularity_residual(sc) == trace
+    with pytest.raises(NotUnimodular, match=re.escape(f"max |tr ad| = {trace:.3e}")):
+        lh.require_unimodular(sc)
+
+
+def test_test_structures_are_unimodular(rng):
+    # every catalog entry and every builder the suite draws structures from
+    kt_real = lh.kodaira_thurston_real()
+    structures = [lh.catalog(name).sc for name in lh.catalog_names()]
+    structures += [lh.catalog(name).sc for name in ("abelian-1", "sokc-5", "sokc-6")]
+    structures += [nakamura(), hopf(), semidirect((2.0, -0.5, -1.5)), n2_family(0.7 + 0.3j),
+                   lh.complexify(realified_so(4)), direct_sum(nakamura(), hopf())]
+    structures += [random_structure(rng, n) for n in (2, 3, 4) for _ in range(10)]
+    structures += [random_two_step_structure(rng, n, m) for n, m in ((3, 2), (5, 2), (5, 3))]
+    structures += [lh.complexify(random_real_basis_change(rng, rl))
+                   for rl in (kt_real, hopf_real(), realified_so(3)) for _ in range(5)]
+    for sc in structures:
+        assert lh.validate(sc).ok
+        assert lh.unimodularity_residual(sc) <= 1e-12
+        lh.require_unimodular(sc)
+
+
+def test_nakamura_and_hopf():
+    # Nakamura: solvable, not nilpotent, D = 0; Hopf: su(2) + R, D != 0
+    sc = nakamura()
+    assert not sc.D.any() and np.abs(sc.C).max() == 1.0
+    assert not cl.nilpotent_J_check(sc)[0]
+    sc = hopf()
+    assert sc.n == 2 and np.abs(sc.D).max() > 0.1 and np.abs(sc.C).max() > 0.1
+    assert not cl.nilpotent_J_check(sc)[0]
 
 
 # ---------------------------------------------------------------------------

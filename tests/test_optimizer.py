@@ -10,7 +10,7 @@ import hermlab.functionals as fn
 import hermlab.lie_hermitian as lh
 import hermlab.optimizer as op
 import hermlab.torsion_engine as te
-from hermlab.errors import InvalidStartPoint, NumericalFailure, SingularFrame
+from hermlab.errors import InvalidStartPoint, NotUnimodular, NumericalFailure, SingularFrame
 
 import oracles
 from conftest import (OVERFLOWING_FRAME_DOC, random_hermitian, random_hpd, random_structure,
@@ -443,10 +443,20 @@ def test_minimize_singular_frame_at_start_is_invalid_start_point(monkeypatch):
 
 def test_minimize_overflowing_unitary_frame_at_start_is_invalid_start_point():
     hs = cli.parse_input(OVERFLOWING_FRAME_DOC)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(InvalidStartPoint, match="unitary frame of the metric overflows") as info:
-            op.minimize(hs, op.OptimConfig())
+    with pytest.raises(InvalidStartPoint, match="unitary frame of the metric overflows") as info:
+        op.minimize(hs, op.OptimConfig())
     assert isinstance(info.value.__cause__, NumericalFailure)
+
+
+@pytest.mark.parametrize("objective", op.OBJECTIVES)
+def test_minimize_rejects_a_non_unimodular_structure(objective):
+    # aff(C), [e1, e2] = e2: Q_F and Q_G are no first variations there, so
+    # no descent starts
+    C = np.zeros((2, 2, 2))
+    C[1, 0, 1], C[1, 1, 0] = 1.0, -1.0
+    hs = lh.HermitianStructure(lh.StructureConstants(2, C, np.zeros((2, 2, 2))), np.eye(2))
+    with pytest.raises(NotUnimodular, match="not unimodular"):
+        op.minimize(hs, op.OptimConfig(objective=objective))
 
 
 def test_minimize_rejects_overflowing_unitary_frame_trial(rng, monkeypatch):

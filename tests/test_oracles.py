@@ -5,10 +5,12 @@ d(d e) = 0 residuals, Q_G, the pluriclosed residual, frame changes, the
 Strominger-parallel residuals) is compared with the route in ``oracles`` on
 seeded random valid structures under random metrics, on catalog entries,
 and, for validation and the exterior derivative, on random C/D that fail
-the Jacobi identity.  The exterior derivative's (3,0), (2,1) and (1,2)
-blocks are also compared with the dense contraction over all 2n generators,
-on families where C = 0 or D = 0 leaves only some of them non-zero.  The
-BLAS-routed derivative templates, xi and the pluriclosed residual are also
+the Jacobi identity.  Validation's d(d phi) = 0 must also decide like the
+real Jacobi identity on the realifications of both kinds of input, as
+complexification leaves that identity to it.  The exterior derivative's
+(3,0), (2,1) and (1,2) blocks are also compared with the dense contraction
+over all 2n generators, on families where C = 0 or D = 0 leaves only some
+of them non-zero.  The BLAS-routed derivative templates, xi and the pluriclosed residual are also
 compared with the two-operand einsums they replaced.
 
 The whole-array constant builders (so(k) constants, so(3, C) as real data,
@@ -25,11 +27,13 @@ import scipy.linalg
 import hermlab.classifiers as cl
 import hermlab.functionals as fn
 import hermlab.lie_hermitian as lh
+import hermlab.tensor_algebra as ta
 import hermlab.torsion_engine as te
 
 import oracles
 from conftest import (CATALOG_SAMPLE, random_gl, random_hpd, random_real_basis_change,
-                      random_structure, random_two_step_structure, realified_so, standard_J)
+                      random_structure, random_two_step_structure, realified, realified_so,
+                      standard_J)
 
 REL_TOL = 1e-12
 
@@ -198,9 +202,9 @@ def _strominger_residuals(pkg):
 
 
 def test_stp_with_D_zero_reads_nabla_s_hol_from_quadratic_hol():
-    # D = 0 makes the Strominger connection D + T equal to T, so stp_check
-    # builds that template once and reports it under both keys; by the
-    # Jacobi identity it vanishes, while the barred derivative does not
+    # D = 0 makes the Strominger connection D + T equal to T, so nabla_s_hol
+    # is the quadratic T*T combination; by the Jacobi identity it vanishes,
+    # while the barred derivative does not
     rng = np.random.default_rng(113)
     bases = [lh.catalog(name).sc for name in ("sokc-4", "sokc-5", "iwasawa")]
     bases += [_upper_triangular_nilpotent(k) for k in (4, 5)]
@@ -211,9 +215,9 @@ def test_stp_with_D_zero_reads_nabla_s_hol_from_quadratic_hol():
             assert not pkg.sc_u.D.any()
             res = cl.stp_check(pkg)
             hol, bar = _strominger_residuals(pkg)
-            assert res["nabla_s_hol"] == res["quadratic_hol"]
+            assert _close(res["nabla_s_hol"], oracles.stp_derived_identities(pkg)["quadratic_hol"])
             assert _close(res["nabla_s_hol"], hol) and _close(res["nabla_s_bar"], bar)
-            assert res["nabla_s_bar"] > 1e-3
+            assert res["nabla_s_hol"] <= 1e-10 < 1e-3 < res["nabla_s_bar"]
 
 
 def test_stp_with_D_nonzero_builds_the_strominger_template():
@@ -231,7 +235,8 @@ def test_stp_with_D_nonzero_builds_the_strominger_template():
             hol, bar = _strominger_residuals(pkg)
             assert _close(res["nabla_s_hol"], hol) and _close(res["nabla_s_bar"], bar)
             assert res["nabla_s_hol"] > 1e-3
-            differ += abs(res["nabla_s_hol"] - res["quadratic_hol"]) > 1e-3 * res["quadratic_hol"]
+            quadratic = oracles.stp_derived_identities(pkg)["quadratic_hol"]
+            differ += abs(res["nabla_s_hol"] - quadratic) > 1e-3 * quadratic
     assert differ >= 6
 
 
@@ -393,6 +398,24 @@ def test_complexify_equals_loop_version():
         got, want = lh.complexify(rl), oracles.complexify(rl)
         _assert_bitwise(got.C, want.C)
         _assert_bitwise(got.D, want.D)
+
+
+def test_real_jacobi_residual_and_dd_phi_agree_on_realified_structures():
+    # complexify leaves the Jacobi identity of f to validate's d(d phi) = 0:
+    # on realified structures, with and without Jacobi, the two decide alike
+    valid = [hs.sc for hs in _random_metric_structures(114, count=20, two_step=8)]
+    invalid = _non_jacobi_constants(115, count=20)
+    invalid += _non_jacobi_constants(116, count=10, with_C=False)  # d(d phi) mixed only
+    decided = []
+    for sc in valid + invalid:
+        rl = realified(sc)
+        back = lh.complexify(rl)
+        assert _close(back.C, sc.C) and _close(back.D, sc.D)  # the realification is sc's
+        jacobi = oracles.real_jacobi_residual(rl.f)
+        ok = lh.validate(back).ok
+        assert (jacobi <= ta.DEFAULT_TOL) == ok, (jacobi, ok)
+        decided.append(ok)
+    assert decided == [True] * len(valid) + [False] * len(invalid)
 
 
 def _pivot_cases():

@@ -277,6 +277,5 @@ def test_analyze_reports_consistent_package(rng):
 
 def test_analyze_overflowing_unitary_frame_is_a_numerical_failure():
     hs = cli.parse_input(OVERFLOWING_FRAME_DOC)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalFailure, match="unitary frame of the metric overflows"):
-            te.analyze(hs)
+    with pytest.raises(NumericalFailure, match="unitary frame of the metric overflows"):
+        te.analyze(hs)
