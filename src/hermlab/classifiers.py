@@ -131,7 +131,8 @@ def pluriclosed_residual(pkg, work=None):
 
 
 def classify(pkg, sc, tol=DEFAULT_TOL):
-    """The classification block of a report: flags, residuals and ``tol``.
+    """The classification block of a report: each flag with its residuals,
+    a residual being flagged when at most ``tol``.
 
     ``pkg`` is the analysis of a metric on the structure ``sc``; the
     nilpotent-J check reads ``sc`` in its given frame.
@@ -145,7 +146,6 @@ def classify(pkg, sc, tol=DEFAULT_TOL):
     stp = stp_check(pkg, work)
     nilp_flag, witness = nilpotent_J_check(sc)
     return {
-        "tol": tol,
         "kahler": thresholded(float(np.abs(pkg.T).max())),
         "balanced": thresholded(float(np.abs(pkg.eta).max())),
         "gauduchon": thresholded(abs(pkg.norm_eta2 - pkg.chi)),

@@ -131,18 +131,14 @@ def fd_first_variation(hs, h, step=1e-4, functional="torsion_functional"):
 def residual_report(pkg):
     """The residuals block of a report: both functionals and both residuals.
 
-    Keys: ``F_value``, ``G_value``, ``b`` = |T|^2, ``a`` = |eta|^2 / n,
-    ``trace_residual`` = 4(|eta|^2 - chi), the matrices ``Q_F`` and ``Q_G``
-    and their Frobenius norms ``norm_Q_F`` and ``norm_Q_G``.
+    Keys: ``F_value``, ``G_value``, the matrices ``Q_F`` and ``Q_G`` and
+    their Frobenius norms ``norm_Q_F`` and ``norm_Q_G``.
     """
     Q_F, norm_Q_F = torsion_critical_residual(pkg)
     Q_G, norm_Q_G = gauduchon_critical_residual(pkg)
     return {
         "F_value": torsion_functional(pkg),
         "G_value": gauduchon_functional(pkg),
-        "b": pkg.norm_T2,
-        "a": pkg.norm_eta2 / pkg.n,
-        "trace_residual": 4.0 * (pkg.norm_eta2 - pkg.chi),
         "Q_F": Q_F,
         "Q_G": Q_G,
         "norm_Q_F": norm_Q_F,

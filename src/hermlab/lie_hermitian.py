@@ -208,18 +208,17 @@ def validate(sc):
 
     The n rows of phi in the structure tensor N are the 2-forms d phi_j,
     which have no (0,2) part (the structure is integrable), so their
-    :func:`exterior_d` holds the coefficients of every d(d phi_j).
+    :func:`exterior_d` holds the coefficients of every d(d phi_j).  The rows
+    of phibar are those of phi conjugated and relabelled, so d(d phibar_j),
+    the conjugate of d(d phi_j), needs no check of its own.
     """
     n, tol = sc.n, ta.DEFAULT_TOL
     antisym = float(np.abs(sc.C + np.swapaxes(sc.C, 1, 2)).max())
     N = structure_tensor(sc)
     dd = float(np.abs(exterior_d(N[:n], N)).max())
-    # the rows of phibar in N are those of phi conjugated and relabelled, so
-    # d(d phibar_j) is the conjugate of d(d phi_j): the same residual
     checks = (
         Check("C_antisymmetry", antisym <= tol, antisym),
         Check("dd_phi", dd <= tol, dd),
-        Check("dd_phibar", dd <= tol, dd),
     )
     return ValidationReport(checks)
 

@@ -236,12 +236,10 @@ def minimize(hs0, cfg, S0=None):
     Returns ``(block, pkg_star)``: ``block`` is the report's ``optimization``
     block without the CLI's ``seed``, and ``pkg_star`` the analysis of its
     final metric ``H_star``.  The block holds ``objective``, ``converged``,
-    ``reason``, ``iterations`` (accepted steps), the last ``trace`` row's
-    values as ``final_objective``, ``final_gradient_norm`` and
-    ``final_residual_norm``, ``H_star`` and ``trace``: one row
-    ``{"iteration", "objective", "gradient_norm", "residual_norm"}`` per
-    iterate, the start included, ``residual_norm`` being |Q| of the
-    functional the objective reads.
+    ``reason``, ``iterations`` (accepted steps), ``H_star`` and ``trace``:
+    one row ``{"iteration", "objective", "gradient_norm", "residual_norm"}``
+    per iterate, the start included and the final metric last,
+    ``residual_norm`` being |Q| of the functional the objective reads.
 
     A trial step whose metric cannot be analyzed (overflowing chart, not
     positive definite in floating point, cond(H) past ``_COND_LIMIT``,
@@ -299,15 +297,11 @@ def minimize(hs0, cfg, S0=None):
             break
         previous = (S, G)
         S, obj, pkg = found
-    last = trace[-1]
     block = {
         "objective": cfg.objective,
         "converged": converged,
         "reason": reason,
         "iterations": len(trace) - 1,
-        "final_objective": last["objective"],
-        "final_gradient_norm": last["gradient_norm"],
-        "final_residual_norm": last["residual_norm"],
         "H_star": prob.metric(S),
         "trace": trace,
     }

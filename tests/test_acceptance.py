@@ -194,7 +194,7 @@ def test_acceptance_10_optimizer_sanity():
             op.OptimConfig(max_iter=50),
             S0=random_hermitian(rng, 3),
         )
-        ok = ok and opt["converged"] and opt["final_objective"] == 0.0
+        ok = ok and opt["converged"] and opt["trace"][-1]["objective"] == 0.0
 
     rng = np.random.default_rng(RNG_SEED + 5)
     S0 = random_hermitian(rng, 3)

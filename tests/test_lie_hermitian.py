@@ -74,7 +74,7 @@ def test_validate_flags_dd_violation():
     rep = lh.validate(lh.StructureConstants(2, C, D))
     residual = {c.name: c.residual for c in rep.checks}
     assert not rep.ok
-    assert residual["dd_phi"] > 1e-3 or residual["dd_phibar"] > 1e-3
+    assert residual["dd_phi"] > 1e-3
 
 
 def test_validate_random_framed_structures(rng):
@@ -205,7 +205,7 @@ def test_complexify_leaves_jacobi_to_validate():
     sc = lh.complexify(lh.RealLieData(4, f, standard_J(2)))
     assert oracles.real_jacobi_residual(f) == 4.0
     residual = {c.name: c.residual for c in lh.validate(sc).checks}
-    assert residual == {"C_antisymmetry": 0.0, "dd_phi": 1.0, "dd_phibar": 1.0}
+    assert residual == {"C_antisymmetry": 0.0, "dd_phi": 1.0}
 
 
 def test_complexify_rejects_a_singular_complexified_basis():
@@ -276,7 +276,7 @@ def test_validate_antisymmetry_boundary_is_default_tol(planted, accepted):
     rep = lh.validate(lh.StructureConstants(3, C, sc.D))
     residual = {c.name: c.residual for c in rep.checks}
     assert residual["C_antisymmetry"] == pytest.approx(planted, rel=1e-6)
-    assert residual["dd_phi"] == residual["dd_phibar"] == 0.0
+    assert residual["dd_phi"] == 0.0
     assert rep.ok is accepted
 
 

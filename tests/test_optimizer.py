@@ -346,7 +346,7 @@ def test_minimize_abelian_converges_immediately(rng):
         S0 = random_hermitian(local, 3)
         opt, _ = op.minimize(hs, op.OptimConfig(max_iter=50), S0=S0)
         assert opt["converged"]
-        assert opt["final_objective"] == 0.0
+        assert opt["trace"][-1]["objective"] == 0.0
 
 
 def test_minimize_so3c_starts_converged():
@@ -525,7 +525,7 @@ def test_gauduchon_descent_shrinks_eta(rng):
     if qg <= 1e-8:
         assert np.linalg.norm(eta) <= 1e-4
     # descent must have lowered the energy either way
-    assert opt["final_objective"] < opt["trace"][0]["objective"]
+    assert opt["trace"][-1]["objective"] < opt["trace"][0]["objective"]
 
 
 def test_descent_analysis_budget(monkeypatch):

@@ -88,9 +88,10 @@ def test_validate_dd_matches_exterior_derivative():
     for sc in structures:
         rep = lh.validate(sc)
         residual = {c.name: c.residual for c in rep.checks}
+        # validate's one d(d phi) residual also stands for d(d phibar)
         dd_phi, dd_phibar = oracles.dd_residuals(sc)
         assert _close(residual["dd_phi"], dd_phi)
-        assert _close(residual["dd_phibar"], dd_phibar)
+        assert _close(residual["dd_phi"], dd_phibar)
         failing += not rep.ok
     # the non-Jacobi inputs really exercise nonzero residuals
     assert failing >= 25
@@ -280,8 +281,7 @@ def test_closed_forms_on_small_catalog_entries(name):
     hs = lh.catalog(name)
     pkg = te.analyze(hs)
     residual = {c.name: c.residual for c in lh.validate(hs.sc).checks}
-    assert _close([residual["dd_phi"], residual["dd_phibar"]],
-                  oracles.dd_residuals(hs.sc))
+    assert _close([residual["dd_phi"]] * 2, oracles.dd_residuals(hs.sc))
     assert _close(fn.gauduchon_critical_residual(pkg)[0], oracles.gauduchon_residual(pkg))
     assert _close(cl.pluriclosed_residual(pkg), oracles.pluriclosed_residual(pkg))
 

@@ -84,7 +84,6 @@ def test_cli_report_matches_reference(label, tmp_path, capsys):
         assert _within(mr.unpair(torsion[key]), mr.unpair(tensors[key])), key
     for key in ("Q_F", "Q_G"):
         assert _within(mr.unpair(residuals[key]), mr.unpair(tensors[key])), key
-    assert np.array_equal(mr.unpair(torsion["lee"]), -mr.unpair(torsion["eta"]))
 
     assert {name: classes[name]["flag"] for name in mr.FLAGS} == ref["flags"]
     assert classes["nilpotent_J"]["witness"] == ref["nilpotent_J_witness"]

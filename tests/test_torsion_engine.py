@@ -67,10 +67,6 @@ def test_torsion_one_form_values():
     assert pkg.eta[0] == pytest.approx(0.0)
     assert abs(pkg.eta[1]) == pytest.approx(1.0)
     assert pkg.norm_eta2 == pytest.approx(1.0)
-    # the report's Lee (1,0)-part is the negated torsion one-form
-    hs = lh.catalog("kodaira-thurston")
-    torsion = cli.build_report(hs.sc, pkg, lh.validate(hs.sc), {}, 1e-9)["torsion"]
-    assert np.array_equal(torsion["lee"], -torsion["eta"])
 
 
 def test_connection_trace_crosscheck_on_unimodular_entries(rng):
