@@ -323,22 +323,27 @@ def frame_change(sc, P):
         raise DimensionMismatch(f"frame matrix must be {n}x{n}")
     if np.linalg.cond(P) > _COND_LIMIT:
         raise SingularFrame("frame-change matrix is numerically singular")
-    return _transform(sc, P)
+    return _transform(sc, P, np.linalg.inv(P))
 
 
-def _transform(sc, P):
-    """:func:`frame_change` without its checks of P."""
-    Pinv = np.linalg.inv(P)
-    C = np.tensordot(Pinv, P.T @ sc.C @ P, 1)
-    D = np.tensordot(P.conj().T, Pinv.conj() @ sc.D @ P, 1)
-    return StructureConstants(sc.n, C, D)
+def _transform(sc, P, Pinv):
+    """:func:`frame_change` without its checks of P; the caller passes the
+    inverse frame ``Pinv = P^{-1}``.  Each tensor is one (n, n) @ (n, n^2)
+    product over its upper slot after the frame acts on its lower pair."""
+    n = sc.n
+    m = n * n
+    C = (Pinv @ (P.T @ sc.C @ P).reshape(n, m)).reshape(n, n, n)
+    D = (P.conj().T @ (Pinv.conj() @ sc.D @ P).reshape(n, m)).reshape(n, n, n)
+    return StructureConstants(n, C, D)
 
 
 def unitary_reduction(hs):
     """Frame change making the metric Gram matrix the identity.
 
     Uses ``P = (L^T)^{-1}`` from the Cholesky factor ``H = L L*`` so the
-    output is deterministic; for ``H = I`` the frame is unchanged.
+    output is deterministic; for ``H = I`` the frame is unchanged.  The
+    inverse frame ``P^{-1} = L^T`` is the factor itself, so P is inverted
+    once.
     Raises :class:`SingularFrame` when cond(H) exceeds ``_COND_LIMIT`` and
     :class:`NumericalFailure` when the unitary frame's C or D overflows.
     Returns ``(P, sc_unitary)``.
@@ -352,7 +357,7 @@ def unitary_reduction(hs):
     try:
         # an overflow is reported once, as the NumericalFailure below
         with np.errstate(over="ignore", invalid="ignore"):
-            return P, _transform(hs.sc, P)
+            return P, _transform(hs.sc, P, L.T)
     except ValueError as exc:  # StructureConstants found a non-finite entry
         raise NumericalFailure(f"unitary frame of the metric overflows: {exc}") from exc
 

@@ -28,9 +28,13 @@ Optimization*, 2006, ch. 7) under the inner product Re tr(X Y): the two-loop
 recursion over the last ``MEMORY`` pairs (s, y) of chart steps and gradient
 changes, a pair being kept only when <s, y> > 0, gives the direction d.
 Each line search is Armijo backtracking along d: it starts at
-``INITIAL_STEP``, multiplies the step by ``SHRINK`` after a rejected trial
-and accepts a trial that lowers the objective strictly and by at least
-``SUFFICIENT_DECREASE * step * |<G, d>|``.  It gives up once the decrease it
+``INITIAL_STEP`` and accepts a trial that lowers the objective strictly and
+by at least ``SUFFICIENT_DECREASE * step * |<G, d>|``.  After a rejected
+trial the next step is the minimiser of the quadratic through the
+objective, its slope <G, d> and the trial's objective, clamped to
+``MIN_SHRINK`` to ``SHRINK`` times the rejected step; it is ``SHRINK`` times
+that step when the trial could not be analyzed or the quadratic is not
+convex (Nocedal and Wright, 2006, sec. 3.5).  It gives up once the decrease it
 predicts, step * |<G, d>|, is below the rounding of the objective,
 eps * max(1, |f|).  With an empty memory d = -G; otherwise, when d is not a
 descent direction or its search fails, the memory is cleared and one search
@@ -62,6 +66,11 @@ OBJECTIVES = (*fn.FUNCTIONALS, "residual_norm")
 FD_STEP = 1e-5
 INITIAL_STEP = 1.0
 SHRINK = 0.5
+# a backtrack cuts the step by at most this factor: a trial far past the
+# minimiser fits its quadratic poorly, and one fit must not shrink the step by
+# orders of magnitude (Dennis and Schnabel, *Numerical Methods for
+# Unconstrained Optimization*, 1983, sec. 6.3.2)
+MIN_SHRINK = 0.1
 MEMORY = 8  # (s, y) pairs the L-BFGS recursion keeps
 SUFFICIENT_DECREASE = 1e-4
 PRECISION_FLOOR = 64.0
@@ -207,6 +216,22 @@ def _lbfgs_direction(G, memory):
     return -q
 
 
+def _backtrack(step, obj, slope, cand_obj=None):
+    """The step after a trial at ``step`` is rejected.
+
+    The minimiser of the quadratic q with q(0) = obj, q'(0) = slope and
+    q(step) = ``cand_obj``, clamped to ``MIN_SHRINK`` to ``SHRINK`` times
+    ``step``; ``SHRINK * step`` when q is not convex or the trial could not
+    be analyzed (``cand_obj`` None).
+    """
+    if cand_obj is None:
+        return SHRINK * step
+    curvature = cand_obj - obj - slope * step  # q(step) less its linear part
+    if curvature <= 0:
+        return SHRINK * step
+    return step * min(SHRINK, max(MIN_SHRINK, -slope * step / (2 * curvature)))
+
+
 def _line_search(prob, S, obj, d, slope):
     """Armijo backtracking from S along d, where slope = <G, d> < 0.
 
@@ -222,11 +247,11 @@ def _line_search(prob, S, obj, d, slope):
             cand_pkg = prob.analyze(cand)
             cand_obj = prob.value(cand, cand_pkg)
         except _UNUSABLE:
-            step *= SHRINK
+            step = _backtrack(step, obj, slope)
             continue
         if cand_obj < obj and cand_obj <= obj + SUFFICIENT_DECREASE * step * slope:
             return cand, cand_obj, cand_pkg
-        step *= SHRINK
+        step = _backtrack(step, obj, slope, cand_obj)
     return None
 
 
@@ -244,7 +269,7 @@ def minimize(hs0, cfg, S0=None):
     A trial step whose metric cannot be analyzed (overflowing chart, not
     positive definite in floating point, cond(H) past ``_COND_LIMIT``,
     non-positive determinant, non-finite objective) counts as a rejected
-    trial and the step shrinks.
+    trial and the step shrinks by ``SHRINK``.
     A structure that is not unimodular raises ``NotUnimodular``, a start
     point that cannot be analyzed :class:`InvalidStartPoint`; a failure in a
     gradient raises as it is.

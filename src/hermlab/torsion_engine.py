@@ -47,14 +47,19 @@ def chern_torsion(sc_u):
 
 def torsion_one_form(T):
     """The torsion 1-form, eta_i = sum_r T^r_{ri}."""
-    return np.einsum("rri->i", T)
+    return T.trace(0, 0, 1)
 
 
 def ab_tensors(T):
-    """The Hermitian PSD matrices A_{i jbar}, B_{i jbar}; both trace to |T|^2."""
-    A = np.einsum("ris,rjs->ij", T, T.conj())
-    B = np.einsum("jrs,irs->ij", T, T.conj())
-    return A, B
+    """The Hermitian PSD matrices A_{i jbar}, B_{i jbar}; both trace to |T|^2.
+
+    A = sum_{r,s} T^r_{is} conj(T^r_{js}) and B = sum_{r,s} T^j_{rs}
+    conj(T^i_{rs}), each one (n, n^2) @ (n^2, n) product.
+    """
+    n = T.shape[0]
+    Tm = T.transpose(1, 0, 2).reshape(n, n * n)  # Tm[i, (r, s)] = T^r_{is}
+    Tr = T.reshape(n, n * n)                       # Tr[j, (r, s)] = T^j_{rs}
+    return Tm @ Tm.conj().T, Tr.conj() @ Tr.T
 
 
 def workspace(n):
@@ -107,10 +112,14 @@ def phi_xi_tensors(T, gamma, eta):
     Returns (phi, xi, chi) with chi = trace(xi), real for valid inputs; xi is
     contracted in O(n^4) from T and the Chern connection ``gamma``.
     """
-    phi = np.einsum("jir,r->ij", T, eta.conj())
+    n = T.shape[0]
+    m = n * n
+    phi = (T @ eta.conj()).T
     Gc = gamma.conj()
-    xi = (np.tensordot(T, Gc, axes=((1, 2), (1, 2))) + T @ np.einsum("rsr->s", Gc)).T
-    xi -= np.tensordot(T, Gc, axes=((0, 2), (0, 2)))
+    # sum_{r,s} T^j_{rs} conj(G^i_{rs}) + sum_{r,s} T^j_{is} conj(G^r_{sr}), laid out [j, i]
+    xi = (T.reshape(n, m) @ Gc.reshape(n, m).T + T @ Gc.trace(0, 0, 2)).T
+    # minus sum_{r,s} T^r_{is} conj(G^r_{js}), laid out [i, j]
+    xi -= T.transpose(1, 0, 2).reshape(n, m) @ Gc.transpose(1, 0, 2).reshape(n, m).T
     chi = float(np.trace(xi).real)
     return phi, xi, chi
 
@@ -138,5 +147,7 @@ def analyze(hs):
         chi=chi,
         norm_T2=norm_T2,
         norm_eta2=norm_eta2,
-        volume=float(np.linalg.det(np.asarray(hs.H, dtype=complex)).real),
+        # det H = |det L|^2 = 1 / |det P|^2, and P = (L^T)^{-1} is triangular;
+        # summed in logs, as np.linalg.det does, so no product over- or underflows
+        volume=float(np.exp(-2.0 * np.log(np.abs(P.diagonal())).sum())),
     )
