@@ -26,7 +26,9 @@ Input documents are JSON with exactly one of:
 where ``n``, ``dim`` and every index are JSON integers (``2.0``, ``true``
 and ``"2"`` are rejected)
 plus an optional ``"metric"`` given as an n x n array of [re, im] pairs
-(default: identity).
+(default: identity).  Every ``re``, ``im``, ``val``, ``J`` and metric entry
+is a JSON number (``true`` and ``"1.5"`` are rejected), and a metric entry
+is exactly two of them.
 
 A report is one dict: ``build_report`` places the torsion tensors as numpy
 arrays and takes the ``classification`` and ``residuals`` blocks as
@@ -88,15 +90,29 @@ def _parse_metric(doc, n):
     try:
         if len(m) != n or any(len(row) != n for row in m):
             raise InputError(f"metric must be {n}x{n}")
-        return np.array([[complex(c[0], c[1]) for c in row] for row in m])
+        return np.array([[_pair(c) for c in row] for row in m])
     except (TypeError, IndexError, KeyError) as exc:
         raise InputError(f"metric entries must be [re, im] pairs: {exc}") from exc
+
+
+def _pair(entry):
+    """A metric entry: exactly two JSON numbers, re and im."""
+    if len(entry) != 2:
+        raise TypeError(f"not a pair: {entry!r}")
+    return complex(_number(entry[0]), _number(entry[1]))
 
 
 def _integer(value):
     """A JSON integer as it was written: a float or a bool raises TypeError."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
+def _number(value):
+    """A JSON number as it was written: a bool or a string raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a number: {value!r}")
     return value
 
 
@@ -118,7 +134,7 @@ def _read_terms(entries, size, name, value):
 
 
 def _complex_value(entry):
-    return complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+    return complex(_number(entry.get("re", 0.0)), _number(entry.get("im", 0.0)))
 
 
 def _parse_tensor_terms(terms, n, name):
@@ -156,11 +172,11 @@ def _parse_structure(doc):
         ra = doc["real_algebra"]
         try:
             dim = _integer(ra["dim"])
-            J = np.array(ra["J"], dtype=float)
+            J = np.array([[_number(x) for x in row] for row in ra["J"]], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError("malformed real_algebra block") from exc
         f = np.zeros((dim, dim, dim))
-        for c, a, b, val in _read_terms(ra.get("f", []), dim, "f", lambda e: float(e["val"])):
+        for c, a, b, val in _read_terms(ra.get("f", []), dim, "f", lambda e: _number(e["val"])):
             f[c, a, b] = val
             f[c, b, a] = -val
         try:

@@ -2,7 +2,11 @@
 
 The cone is parametrized through the chart H(S) = R exp(S) R with
 R = H0^(1/2) and S Hermitian, which is positive definite for every S and
-reduces to the anchor metric at S = 0; :meth:`_Problem.metric` is the chart.
+reduces to the anchor metric at S = 0.  :meth:`_Problem.point` evaluates a
+chart point once: one eigendecomposition of S builds H(S) and the divided
+differences of the gradient, one analysis of H(S) gives the objective, the
+residual and the functional's chart gradient, and the descent reads that
+:class:`_Point`.
 Every objective is unchanged under H -> cH, that is under S -> S + tI, so
 its chart gradient is trace-free and a descent keeps det H = det H0 exp(tr S0).
 Only the caller's S0 and the Daleckii-Krein product that ends the gradient
@@ -11,7 +15,7 @@ linear combination of exactly Hermitian matrices; floating point rounds an
 entry and its conjugate alike, so it is exactly Hermitian and (X + X^H) / 2
 would return it bit for bit.
 
-For the torsion and Gauduchon functionals :func:`gradient` is analytic and
+For the torsion and Gauduchon functionals the gradient is analytic and
 needs no further analysis: the first variation V^(1/n) Re tr(h_u @ -Q) of
 :func:`functionals.first_variation`, Q the functional's residual, is pulled
 back through the chart with the Daleckii-Krein divided differences of exp
@@ -89,15 +93,32 @@ class OptimConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
-        if self.max_iter < 0:  # the start is always a trace row
-            raise ValueError("max_iter must be non-negative")
+        if not 0 < self.grad_tol < np.inf:  # NaN fails both comparisons
+            raise ValueError("grad_tol must be positive and finite")
+        if not np.isfinite(self.objective_tol):
+            raise ValueError("objective_tol must be finite")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)) \
+                or self.max_iter < 0:  # the start is always a trace row
+            raise ValueError("max_iter must be a non-negative integer")
 
 
 def _project(S):
     """The Hermitian part (S + S^H) / 2 of S."""
     return (S + S.conj().T) / 2
+
+
+@dataclass(frozen=True)
+class _Point:
+    """A chart point S evaluated once: its metric H = H(S), the analysis
+    ``pkg`` of H, the norm ``norm_Q`` of the functional's residual Q, the
+    functional's chart gradient ``G_F`` and the objective ``value``."""
+
+    S: np.ndarray
+    H: np.ndarray
+    pkg: te.TorsionPackage
+    norm_Q: float
+    G_F: np.ndarray
+    value: float
 
 
 class _Problem:
@@ -115,80 +136,57 @@ class _Problem:
         self.value_of, self.residual_of = fn.FUNCTIONALS[
             "torsion_functional" if cfg.objective == "residual_norm" else cfg.objective]
 
-    def metric(self, S):
-        """H(S) = H0^(1/2) exp(S) H0^(1/2), always positive definite."""
-        vals, vecs = np.linalg.eigh(S)
-        return self.root @ ((vecs * np.exp(vals)) @ vecs.conj().T) @ self.root
-
-    def analyze(self, S):
-        """The analysis of H(S).  A step can leave the numerically valid
-        cone: the chart overflows, H stops being positive definite in floats
-        or cond(H) passes the limit of the frame change to its unitary frame.
-        Each raises one of ``_UNUSABLE``, not also a floating-point warning."""
+    def point(self, S):
+        """The :class:`_Point` at S, its metric H(S) = H0^(1/2) exp(S) H0^(1/2)
+        always positive definite.  A step can leave the numerically valid cone:
+        the chart overflows, H stops being positive definite in floats, cond(H)
+        passes the limit of the frame change to its unitary frame, det H is not
+        positive or the objective is not finite.  Each raises one of
+        ``_UNUSABLE``, not also a floating-point warning."""
         with np.errstate(over="ignore", invalid="ignore"):
-            H = self.metric(S)
+            lam, U = np.linalg.eigh(S)
+            H = self.root @ ((U * np.exp(lam)) @ U.conj().T) @ self.root
             if not np.isfinite(H).all():
                 raise NumericalFailure("metric overflowed in the exponential chart")
-            return te.analyze(HermitianStructure(self.sc, H))
-
-    def value(self, S, pkg):
-        """The objective at S, whose metric has the analysis ``pkg``: a
-        non-finite one raises NumericalFailure, not also a warning."""
-        if pkg.volume <= 0:
-            raise NumericalFailure("metric has non-positive determinant")
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.cfg.objective == "residual_norm":
-                G = _functional_gradient(self, S, pkg)
-                val = _inner(G, G)
-            else:
-                val = self.value_of(pkg)
-        if not np.isfinite(val):
+            pkg = te.analyze(HermitianStructure(self.sc, H))
+            if pkg.volume <= 0:
+                raise NumericalFailure("metric has non-positive determinant")
+            # dH = R dexp_S(K) R and dF(dH) = Re tr(dH X), X = conj(P) M P^T with
+            # M = V^(1/n) (-Q) the unitary-frame Riesz matrix: dF = Re tr(dexp_S(K) Y)
+            Q, norm_Q = self.residual_of(pkg)
+            M = pkg.volume ** (1.0 / pkg.n) * -Q
+            Y = self.root @ (pkg.P.conj() @ M @ pkg.P.T) @ self.root
+            # Daleckii-Krein, on the eigenpairs that built H: dexp_S(K) =
+            # U (Gam o U^H K U) U^H, Gam_ij = (e^lam_i - e^lam_j) / (lam_i - lam_j)
+            # written as e^max(lam_i, lam_j) (1 - e^-d) / d, d = |lam_i - lam_j|,
+            # so that equal and nearly equal eigenvalues lose no digits (Gam_ii =
+            # e^lam_i).  Gam is real symmetric: the pull-back of Y has this form.
+            d = np.abs(lam[:, None] - lam[None, :])
+            ratio = np.where(d > 0, -np.expm1(-d) / np.where(d > 0, d, 1.0), 1.0)
+            Gam = np.exp(np.maximum.outer(lam, lam)) * ratio
+            G_F = _project(U @ (Gam * (U.conj().T @ Y @ U)) @ U.conj().T)
+            value = (_inner(G_F, G_F) if self.cfg.objective == "residual_norm"
+                     else self.value_of(pkg))
+        if not np.isfinite(value):
             raise NumericalFailure("objective evaluated to a non-finite value")
-        return val
-
-    def residual_norm(self, pkg):
-        _, norm = self.residual_of(pkg)
-        return norm
+        return _Point(S, H, pkg, norm_Q, G_F, value)
 
 
-def gradient(prob, S, pkg):
-    """Gradient of the objective of ``prob`` (a :class:`_Problem`) at S.
-
-    ``pkg`` is the analysis of the metric H(S).  Returns the Riesz
-    representative G: for every Hermitian K, d/dt objective(S + t K) at 0
-    equals Re tr(K @ G).
+def gradient(prob, pt):
+    """Gradient of the objective of ``prob`` (a :class:`_Problem`) at its
+    :class:`_Point` ``pt``: the Riesz representative G, for every Hermitian K
+    d/dt objective(S + t K) at 0 equals Re tr(K @ G).
     """
-    G = _functional_gradient(prob, S, pkg)
+    G = pt.G_F
     if prob.cfg.objective != "residual_norm" or not G.any():
         return G
     norm = float(np.linalg.norm(G))
     # d/dt |G(S + tK)|^2 = 2 Re tr(K Hess G), the Hessian being symmetric;
     # Hess G = |G| Hess v, the central difference of G along v = G / |G|
     v = G / norm
-    plus, minus = S + FD_STEP * v, S - FD_STEP * v
-    hess_v = (_functional_gradient(prob, plus, prob.analyze(plus))
-              - _functional_gradient(prob, minus, prob.analyze(minus))) / (2 * FD_STEP)
+    hess_v = (prob.point(pt.S + FD_STEP * v).G_F
+              - prob.point(pt.S - FD_STEP * v).G_F) / (2 * FD_STEP)
     return 2 * norm * hess_v
-
-
-def _functional_gradient(prob, S, pkg):
-    """Analytic chart gradient at S of the functional of ``prob``, from the
-    analysis ``pkg`` of H(S)."""
-    # dH = R dexp_S(K) R and dF(dH) = Re tr(dH X) with X = conj(P) M P^T,
-    # M = V^(1/n) (-Q) the unitary-frame Riesz matrix; so dF = Re tr(dexp_S(K) Y)
-    Q, _ = prob.residual_of(pkg)
-    M = pkg.volume ** (1.0 / pkg.n) * -Q
-    Y = prob.root @ (pkg.P.conj() @ M @ pkg.P.T) @ prob.root
-    # Daleckii-Krein: with S = U diag(lam) U^H, dexp_S(K) = U (Gam o U^H K U) U^H
-    # with Gam_ij = (e^lam_i - e^lam_j) / (lam_i - lam_j), written as
-    # e^max(lam_i, lam_j) (1 - e^-d) / d, d = |lam_i - lam_j|, so that equal
-    # and nearly equal eigenvalues lose no digits (Gam_ii = e^lam_i).  Gam is
-    # real symmetric, so the pull-back of Y has the same form.
-    lam, U = np.linalg.eigh(S)
-    d = np.abs(lam[:, None] - lam[None, :])
-    ratio = np.where(d > 0, -np.expm1(-d) / np.where(d > 0, d, 1.0), 1.0)
-    Gam = np.exp(np.maximum.outer(lam, lam)) * ratio
-    return _project(U @ (Gam * (U.conj().T @ Y @ U)) @ U.conj().T)
 
 
 def _inner(X, Y):
@@ -232,26 +230,26 @@ def _backtrack(step, obj, slope, cand_obj=None):
     return step * min(SHRINK, max(MIN_SHRINK, -slope * step / (2 * curvature)))
 
 
-def _line_search(prob, S, obj, d, slope):
-    """Armijo backtracking from S along d, where slope = <G, d> < 0.
+def _line_search(prob, pt, d, slope):
+    """Armijo backtracking from the point ``pt`` along d, where
+    slope = <G, d> < 0.
 
-    Returns (S, objective, analysis) at the accepted trial, or None once the
-    predicted decrease -step * slope is below the rounding of the objective.
-    A trial whose metric cannot be analyzed counts as rejected.
+    Returns the accepted trial's :class:`_Point`, or None once the predicted
+    decrease -step * slope is below the rounding of the objective.  A trial
+    whose metric cannot be analyzed counts as rejected.
     """
+    obj = pt.value
     floor = np.finfo(float).eps * max(1.0, abs(obj))
     step = INITIAL_STEP
     while -step * slope >= floor:
-        cand = S + step * d
         try:
-            cand_pkg = prob.analyze(cand)
-            cand_obj = prob.value(cand, cand_pkg)
+            cand = prob.point(pt.S + step * d)
         except _UNUSABLE:
             step = _backtrack(step, obj, slope)
             continue
-        if cand_obj < obj and cand_obj <= obj + SUFFICIENT_DECREASE * step * slope:
-            return cand, cand_obj, cand_pkg
-        step = _backtrack(step, obj, slope, cand_obj)
+        if cand.value < obj and cand.value <= obj + SUFFICIENT_DECREASE * step * slope:
+            return cand
+        step = _backtrack(step, obj, slope, cand.value)
     return None
 
 
@@ -265,6 +263,8 @@ def minimize(hs0, cfg, S0=None):
     one row ``{"iteration", "objective", "gradient_norm", "residual_norm"}``
     per iterate, the start included and the final metric last,
     ``residual_norm`` being |Q| of the functional the objective reads.
+    Each iterate is evaluated once, as the :class:`_Point` its line search
+    accepted: its trace row, its gradient and ``H_star`` read that record.
 
     A trial step whose metric cannot be analyzed (overflowing chart, not
     positive definite in floating point, cond(H) past ``_COND_LIMIT``,
@@ -278,8 +278,7 @@ def minimize(hs0, cfg, S0=None):
     n = hs0.n
     S = np.zeros((n, n), dtype=complex) if S0 is None else _project(np.asarray(S0, dtype=complex))
     try:
-        pkg = prob.analyze(S)
-        obj = prob.value(S, pkg)
+        pt = prob.point(S)
     except _UNUSABLE as exc:
         raise InvalidStartPoint(str(exc)) from exc
     trace = []
@@ -287,47 +286,47 @@ def minimize(hs0, cfg, S0=None):
     memory = deque(maxlen=MEMORY)  # (s, y) pairs, oldest first
     previous = None  # (S, G) before the last accepted step
     for it in range(cfg.max_iter + 1):
-        G = gradient(prob, S, pkg)
+        G = gradient(prob, pt)
         gnorm = float(np.linalg.norm(G))
-        trace.append({"iteration": it, "objective": obj, "gradient_norm": gnorm,
-                      "residual_norm": prob.residual_norm(pkg)})
+        trace.append({"iteration": it, "objective": pt.value, "gradient_norm": gnorm,
+                      "residual_norm": pt.norm_Q})
         if gnorm <= cfg.grad_tol:
             converged, reason = True, "gradient_tolerance"
             break
-        if cfg.objective_tol > 0 and obj <= cfg.objective_tol:
+        if cfg.objective_tol > 0 and pt.value <= cfg.objective_tol:
             converged, reason = True, "objective_tolerance"
             break
         if it == cfg.max_iter:
             reason = "max_iterations"
             break
         if previous is not None:
-            s, y = S - previous[0], G - previous[1]
+            s, y = pt.S - previous[0], G - previous[1]
             if _inner(s, y) > 0:
                 memory.append((s, y))
         g2 = gnorm**2
         d = _lbfgs_direction(G, memory)
         slope = _inner(G, d)
         decrement = min(g2, -slope) if slope < 0 else g2
-        found = _line_search(prob, S, obj, d, slope) if slope < 0 else None
+        found = _line_search(prob, pt, d, slope) if slope < 0 else None
         if found is None and memory:
             memory.clear()
-            found = _line_search(prob, S, obj, -G, -g2)
+            found = _line_search(prob, pt, -G, -g2)
         if found is None:
             # below the floor the attainable decrease, about the decrement,
             # is lost in the rounding of the objective: no trial is accepted
-            if decrement <= PRECISION_FLOOR * np.finfo(float).eps * max(1.0, abs(obj)):
+            if decrement <= PRECISION_FLOOR * np.finfo(float).eps * max(1.0, abs(pt.value)):
                 converged, reason = True, "precision_limit"
             else:
                 reason = "stagnated"
             break
-        previous = (S, G)
-        S, obj, pkg = found
+        previous = (pt.S, G)
+        pt = found
     block = {
         "objective": cfg.objective,
         "converged": converged,
         "reason": reason,
         "iterations": len(trace) - 1,
-        "H_star": prob.metric(S),
+        "H_star": pt.H,
         "trace": trace,
     }
-    return block, pkg
+    return block, pt.pkg

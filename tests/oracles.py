@@ -486,7 +486,7 @@ def analytic_gradient(prob, S):
     variation; the cross-check of the library's Daleckii-Krein gradient.
     """
     S = np.asarray(S, dtype=complex)
-    pkg = prob.analyze(S)
+    pkg = prob.point(S).pkg
     n = S.shape[0]
     G = np.zeros((n, n), dtype=complex)
     for K in hermitian_basis(n):
@@ -497,8 +497,8 @@ def analytic_gradient(prob, S):
 
 
 def objective(prob, S):
-    """The objective of the descent problem ``prob`` at S, analyzed afresh."""
-    return prob.value(S, prob.analyze(S))
+    """The objective of the descent problem ``prob`` at S, evaluated afresh."""
+    return prob.point(S).value
 
 
 def fd_gradient(prob, S, step=op.FD_STEP):

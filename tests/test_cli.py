@@ -29,6 +29,25 @@ KT_REAL = {"real_algebra": {"dim": 4, "f": [{"up": 3, "lo": [1, 2], "val": 1.0}]
 SINGULAR_METRIC = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
                    [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
                    [[0.0, 0.0], [0.0, 0.0], [1e-14, 0.0]]]
+# documents that parsed when every real-valued field took what float()
+# or complex() accepts: each reads as a usable structure, so only the
+# parser rejects it
+HEIS_STRING_RE = {"n": 3, "C": [{"up": 1, "lo": [2, 3], "re": "1.5"},
+                                {"up": 1, "lo": [3, 2], "re": -1.5}]}
+HEIS_BOOL_IM = {"n": 3, "C": [{"up": 1, "lo": [2, 3], "im": True},
+                              {"up": 1, "lo": [3, 2], "im": -1.0}]}
+KT_STRING_VAL = {"real_algebra": {"dim": 4, "f": [{"up": 3, "lo": [1, 2], "val": "1.0"}],
+                                  "J": KT_J}}
+KT_BOOL_J = {"real_algebra": {"dim": 4, "f": [{"up": 3, "lo": [1, 2], "val": 1.0}],
+                              "J": [[0, -1, 0, 0], [True, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]}}
+METRIC_TRIPLE = {"catalog": "so3c", "metric": [[[1, 0, 99], [0, 0], [0, 0]],
+                                               [[0, 0], [1, 0], [0, 0]],
+                                               [[0, 0], [0, 0], [1, 0]]]}
+METRIC_BOOL = {"catalog": "abelian-2", "metric": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]}
+NOT_JSON_NUMBERS = [HEIS_STRING_RE, HEIS_BOOL_IM, KT_STRING_VAL, KT_BOOL_J, METRIC_TRIPLE,
+                    METRIC_BOOL]
+NOT_JSON_NUMBER_IDS = ["string-re", "bool-im", "string-real-val", "bool-J", "triple-metric-entry",
+                       "bool-metric-entry"]
 
 
 def _write(tmp_path, doc, name="input.json"):
@@ -90,6 +109,7 @@ def test_parse_real_algebra_input():
         {"n": 2, "C": None},
         {"real_algebra": {"dim": 4, "f": 3, "J": KT_J}},
         {"catalog": 5},
+        *NOT_JSON_NUMBERS,
     ],
 )
 def test_parse_rejects_malformed(doc):
@@ -194,11 +214,13 @@ def test_analyze_invalid_inputs_exit_1(tmp_path, capsys):
         {"n": 2, "C": None},
         {"real_algebra": {"dim": 4, "f": 3, "J": KT_J}},
         {"catalog": 5},
+        # re, im, val, J and metric entries are JSON numbers, a metric entry two
+        *NOT_JSON_NUMBERS,
     ],
     ids=["nan-C", "nan-D", "nan-metric", "nan-real-f", "nan-real-metric",
          "malformed-metric", "malformed-real-f", "range-real-f", "repeated-real-f",
          "fractional-lo", "bool-n", "string-n", "fractional-dim", "cond-H",
-         "int-C", "null-C", "int-real-f", "int-catalog"],
+         "int-C", "null-C", "int-real-f", "int-catalog", *NOT_JSON_NUMBER_IDS],
 )
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, doc):
     code, out, err = _run(capsys, "analyze", _write(tmp_path, doc), "--format", "json")

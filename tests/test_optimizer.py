@@ -37,13 +37,13 @@ def _chart(S, H0=None):
     n = np.shape(S)[0]
     H0 = np.eye(n) if H0 is None else H0
     hs = lh.HermitianStructure(lh.StructureConstants.zero(n), H0)
-    return op._Problem(hs, op.OptimConfig()).metric(S)
+    return op._Problem(hs, op.OptimConfig()).point(S).H
 
 
 def _gradient(hs, cfg, S=None):
     S = np.zeros((hs.n, hs.n), dtype=complex) if S is None else S
     prob = op._Problem(hs, cfg)
-    return op.gradient(prob, S, prob.analyze(S))
+    return op.gradient(prob, prob.point(S))
 
 
 def test_parametrize_at_origin(rng):
@@ -70,6 +70,14 @@ def test_config_validation():
         op.OptimConfig(grad_tol=0.0)
     with pytest.raises(ValueError):
         op.OptimConfig(max_iter=-1)
+    # an infinite grad_tol stops every descent at its start as converged, a
+    # NaN tolerance compares false, and range() takes no fractional max_iter
+    for bad in ({"grad_tol": np.inf}, {"grad_tol": np.nan}, {"objective_tol": np.nan},
+                {"objective_tol": np.inf}, {"objective_tol": -np.inf}, {"max_iter": 2.5},
+                {"max_iter": 2.0}, {"max_iter": True}, {"max_iter": "3"}):
+        with pytest.raises(ValueError):
+            op.OptimConfig(**bad)
+    assert op.OptimConfig(max_iter=np.int64(3), objective_tol=-1.0).max_iter == 3
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +135,7 @@ def test_gradient_matches_analytic(rng):
     # the Daleckii-Krein gradient against scipy's Frechet derivative of exp
     nonzero = {"torsion_functional": 0, "gauduchon_functional": 0}
     for prob, S in _gradient_cases(rng):
-        G = op.gradient(prob, S, prob.analyze(S))
+        G = op.gradient(prob, prob.point(S))
         ref = oracles.analytic_gradient(prob, S)
         assert _rel(G, ref) <= 1e-9, (prob.cfg, S)
         nonzero[prob.cfg.objective] += np.linalg.norm(ref) > 1.0
@@ -139,7 +147,7 @@ def test_gradient_matches_finite_differences(rng):
     # against central differences over the whole Hermitian basis
     nonzero = Counter()
     for prob, S in _gradient_cases(rng, op.OBJECTIVES, two_step=5):
-        G = op.gradient(prob, S, prob.analyze(S))
+        G = op.gradient(prob, prob.point(S))
         ref = oracles.fd_gradient(prob, S)
         assert _rel(G, ref) <= 1e-6, (prob.cfg, S)
         nonzero[prob.cfg.objective] += np.linalg.norm(ref) > 1.0
@@ -157,9 +165,9 @@ def test_gradient_makes_no_analysis(rng, monkeypatch):
     for objective, analyses in (("torsion_functional", 0), ("gauduchon_functional", 0),
                                 ("residual_norm", 2)):
         prob = op._Problem(hs, op.OptimConfig(objective=objective))
-        pkg = prob.analyze(S)
+        pt = prob.point(S)
         calls.clear()
-        assert np.linalg.norm(op.gradient(prob, S, pkg)) > 0.1
+        assert np.linalg.norm(op.gradient(prob, pt)) > 0.1
         assert len(calls) == analyses, objective
 
 
@@ -189,7 +197,7 @@ def test_chart_gradient_is_trace_free(rng):
             for objective, tol in (("torsion_functional", 1e-12), ("gauduchon_functional", 1e-12),
                                    ("residual_norm", 1e-8)):
                 prob = op._Problem(hs, op.OptimConfig(objective=objective))
-                G = op.gradient(prob, S, prob.analyze(S))
+                G = op.gradient(prob, prob.point(S))
                 norm = np.linalg.norm(G)
                 if norm > 1e-12:  # G's gradient is rounding noise (1e-31) where eta = 0
                     assert abs(np.trace(G)) <= tol * norm, (name, objective)
@@ -203,14 +211,15 @@ def test_residual_norm_is_squared_residual_at_identity_anchor():
         hs = lh.catalog(name)
         prob = op._Problem(hs, op.OptimConfig(objective="residual_norm"))
         S = np.zeros((hs.n, hs.n), dtype=complex)
-        pkg = prob.analyze(S)
-        assert prob.value(S, pkg) == pytest.approx(prob.residual_norm(pkg) ** 2, rel=1e-12)
+        pt = prob.point(S)
+        assert pt.value == pytest.approx(pt.norm_Q ** 2, rel=1e-12)
 
 
 def test_functional_calls_reach_the_functionals_module(monkeypatch):
     # objective, residual and gradient evaluations go through
     # functionals.FUNCTIONALS; a wrapper set on the module, like the
-    # benchmark's tracer, must see each of them
+    # benchmark's tracer, must see each of them, and a point evaluates each
+    # once
     calls = Counter()
     for name in ("torsion_functional", "torsion_critical_residual",
                  "gauduchon_functional", "gauduchon_critical_residual"):
@@ -221,14 +230,12 @@ def test_functional_calls_reach_the_functionals_module(monkeypatch):
     S = np.zeros((2, 2), dtype=complex)
     for objective in op.OBJECTIVES:
         prob = op._Problem(hs, op.OptimConfig(objective=objective))
-        pkg = prob.analyze(S)
-        prob.value(S, pkg)
-        prob.residual_norm(pkg)
-        op.gradient(prob, S, pkg)
-    # residual_norm reads Q_F for its value, its residual, and the gradient
-    # of F at S and at S +- FD_STEP v
-    assert calls == {"torsion_functional": 1, "torsion_critical_residual": 2 + 5,
-                     "gauduchon_functional": 1, "gauduchon_critical_residual": 2}
+        op.gradient(prob, prob.point(S))
+    # a point reads Q once, for its norm and its chart gradient G_F, whose
+    # |G_F|^2 is residual_norm's value; residual_norm's gradient evaluates
+    # the points S +- FD_STEP v
+    assert calls == {"torsion_functional": 1, "torsion_critical_residual": 1 + 3,
+                     "gauduchon_functional": 1, "gauduchon_critical_residual": 1}
 
 
 def test_gradient_directional_derivative(rng):
@@ -237,7 +244,7 @@ def test_gradient_directional_derivative(rng):
     cfg = op.OptimConfig()
     S = 0.2 * random_hermitian(rng, 3)
     prob = op._Problem(hs, cfg)
-    G = op.gradient(prob, S, prob.analyze(S))
+    G = op.gradient(prob, prob.point(S))
     K = random_hermitian(rng, 3)
     step = 1e-6
     fd = (oracles.objective(prob, S + step * K) - oracles.objective(prob, S - step * K)) / (2 * step)
@@ -282,9 +289,9 @@ def test_minimize_keeps_only_positive_curvature_pairs(monkeypatch):
     steps = []  # (S, G) at every gradient
     seen = []  # <s, y> of every pair handed to the recursion
 
-    def gradient(prob, S, pkg):
-        G = sum(4 * x * (x * x - 1) * K for x, K in zip(coords(S), basis))
-        steps.append((S, G))
+    def gradient(prob, pt):
+        G = sum(4 * x * (x * x - 1) * K for x, K in zip(coords(pt.S), basis))
+        steps.append((pt.S, G))
         return G
 
     lbfgs_direction = op._lbfgs_direction
@@ -293,10 +300,8 @@ def test_minimize_keeps_only_positive_curvature_pairs(monkeypatch):
         seen.extend(op._inner(s, y) for s, y in memory)
         return lbfgs_direction(G, memory)
 
-    monkeypatch.setattr(op._Problem, "analyze", lambda self, S: S)
-    monkeypatch.setattr(op._Problem, "value",
-                        lambda self, S, pkg: float(np.sum((coords(S) ** 2 - 1) ** 2)))
-    monkeypatch.setattr(op._Problem, "residual_norm", lambda self, pkg: 0.0)
+    monkeypatch.setattr(op._Problem, "point", lambda self, S: op._Point(
+        S, None, None, 0.0, None, float(np.sum((coords(S) ** 2 - 1) ** 2))))
     monkeypatch.setattr(op, "gradient", gradient)
     monkeypatch.setattr(op, "_lbfgs_direction", direction)
     opt, _ = op.minimize(lh.catalog("kodaira-thurston"), op.OptimConfig(), S0=0.1 * sum(basis))
@@ -318,10 +323,10 @@ def test_failed_search_restarts_along_minus_gradient(rng, monkeypatch):
         memories.append(len(memory))
         return lbfgs_direction(G, memory)
 
-    def search(prob, S, obj, d, slope):
+    def search(prob, pt, d, slope):
         fail = memories[-1] == 3 and not any(f for f, _, _ in searches)
         searches.append((fail, d, slope))
-        return None if fail else line_search(prob, S, obj, d, slope)
+        return None if fail else line_search(prob, pt, d, slope)
 
     monkeypatch.setattr(op, "_lbfgs_direction", direction)
     monkeypatch.setattr(op, "_line_search", search)
@@ -346,39 +351,40 @@ class _QuadraticAlongD:
         self.trials = []
 
     def search(self):
-        return op._line_search(self, 0.0, self.obj, 1.0, self.slope)
+        start = op._Point(0.0, None, None, 0.0, None, self.obj)
+        return op._line_search(self, start, 1.0, self.slope)
 
-    def analyze(self, S):
+    def point(self, S):
         self.trials.append(S)
         if S > self.usable:
             raise NumericalFailure("trial metric cannot be analyzed")
-        return S
+        return op._Point(S, None, None, 0.0, None, self.value(S))
 
-    def value(self, S, pkg):
-        return self.obj + self.slope * pkg + self.c * pkg**2
+    def value(self, S):
+        return self.obj + self.slope * S + self.c * S**2
 
 
 def test_backtrack_lands_on_the_minimiser_of_a_quadratic():
     # a first step 8 times too long: the quadratic through the rejected
     # trial is the objective itself, so the second trial is its minimiser
     prob = _QuadraticAlongD(op.INITIAL_STEP / 8)
-    S, obj, pkg = prob.search()
+    found = prob.search()
     assert prob.trials[0] == op.INITIAL_STEP and len(prob.trials) == 2
-    assert abs(S - op.INITIAL_STEP / 8) <= 1e-12
-    assert obj == prob.value(S, pkg) < prob.obj
+    assert abs(found.S - op.INITIAL_STEP / 8) <= 1e-12
+    assert found.value == prob.value(found.S) < prob.obj
 
 
 def test_backtrack_shrinks_by_min_shrink_at_most():
     # a first step 1000 times too long is cut by MIN_SHRINK, not to 1/1000
     prob = _QuadraticAlongD(op.INITIAL_STEP / 1000)
-    S, _, _ = prob.search()
+    S = prob.search().S
     assert prob.trials[1] == op.MIN_SHRINK * op.INITIAL_STEP
     assert S <= 2 * op.INITIAL_STEP / 1000
 
 
 def test_backtrack_halves_after_an_unusable_trial():
     prob = _QuadraticAlongD(0.3 * op.INITIAL_STEP, usable=0.6 * op.INITIAL_STEP)
-    S, _, _ = prob.search()
+    S = prob.search().S
     assert prob.trials == [op.INITIAL_STEP, op.SHRINK * op.INITIAL_STEP]
     assert S == op.SHRINK * op.INITIAL_STEP
 
@@ -549,9 +555,8 @@ def test_descent_analyzes_only_exactly_hermitian_charts(rng, monkeypatch):
     # minimize symmetrizes S0 and the gradient once; every other chart point
     # is a real combination of exactly Hermitian matrices and stays one
     seen = []
-    analyze = op._Problem.analyze
-    monkeypatch.setattr(op._Problem, "analyze",
-                        lambda self, S: seen.append(S) or analyze(self, S))
+    point = op._Problem.point
+    monkeypatch.setattr(op._Problem, "point", lambda self, S: seen.append(S) or point(self, S))
     for name, objective in (("kodaira-thurston", "gauduchon_functional"),
                             ("iwasawa", "torsion_functional"), ("so3c", "residual_norm")):
         hs = lh.catalog(name)
@@ -622,3 +627,30 @@ def test_descent_analysis_budget(monkeypatch):
     assert max(first) <= 2, first
     failed = [cost for fail, cost in searches if fail]
     assert failed and max(failed) <= 8, failed
+
+
+def test_descent_evaluates_each_point_once(monkeypatch):
+    # over the benchmark's descents, each chart point is diagonalised and
+    # its functional's residual read once: one eigh of S builds H(S) and the
+    # gradient's divided differences, one residual gives the gradient and
+    # the trace row, and each descent adds the eigh of its anchor's root
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.update([name]) or real(*a))
+
+    count(te, "analyze")
+    count(np.linalg, "eigh")
+    count(fn, "torsion_critical_residual")
+    descents = 0
+    for name, seed in [("sokc-4", 7)] + [("so3c", seed) for seed in range(16)]:
+        hs = lh.catalog(name)
+        S0 = random_hermitian(np.random.default_rng(seed), hs.n)  # as cmd_optimize builds it
+        S0 *= 0.1 / np.linalg.norm(S0)
+        opt, _ = op.minimize(hs, op.OptimConfig(max_iter=500), S0=S0)
+        assert opt["reason"] in ("gradient_tolerance", "precision_limit"), (name, seed)
+        descents += 1
+    assert calls["analyze"] > 2 * descents
+    assert calls["eigh"] == calls["analyze"] + descents, calls
+    assert calls["torsion_critical_residual"] == calls["analyze"], calls
