@@ -5,8 +5,9 @@ TorsionPackage and returns the residual it measures: one number, or for
 :func:`stp_check` a dict of them.  :func:`classify` is the one place where a
 residual meets the tolerance; it returns the report's ``classification``
 block: each class maps to ``{"flag", "residual"}``, ``stp`` to
-``{"flag", "residuals"}`` and ``nilpotent_J`` to ``{"flag", "witness"}``,
-next to the ``tol`` used, so callers can judge borderline cases themselves.
+``{"flag", "residuals"}`` and ``nilpotent_J`` to ``{"flag", "witness"}``;
+the report's ``tolerances.tol`` holds the threshold, so callers can judge
+borderline cases themselves.
 
 The nilpotent-J check is a combinatorial test on the structure constants in
 the given frame: it asks whether some relabeling of the generators makes

@@ -199,16 +199,6 @@ def _parse_structure(doc):
 # reports
 
 
-def _validation_dict(rep):
-    return {
-        "ok": rep.ok,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "residual": c.residual}
-            for c in rep.checks
-        ],
-    }
-
-
 def build_report(sc, pkg, vrep, doc, tol):
     """The report of a metric on ``sc``, from its analysis ``pkg`` and the
     validation ``vrep`` of ``sc``; arrays stay numpy arrays until :func:`emit`."""
@@ -216,7 +206,7 @@ def build_report(sc, pkg, vrep, doc, tol):
         "tool": {"name": "hermlab", "version": __version__},
         "tolerances": {"tol": tol},
         "input": doc,
-        "validation": _validation_dict(vrep),
+        "validation": {"ok": vrep.ok, "checks": vrep.checks},
         "torsion": {
             "n": pkg.n,
             "norm_T2": pkg.norm_T2,
@@ -410,7 +400,7 @@ def _load_structure(args):
     if not vrep.ok:
         raise InputError(
             "structure constants failed validation: "
-            + ", ".join(f"{c.name}={c.residual:.3e}" for c in vrep.checks if not c.passed)
+            + ", ".join(f"{c['name']}={c['residual']:.3e}" for c in vrep.checks if not c["passed"])
         )
     lh.require_unimodular(hs.sc)
     return hs, doc, vrep
@@ -595,7 +585,7 @@ def make_parser():
 # the range of each numeric option, checked once after parsing: outside it
 # a command would fail deep inside its run or quietly do something else
 _OPTION_RANGES = (
-    ("tol", math.isfinite, "finite"),
+    ("tol", lambda v: 0 <= v < math.inf, "non-negative and finite"),
     ("max_iter", lambda v: v >= 0, "non-negative"),
     ("grad_tol", lambda v: 0 < v < math.inf, "positive and finite"),
     ("objective_tol", math.isfinite, "finite"),

@@ -123,19 +123,9 @@ class HermitianStructure:
 
 
 @dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    residual: float
-
-
-@dataclass(frozen=True)
 class ValidationReport:
-    checks: tuple
-
-    @property
-    def ok(self):
-        return all(c.passed for c in self.checks)
+    ok: bool
+    checks: list
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +196,9 @@ def exterior_d(omega, N):
 def validate(sc):
     """Consistency checks: C antisymmetry and d(d phi_j) = 0 for all j.
 
+    ``checks`` holds one row ``{"name", "passed", "residual"}`` per check,
+    as the report writes it; ``ok`` says whether every row passed.
+
     The n rows of phi in the structure tensor N are the 2-forms d phi_j,
     which have no (0,2) part (the structure is integrable), so their
     :func:`exterior_d` holds the coefficients of every d(d phi_j).  The rows
@@ -216,11 +209,11 @@ def validate(sc):
     antisym = float(np.abs(sc.C + np.swapaxes(sc.C, 1, 2)).max())
     N = structure_tensor(sc)
     dd = float(np.abs(exterior_d(N[:n], N)).max())
-    checks = (
-        Check("C_antisymmetry", antisym <= tol, antisym),
-        Check("dd_phi", dd <= tol, dd),
-    )
-    return ValidationReport(checks)
+    checks = [
+        {"name": "C_antisymmetry", "passed": antisym <= tol, "residual": antisym},
+        {"name": "dd_phi", "passed": dd <= tol, "residual": dd},
+    ]
+    return ValidationReport(all(c["passed"] for c in checks), checks)
 
 
 def unimodularity_residual(sc):

@@ -152,7 +152,7 @@ def test_acceptance_08_structure_validity_and_frame_invariance():
         structures.append(lh.complexify(rl))
     for sc in structures:
         rep = lh.validate(sc)
-        ok = ok and rep.ok and max(c.residual for c in rep.checks) <= 1e-10
+        ok = ok and rep.ok and max(c["residual"] for c in rep.checks) <= 1e-10
     for name in CATALOG_SAMPLE:
         hs = lh.catalog(name)
         base = te.analyze(hs)

@@ -214,13 +214,18 @@ def test_analyze_invalid_inputs_exit_1(tmp_path, capsys):
         {"n": 2, "C": None},
         {"real_algebra": {"dim": 4, "f": 3, "J": KT_J}},
         {"catalog": 5},
+        # dimensions with no structure, and a catalog family's empty member
+        {"n": 0, "C": []},
+        {"real_algebra": {"dim": 3, "f": [], "J": [[0, -1, 0], [1, 0, 0], [0, 0, 1]]}},
+        {"catalog": "abelian-0"},
         # re, im, val, J and metric entries are JSON numbers, a metric entry two
         *NOT_JSON_NUMBERS,
     ],
     ids=["nan-C", "nan-D", "nan-metric", "nan-real-f", "nan-real-metric",
          "malformed-metric", "malformed-real-f", "range-real-f", "repeated-real-f",
          "fractional-lo", "bool-n", "string-n", "fractional-dim", "cond-H",
-         "int-C", "null-C", "int-real-f", "int-catalog", *NOT_JSON_NUMBER_IDS],
+         "int-C", "null-C", "int-real-f", "int-catalog", "zero-n", "odd-dim",
+         "abelian-0", *NOT_JSON_NUMBER_IDS],
 )
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, doc):
     code, out, err = _run(capsys, "analyze", _write(tmp_path, doc), "--format", "json")
@@ -405,6 +410,7 @@ def test_deeply_nested_input_is_echoed(tmp_path, fmt, opening, closing):
 # failed deep inside a run or were taken silently
 @pytest.mark.parametrize("argv", [
     ["analyze", "--tol", "nan"],
+    ["analyze", "--tol", "-1"],
     ["optimize", "--max-iter", "-1"],
     ["optimize", "--grad-tol", "0"],
     ["optimize", "--grad-tol", "nan"],
@@ -1011,7 +1017,8 @@ def test_optimize_unusable_perturbed_start_exits_1(tmp_path, seed):
 @pytest.mark.parametrize("doc, perturb, reason", [
     ({"catalog": "so3c"}, "1000", ""),  # exp(S0), |S0| = 1000, is not positive definite
     (OVERFLOWING_FRAME_DOC, "0", "unitary frame of the metric overflows"),
-], ids=["perturb-1000", "overflowing-frame"])
+    (OVERFLOW_DOC, "0", "objective evaluated to a non-finite value"),
+], ids=["perturb-1000", "overflowing-frame", "overflowing-objective"])
 def test_optimize_unusable_start_names_perturb(tmp_path, capsys, doc, perturb, reason):
     code, out, err = _run(capsys, "optimize", _write(tmp_path, doc), "--perturb", perturb)
     assert (code, out) == (cli.EXIT_INVALID_INPUT, "")

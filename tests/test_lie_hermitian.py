@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import hermlab.classifiers as cl
+import hermlab.cli as cli
 import hermlab.lie_hermitian as lh
+import hermlab.torsion_engine as te
 from hermlab.errors import (
     DimensionMismatch,
     NotIntegrable,
@@ -43,15 +45,15 @@ def test_validate_abelian():
     rep = lh.validate(lh.catalog("abelian-3").sc)
     assert rep.ok
     for c in rep.checks:
-        assert c.residual <= 1e-14
+        assert c["residual"] <= 1e-14
 
 
 @pytest.mark.parametrize("name", CATALOG_SAMPLE)
 def test_validate_catalog_entries(name):
     rep = lh.validate(lh.catalog(name).sc)
-    assert rep.ok, [(c.name, c.residual) for c in rep.checks if not c.passed]
+    assert rep.ok, [(c["name"], c["residual"]) for c in rep.checks if not c["passed"]]
     for c in rep.checks:
-        assert c.residual <= 1e-12
+        assert c["residual"] <= 1e-12
 
 
 def test_validate_flags_broken_antisymmetry():
@@ -60,7 +62,7 @@ def test_validate_flags_broken_antisymmetry():
     sc = lh.StructureConstants(3, C, np.zeros((3, 3, 3)))
     rep = lh.validate(sc)
     assert not rep.ok
-    assert {c.name: c.residual for c in rep.checks}["C_antisymmetry"] > 0.1
+    assert {c["name"]: c["residual"] for c in rep.checks}["C_antisymmetry"] > 0.1
 
 
 def test_validate_flags_dd_violation():
@@ -72,9 +74,26 @@ def test_validate_flags_dd_violation():
     D = np.zeros((2, 2, 2), dtype=complex)
     D[0, 1, 0] = 1.0
     rep = lh.validate(lh.StructureConstants(2, C, D))
-    residual = {c.name: c.residual for c in rep.checks}
+    residual = {c["name"]: c["residual"] for c in rep.checks}
     assert not rep.ok
     assert residual["dd_phi"] > 1e-3
+
+
+@pytest.mark.parametrize("doc", [
+    {"catalog": "so3c"},
+    # d(d phi) lives only in the mixed bidegree blocks: dd_phi fails
+    {"n": 2, "C": [], "D": [{"up": 1, "lo": [2, 1], "re": 1.0},
+                            {"up": 2, "lo": [1, 2], "re": 1.0}]},
+], ids=["so3c", "mixed"])
+def test_validate_returns_the_report_rows(doc):
+    hs = cli.parse_input(doc)
+    rep = lh.validate(hs.sc)
+    assert isinstance(rep.checks, list)
+    for c in rep.checks:
+        assert isinstance(c, dict) and set(c) == {"name", "passed", "residual"}
+    assert rep.ok == all(c["passed"] for c in rep.checks)
+    report = cli.build_report(hs.sc, te.analyze(hs), rep, doc, 1e-9)
+    assert report["validation"] == {"ok": rep.ok, "checks": rep.checks}
 
 
 def test_validate_random_framed_structures(rng):
@@ -82,7 +101,7 @@ def test_validate_random_framed_structures(rng):
         n = int(rng.integers(2, 5))
         sc = random_structure(rng, n)
         rep = lh.validate(sc)
-        assert rep.ok, [(c.name, c.residual) for c in rep.checks if not c.passed]
+        assert rep.ok, [(c["name"], c["residual"]) for c in rep.checks if not c["passed"]]
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +223,7 @@ def test_complexify_leaves_jacobi_to_validate():
     f[3, 0, 2], f[3, 2, 0] = -2.0, 2.0
     sc = lh.complexify(lh.RealLieData(4, f, standard_J(2)))
     assert oracles.real_jacobi_residual(f) == 4.0
-    residual = {c.name: c.residual for c in lh.validate(sc).checks}
+    residual = {c["name"]: c["residual"] for c in lh.validate(sc).checks}
     assert residual == {"C_antisymmetry": 0.0, "dd_phi": 1.0}
 
 
@@ -274,7 +293,7 @@ def test_validate_antisymmetry_boundary_is_default_tol(planted, accepted):
     C = sc.C.copy()
     C[2, 0, 1] += planted
     rep = lh.validate(lh.StructureConstants(3, C, sc.D))
-    residual = {c.name: c.residual for c in rep.checks}
+    residual = {c["name"]: c["residual"] for c in rep.checks}
     assert residual["C_antisymmetry"] == pytest.approx(planted, rel=1e-6)
     assert residual["dd_phi"] == 0.0
     assert rep.ok is accepted
@@ -434,6 +453,11 @@ def test_hermitian_structure_accepts_transposed_metric(rng):
     H[2, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         lh.HermitianStructure(sc, H.T)
+
+
+def test_structure_constants_reject_wrong_shape():
+    with pytest.raises(ValueError, match=re.escape("C must have shape (2, 2, 2)")):
+        lh.StructureConstants(2, np.zeros((3, 3, 3)), np.zeros((2, 2, 2)))
 
 
 def test_structure_constants_accept_transposed_tensors():

@@ -87,7 +87,7 @@ def test_validate_dd_matches_exterior_derivative():
     failing = 0
     for sc in structures:
         rep = lh.validate(sc)
-        residual = {c.name: c.residual for c in rep.checks}
+        residual = {c["name"]: c["residual"] for c in rep.checks}
         # validate's one d(d phi) residual also stands for d(d phibar)
         dd_phi, dd_phibar = oracles.dd_residuals(sc)
         assert _close(residual["dd_phi"], dd_phi)
@@ -115,7 +115,7 @@ def test_validate_dd_matches_exterior_derivative():
                     assert _close(got[k], want[k]) and np.abs(want[k]).max() > 0.1
                 else:
                     assert np.abs(got[k]).max() == 0.0 == np.abs(want[k]).max()
-            residual = {c.name: c.residual for c in lh.validate(sc).checks}
+            residual = {c["name"]: c["residual"] for c in lh.validate(sc).checks}
             assert _close(residual["dd_phi"], np.abs(dense).max())
 
 
@@ -280,7 +280,7 @@ def test_pluriclosed_residual_matches_einsum_route():
 def test_closed_forms_on_small_catalog_entries(name):
     hs = lh.catalog(name)
     pkg = te.analyze(hs)
-    residual = {c.name: c.residual for c in lh.validate(hs.sc).checks}
+    residual = {c["name"]: c["residual"] for c in lh.validate(hs.sc).checks}
     assert _close([residual["dd_phi"]] * 2, oracles.dd_residuals(hs.sc))
     assert _close(fn.gauduchon_critical_residual(pkg)[0], oracles.gauduchon_residual(pkg))
     assert _close(cl.pluriclosed_residual(pkg), oracles.pluriclosed_residual(pkg))
