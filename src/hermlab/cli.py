@@ -6,11 +6,12 @@ Exit codes: 0 success; 1 invalid input (a document that cannot be read or
 decoded, schema, such as a term list that is not a list, a non-finite number
 or NaN/Infinity anywhere in the document, a metric not positive definite or
 with cond(H) above 1e13, failed structure validation, a structure that is
-not unimodular, unknown catalog name
-or one that is not a string, a structure too large to allocate, a numeric
-option out of its range, an optimize start metric or a variation-check
-finite-difference metric that cannot be analyzed, a usage error: an unknown
-option or command, a missing argument, a value argparse cannot convert);
+not unimodular, unknown catalog name or one that is not a string, a
+structure too large to allocate, a numeric option out of its range, an
+optimize start metric or a variation-check finite-difference metric H +- s h
+(s up to ``functionals.RICHARDSON_STEP``) that cannot be analyzed, a usage
+error: an unknown option or command, a missing argument, a value argparse
+cannot convert);
 2 numerical failure, including a metric whose unitary frame overflows and a
 report, in either format, that would contain a non-finite number; 3 "not
 critical" / "not converged" / "deviation above tolerance" outcomes.  A
@@ -428,9 +429,9 @@ def cmd_check_critical(args, hs, doc, vrep):
     return report, critical
 
 
-# variation-check's bounds, which --tol does not move.  The Richardson
-# difference of step 1e-4 is off by rounding, up to 5e-9 relative on random
-# structures, a wrong variation by O(1)
+# variation-check's bounds, which --tol does not move, calibrated at the
+# Richardson step fn.RICHARDSON_STEP: the difference is off by rounding, up
+# to 5e-9 relative on random structures, a wrong variation by O(1)
 _FD_REL_TOL = 1e-5
 # a variation below this times max(1, F) is compared absolutely: at a
 # critical metric the difference reads its rounding, which grows as eps * F
@@ -449,10 +450,10 @@ def cmd_variation_check(args, hs, doc, vrep):
         h = _random_hermitian(rng, hs.n)
         analytic = fn.first_variation(pkg, h)
         try:
-            fd = fn.fd_first_variation(hs, h, step=args.fd_step)
+            fd = fn.fd_first_variation(hs, h)
         except (NotPositiveDefinite, SingularFrame) as exc:
-            raise InputError(f"--fd-step {args.fd_step:g} gives a finite-difference metric "
-                             f"that is unusable: {exc}") from exc
+            raise InputError("a finite-difference metric H +- s h (s up to "
+                             f"{fn.RICHARDSON_STEP:g}) is unusable: {exc}") from exc
         dev = abs(analytic - fd)
         denom = max(abs(analytic), abs(fd))
         if denom > floor:
@@ -466,7 +467,6 @@ def cmd_variation_check(args, hs, doc, vrep):
     report = build_report(hs.sc, pkg, vrep, doc, args.tol)
     report["variation_check"] = {
         "directions": args.directions,
-        "fd_step": args.fd_step,
         "seed": args.seed,
         "max_relative_deviation": worst_rel,
         "rows": rows,
@@ -480,7 +480,6 @@ def cmd_optimize(args, hs, doc, vrep):
         objective=args.objective,
         max_iter=args.max_iter,
         grad_tol=args.grad_tol,
-        objective_tol=args.objective_tol,
     )
     S0 = None
     if args.perturb > 0:
@@ -504,6 +503,8 @@ def cmd_catalog(args):
         hs = lh.catalog(args.name)
     except UnknownCatalogEntry as exc:
         raise InputError(f"unknown catalog entry: {exc}") from exc
+    except (ValueError, OverflowError) as exc:  # as parse_input: an impossible size
+        raise InputError(f"invalid input: {exc}") from exc
     sys.stdout.write(f"{args.name}: n = {hs.n}\n")
     for line in lh.structure_equations_text(hs.sc):
         sys.stdout.write("  " + line + "\n")
@@ -560,7 +561,6 @@ def make_parser():
     )
     _add_common(p)
     p.add_argument("--directions", type=int, default=10)
-    p.add_argument("--fd-step", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_variation_check)
 
@@ -569,7 +569,6 @@ def make_parser():
     p.add_argument("--objective", choices=op.OBJECTIVES, default=op.OptimConfig.objective)
     p.add_argument("--max-iter", type=int, default=op.OptimConfig.max_iter)
     p.add_argument("--grad-tol", type=float, default=op.OptimConfig.grad_tol)
-    p.add_argument("--objective-tol", type=float, default=op.OptimConfig.objective_tol)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--perturb", type=float, default=0.0, help="seeded random start size")
     p.set_defaults(func=cmd_optimize)
@@ -588,9 +587,7 @@ _OPTION_RANGES = (
     ("tol", lambda v: 0 <= v < math.inf, "non-negative and finite"),
     ("max_iter", lambda v: v >= 0, "non-negative"),
     ("grad_tol", lambda v: 0 < v < math.inf, "positive and finite"),
-    ("objective_tol", math.isfinite, "finite"),
     ("perturb", lambda v: 0 <= v < math.inf, "non-negative and finite"),
-    ("fd_step", lambda v: 0 < v < math.inf, "positive and finite"),
     ("directions", lambda v: v >= 1, "positive"),
     ("seed", lambda v: v >= 0, "non-negative"),
 )

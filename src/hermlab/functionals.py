@@ -108,14 +108,18 @@ def first_variation(pkg, h, functional="torsion_functional"):
     return float(v * np.trace(h_u @ -Q).real)
 
 
-def fd_first_variation(hs, h, step=1e-4, functional="torsion_functional"):
+# the step of fd_first_variation: cli's variation-check bounds are calibrated at it
+RICHARDSON_STEP = 1e-4
+
+
+def fd_first_variation(hs, h, functional="torsion_functional"):
     """Finite-difference derivative of a functional along H + t h.
 
     The Richardson combination (4 D(step/2) - D(step)) / 3 of the central
-    differences D(s) = (f(H + s h) - f(H - s h)) / (2s): the step^2 terms of
-    their truncation cancel, leaving O(step^4), so at a critical metric,
-    where the derivative is 0, it reads rounding rather than step^2 times
-    the third variation.  Four analyses.
+    differences D(s) = (f(H + s h) - f(H - s h)) / (2s), step =
+    ``RICHARDSON_STEP``: the step^2 terms of their truncation cancel, leaving
+    O(step^4), so at a critical metric, where the derivative is 0, it reads
+    rounding rather than step^2 times the third variation.  Four analyses.
     """
     value, _ = _functional(functional)
     h = np.asarray(h, dtype=complex)
@@ -125,7 +129,7 @@ def fd_first_variation(hs, h, step=1e-4, functional="torsion_functional"):
         minus = te.analyze(lh.HermitianStructure(hs.sc, hs.H - s * h))
         return (value(plus) - value(minus)) / (2 * s)
 
-    return (4 * central(step / 2) - central(step)) / 3
+    return (4 * central(RICHARDSON_STEP / 2) - central(RICHARDSON_STEP)) / 3
 
 
 def residual_report(pkg):

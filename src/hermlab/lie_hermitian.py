@@ -372,17 +372,6 @@ def so_structure_constants(k):
     return comm[:, :, a, b].transpose(2, 0, 1)
 
 
-def kodaira_thurston_real():
-    """Heisenberg x R with the standard complex structure."""
-    f = np.zeros((4, 4, 4))
-    f[2, 0, 1] = 1.0
-    f[2, 1, 0] = -1.0
-    J = np.zeros((4, 4))
-    J[1, 0], J[0, 1] = 1.0, -1.0
-    J[3, 2], J[2, 3] = 1.0, -1.0
-    return RealLieData(4, f, J)
-
-
 def catalog_names():
     """Representative catalog names (abelian-N and sokc-K are parametric)."""
     return ["abelian-2", "abelian-3", "so3c", "sokc-4", "iwasawa", "kodaira-thurston"]

@@ -88,15 +88,12 @@ class OptimConfig:
     objective: str = "torsion_functional"
     max_iter: int = 200
     grad_tol: float = 1e-8
-    objective_tol: float = 0.0  # extra stop: objective at or below this value
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
         if not 0 < self.grad_tol < np.inf:  # NaN fails both comparisons
             raise ValueError("grad_tol must be positive and finite")
-        if not np.isfinite(self.objective_tol):
-            raise ValueError("objective_tol must be finite")
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)) \
                 or self.max_iter < 0:  # the start is always a trace row
             raise ValueError("max_iter must be a non-negative integer")
@@ -292,9 +289,6 @@ def minimize(hs0, cfg, S0=None):
                       "residual_norm": pt.norm_Q})
         if gnorm <= cfg.grad_tol:
             converged, reason = True, "gradient_tolerance"
-            break
-        if cfg.objective_tol > 0 and pt.value <= cfg.objective_tol:
-            converged, reason = True, "objective_tolerance"
             break
         if it == cfg.max_iter:
             reason = "max_iterations"

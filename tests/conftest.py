@@ -168,6 +168,17 @@ def standard_J(n):
     return J
 
 
+def kodaira_thurston_real():
+    """Heisenberg x R with the standard complex structure."""
+    f = np.zeros((4, 4, 4))
+    f[2, 0, 1] = 1.0
+    f[2, 1, 0] = -1.0
+    J = np.zeros((4, 4))
+    J[1, 0], J[0, 1] = 1.0, -1.0
+    J[3, 2], J[2, 3] = 1.0, -1.0
+    return lh.RealLieData(4, f, J)
+
+
 def realified_so(k):
     """so(k, C) as a real algebra with its complex structure: the basis
     u_1..u_n, v_1..v_n with v = J u and the brackets of the complex algebra."""

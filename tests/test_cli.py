@@ -29,6 +29,12 @@ KT_REAL = {"real_algebra": {"dim": 4, "f": [{"up": 3, "lo": [1, 2], "val": 1.0}]
 SINGULAR_METRIC = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
                    [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
                    [[0.0, 0.0], [0.0, 0.0], [1e-14, 0.0]]]
+# iwasawa with diag(1, 1, 1e-6): cond(H) = 1e6 is within the limit, but a
+# finite-difference step of 1e-4 along a random direction leaves the cone
+THIN_METRIC_DOC = {"catalog": "iwasawa",
+                   "metric": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                              [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+                              [[0.0, 0.0], [0.0, 0.0], [1e-6, 0.0]]]}
 # documents that parsed when every real-valued field took what float()
 # or complex() accepts: each reads as a usable structure, so only the
 # parser rejects it
@@ -414,11 +420,9 @@ def test_deeply_nested_input_is_echoed(tmp_path, fmt, opening, closing):
     ["optimize", "--max-iter", "-1"],
     ["optimize", "--grad-tol", "0"],
     ["optimize", "--grad-tol", "nan"],
-    ["optimize", "--objective-tol", "inf"],
     ["optimize", "--perturb", "nan"],
     ["optimize", "--perturb", "-0.5"],
     ["optimize", "--perturb", "0.1", "--seed", "-1"],
-    ["variation-check", "--fd-step", "0"],
     ["variation-check", "--directions", "-2"],
     ["variation-check", "--directions", "0"],
 ], ids=lambda argv: " ".join(argv[1:]))
@@ -541,8 +545,7 @@ REPORT_KEYS = {
     "criticality": {"functional", "residual_norm", "critical"},
     "optimization": {"objective", "seed", "converged", "reason", "iterations", "H_star",
                      "trace"},
-    "variation_check": {"directions", "fd_step", "seed", "max_relative_deviation", "rows",
-                        "passed"},
+    "variation_check": {"directions", "seed", "max_relative_deviation", "rows", "passed"},
 }
 
 
@@ -619,9 +622,11 @@ def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
     (["optimize", "in.json", "--seed", "3", "--objective", "bogus"], cli.EXIT_INVALID_INPUT),
     (["optimize", "in.json", "--max-iter", "abc"], cli.EXIT_INVALID_INPUT),
     (["optimize", "in.json", "--det-normalized"], cli.EXIT_INVALID_INPUT),
+    (["optimize", "in.json", "--objective-tol", "1e-3"], cli.EXIT_INVALID_INPUT),
+    (["variation-check", "in.json", "--fd-step", "1e-4"], cli.EXIT_INVALID_INPUT),
     ([], cli.EXIT_INVALID_INPUT),
 ], ids=["version", "help", "unknown-flag", "bad-tol", "bad-choice", "bad-int", "removed-flag",
-        "no-command"])
+        "removed-objective-tol", "removed-fd-step", "no-command"])
 def test_parser_works_after_system_exit(tmp_path, capsys, argv, code):
     # a usage error exits 1 with one "error:" line, not argparse's exit 2,
     # which would read as a numerical failure
@@ -910,11 +915,13 @@ def test_variation_check_fails_a_wrong_Q_F(tmp_path, capsys, monkeypatch):
 
 
 def test_variation_check_names_an_unusable_fd_step(tmp_path, capsys):
-    # H - 10 h is not positive definite: the option is at fault, not the input
-    path = _write(tmp_path, {"catalog": "iwasawa"})
-    code, out, err = _run(capsys, "variation-check", path, "--fd-step", "10")
+    # analyze accepts the metric; the error line names the metric the step left
+    path = _write(tmp_path, THIN_METRIC_DOC)
+    assert _run(capsys, "analyze", path)[0] == cli.EXIT_OK
+    code, out, err = _run(capsys, "variation-check", path)
     assert (code, out) == (cli.EXIT_INVALID_INPUT, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: --fd-step 10 ")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: a finite-difference metric H +- s h (s up to 0.0001) ")
 
 
 def test_variation_check_seed_reproducible(tmp_path, capsys):
@@ -945,7 +952,7 @@ def test_optimize_so3c_residual_norm(tmp_path, capsys):
     code, out, _ = _run(
         capsys, "optimize", path, "--objective", "residual_norm",
         "--perturb", "0.1", "--seed", "7", "--max-iter", "500",
-        "--grad-tol", "1e-10", "--objective-tol", "1e-13", "--format", "json",
+        "--grad-tol", "1e-10", "--format", "json",
     )
     assert code == cli.EXIT_OK
     rep = json.loads(out)
@@ -1107,18 +1114,26 @@ def test_catalog_show_unknown(tmp_path, capsys):
 
 # n = 300000 asks for n^3 arrays of 192 PiB (real) or 384 PiB (complex), more
 # than a 64-bit address space holds: the allocation fails before any memory
-# is touched
-@pytest.mark.parametrize("argv", [
-    ["analyze", {"n": 300000, "C": []}],
-    ["analyze", {"catalog": "abelian-300000"}],
-    ["analyze", {"real_algebra": {"dim": 300000, "f": [], "J": [[0, -1], [1, 0]]}}],
-    ["catalog", "show", "abelian-300000"],
-], ids=["explicit", "catalog", "real-algebra", "catalog-show"])
-def test_structure_too_large_to_allocate_exits_1(tmp_path, capsys, argv):
+# is touched.  At n = 10^7 the byte count passes numpy's largest size and
+# numpy refuses the shape itself, with a ValueError
+TOO_BIG = "error: invalid input: array is too big"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", {"n": 300000, "C": []}], "error: Unable to allocate"),
+    (["analyze", {"catalog": "abelian-300000"}], "error: Unable to allocate"),
+    (["analyze", {"real_algebra": {"dim": 300000, "f": [], "J": [[0, -1], [1, 0]]}}],
+     "error: Unable to allocate"),
+    (["catalog", "show", "abelian-300000"], "error: Unable to allocate"),
+    (["analyze", {"catalog": "abelian-10000000"}], TOO_BIG),
+    (["catalog", "show", "abelian-10000000"], TOO_BIG),
+], ids=["explicit", "catalog", "real-algebra", "catalog-show", "catalog-too-big",
+        "catalog-show-too-big"])
+def test_structure_too_large_to_allocate_exits_1(tmp_path, capsys, argv, message):
     argv = [_write(tmp_path, a) if isinstance(a, dict) else a for a in argv]
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (cli.EXIT_INVALID_INPUT, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: Unable to allocate")
+    assert len(err.splitlines()) == 1 and err.startswith(message)
 
 
 # the exact text of `catalog show`: it reads the catalog's constants (the so(k)

@@ -23,6 +23,7 @@ from conftest import (
     direct_sum,
     hopf,
     hopf_real,
+    kodaira_thurston_real,
     n2_family,
     nakamura,
     random_gl,
@@ -177,7 +178,7 @@ def test_complexify_abelian_standard_J():
 
 
 def test_complexify_nilmanifold_single_term():
-    sc = lh.complexify(lh.kodaira_thurston_real())
+    sc = lh.complexify(kodaira_thurston_real())
     assert sc.n == 2
     assert np.abs(sc.C).max() <= 1e-13
     nz = np.argwhere(np.abs(sc.D) > 1e-13)
@@ -195,7 +196,7 @@ def test_complexify_so3c_real_matches_complex_catalog():
 
 
 def test_complexify_random_basis_changes_stay_valid(rng):
-    for base in (lh.kodaira_thurston_real(), realified_so(3)):
+    for base in (kodaira_thurston_real(), realified_so(3)):
         for _ in range(10):
             rl = random_real_basis_change(rng, base)
             sc = lh.complexify(rl)
@@ -257,7 +258,7 @@ def test_non_unimodular_structures_are_rejected(weights, trace):
 
 def test_test_structures_are_unimodular(rng):
     # every catalog entry and every builder the suite draws structures from
-    kt_real = lh.kodaira_thurston_real()
+    kt_real = kodaira_thurston_real()
     structures = [lh.catalog(name).sc for name in lh.catalog_names()]
     structures += [lh.catalog(name).sc for name in ("abelian-1", "sokc-5", "sokc-6")]
     structures += [nakamura(), hopf(), semidirect((2.0, -0.5, -1.5)), n2_family(0.7 + 0.3j),
@@ -302,7 +303,7 @@ def test_validate_antisymmetry_boundary_is_default_tol(planted, accepted):
 @pytest.mark.parametrize("planted, accepted", [(5e-10, True), (5e-9, False)])
 def test_complexify_antisymmetry_boundary_is_default_tol(planted, accepted):
     # the Heisenberg bracket lands in the centre, so Jacobi holds for any f^3_{12}
-    kt = lh.kodaira_thurston_real()
+    kt = kodaira_thurston_real()
     f = kt.f.copy()
     f[2, 0, 1] += planted
     rl = lh.RealLieData(4, f, kt.J)
@@ -315,7 +316,7 @@ def test_complexify_antisymmetry_boundary_is_default_tol(planted, accepted):
 
 @pytest.mark.parametrize("planted, accepted", [(5e-10, True), (5e-9, False)])
 def test_complexify_J_square_boundary_is_default_tol(planted, accepted):
-    kt = lh.kodaira_thurston_real()
+    kt = kodaira_thurston_real()
     J = kt.J.copy()
     J[1, 0] += planted
     rl = lh.RealLieData(4, kt.f, J)

@@ -31,9 +31,9 @@ import hermlab.tensor_algebra as ta
 import hermlab.torsion_engine as te
 
 import oracles
-from conftest import (CATALOG_SAMPLE, random_gl, random_hpd, random_real_basis_change,
-                      random_structure, random_two_step_structure, realified, realified_so,
-                      standard_J)
+from conftest import (CATALOG_SAMPLE, kodaira_thurston_real, random_gl, random_hpd,
+                      random_real_basis_change, random_structure, random_two_step_structure,
+                      realified, realified_so, standard_J)
 
 REL_TOL = 1e-12
 
@@ -389,7 +389,7 @@ def test_so3c_real_equals_loop_version():
 def test_complexify_equals_loop_version():
     # Kodaira-Thurston, so(3, C) and 60 seeded real basis changes of them,
     # then so(4, C) (real dimension 12) and 10 seeded basis changes of it
-    bases = (lh.kodaira_thurston_real(), realified_so(3))
+    bases = (kodaira_thurston_real(), realified_so(3))
     rng = np.random.default_rng(108)
     cases = list(bases) + [random_real_basis_change(rng, bases[m % 2]) for m in range(60)]
     so4c = realified_so(4)
@@ -423,7 +423,7 @@ def _pivot_cases():
     realified so(k, C), k = 3..6, seeded basis changes of all but so(6, C),
     and random J = B J0 B^-1 with row-permuted B in real dimension 2..16."""
     rng = np.random.default_rng(109)
-    bases = [lh.kodaira_thurston_real(), realified_so(3)] + [realified_so(k) for k in range(3, 7)]
+    bases = [kodaira_thurston_real(), realified_so(3)] + [realified_so(k) for k in range(3, 7)]
     cases = bases + [random_real_basis_change(rng, rl) for rl in bases[:5] for _ in range(12)]
     out = [(np.eye(rl.dim) - 1j * rl.J) / 2.0 for rl in cases]
     for _ in range(1600):
