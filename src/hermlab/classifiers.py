@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import tensor_algebra as ta
 from . import torsion_engine as te
-from .tensor_algebra import DEFAULT_TOL
 
 # nilpotent_J_check counts an entry of C or D above this as nonzero: a
 # structural-zero test on the given constants, not an identity residual,
@@ -57,20 +57,14 @@ def stp_check(pkg, work=None):
     nabla^s T is the template at the Strominger connection Gamma = D + T,
     which contracts in O(n^5), as do :func:`pluriclosed_residual` and the
     d(d phi) check of ``lie_hermitian.validate``.  Both templates run in
-    ``work`` (a ``torsion_engine.workspace``, allocated when none is passed),
+    ``work`` (a ``tensor_algebra.workspace``, allocated when none is passed),
     and each ``max|.|`` is reduced in its spent second half.
     """
     if work is None:
-        work = te.workspace(pkg.n)
-    # |.| of a template (in work[0]) goes into the first n^4 floats of work[1]
-    spent = work[1].view(float).reshape(work.shape)[0]
-
-    def max_abs(template, gamma):
-        return float(np.abs(template(pkg.T, gamma, work), out=spent).max())
-
+        work = ta.workspace(pkg.n)
     S = pkg.sc_u.D + pkg.T
-    return {"nabla_s_hol": max_abs(te.holomorphic_derivative_T, S),
-            "nabla_s_bar": max_abs(te.covariant_derivative_T, S)}
+    return {"nabla_s_hol": ta.max_abs(te.holomorphic_derivative_T(pkg.T, S, work), work),
+            "nabla_s_bar": ta.max_abs(te.covariant_derivative_T(pkg.T, S, work), work)}
 
 
 def nilpotent_J_check(sc):
@@ -110,13 +104,13 @@ def pluriclosed_residual(pkg, work=None):
     B = -i conj(T).  Applying del gives the (2,2)-form whose coefficients,
     antisymmetrized in both pairs, are K[p,q,r,s]; its norm over canonical
     terms is |K| / 2.  Both products and both antisymmetrizations run in
-    ``work`` (a ``torsion_engine.workspace``, allocated when none is
+    ``work`` (a ``tensor_algebra.workspace``, allocated when none is
     passed).
     """
     n = pkg.n
     m = n * n
     if work is None:
-        work = te.workspace(n)
+        work = ta.workspace(n)
     W, K = work
     B = -1j * pkg.T.conj()
     # W[p,q,r,s] = -1/4 sum_x C[x,p,q] B[x,r,s]
@@ -131,7 +125,7 @@ def pluriclosed_residual(pkg, work=None):
     return 0.5 * float(np.linalg.norm(W))
 
 
-def classify(pkg, sc, tol=DEFAULT_TOL):
+def classify(pkg, sc, tol=ta.DEFAULT_TOL):
     """The classification block of a report: each flag with its residuals,
     a residual being flagged when at most ``tol``.
 
@@ -143,7 +137,7 @@ def classify(pkg, sc, tol=DEFAULT_TOL):
         return {"flag": residual <= tol, "residual": residual}
 
     # the n^5 classifiers share one workspace
-    work = te.workspace(pkg.n)
+    work = ta.workspace(pkg.n)
     stp = stp_check(pkg, work)
     nilp_flag, witness = nilpotent_J_check(sc)
     return {

@@ -15,15 +15,17 @@ the 2n generators e = (phi, phibar) it returns N with
 so ``N[j,i,k] = -C[j,i,k]`` and ``N[j,i,n+k] = -conj(D[i,j,k])`` for the
 rows of phi (D enters with its first lower slot bound to the form label);
 the rows of phibar are their conjugates with phi and phibar swapped.
-:func:`structure_equations_text` and :func:`unimodularity_residual` read
-N (the bracket is [x_r, x_s] = -sum_p N[p,r,s] x_p on the dual frame x, so
-tr ad x_r = -sum_p N[p,r,p]), and :func:`validate` reads it through
-:func:`exterior_d`, the derivative of 2-forms given as coefficient
+:func:`structure_equations_text` reads N, and :func:`validate` reads it
+through :func:`exterior_d`, the derivative of 2-forms given as coefficient
 arrays: the rows ``N[:n]`` are the 2-forms d phi_j.  The structure is
 integrable, so d phi_j has no (0,2) part: the rows of phi have a zero
 phibar-phibar block and the rows of phibar a zero phi-phi block, and
-d(d phi_j) has no (0,3) part.  :func:`exterior_d` returns the three other
-bidegree blocks, each contracted only where N is non-zero.
+d(d phi_j) has no (0,3) part.  :func:`exterior_d` returns one of the three
+other bidegree blocks per call, contracted only where N is non-zero, in a
+two-slot workspace that :func:`validate` reuses for all three.  The bracket
+is [x_r, x_s] = -sum_p N[p,r,s] x_p on the dual frame x, so
+tr ad x_r = -sum_p N[p,r,p]; :func:`unimodularity_residual` reads these
+traces off C and D.
 
 Frame-change convention: a new frame ``etilde = e @ P`` has coframe
 ``phitilde = P^{-1} @ phi``.  The induced transformation laws are
@@ -145,19 +147,26 @@ def structure_tensor(sc):
     return N
 
 
-def exterior_d(omega, N):
-    """d of the invariant 2-form ``1/2 sum omega[..., a, b] e_a ^ e_b`` with
-    no (0,2) part, as its (3,0), (2,1) and (1,2) blocks.
+def exterior_d(omega, N, q, work=None):
+    """The (3 - q, q) block of d of the invariant 2-form
+    ``1/2 sum omega[..., a, b] e_a ^ e_b`` with no (0,2) part, q = 0, 1 or 2.
 
     ``omega`` is antisymmetric in its last two slots, which run over the
     ``2n`` generators of the structure tensor ``N``, and its phibar-phibar
     block is zero; leading slots are a batch.  Write
     ``d omega = 1/6 sum W[..., r, s, t] e_r ^ e_s ^ e_t``, W the cyclic sum of
     ``Y[..., r, s, t] = sum_a N[a, r, s] omega[..., a, t]`` over its last three
-    slots.  Returns the array of shape ``(3,) + batch + (n, n, n)`` holding
-    ``W[..., x, y, z]``, ``W[..., x, y, n + z]`` and ``W[..., x, n + y, n + z]``
-    for all x, y, z < n.  Every other entry of W is a cyclic rotation of one
-    of these, or lies in the (0,3) part, which is zero.
+    slots.  Returns the array of shape ``batch + (n, n, n)`` holding
+    ``W[..., x, y, z]``, ``W[..., x, y, n + z]`` or ``W[..., x, n + y, n + z]``
+    for all x, y, z < n, for q = 0, 1 or 2.  Every other entry of W is a
+    cyclic rotation of one of these, or lies in the (0,3) part, which is zero.
+
+    The block is ``work[0]`` of ``work``, a complex ``(2,) + batch + (n, n, n)``
+    buffer (allocated when none is passed; for the rows ``N[:n]`` it is a
+    ``tensor_algebra.workspace``), and its products go into ``work[1]``, so
+    a call given ``work`` allocates nothing of size n^4 and a caller that
+    checks the blocks in turn holds one buffer.  Each product is one matmul
+    into a slot, summed through transposed views.
 
     Each Y block sums only over the generators ``a`` where neither factor
     vanishes: N has no (2,0) part in its phibar rows and no (0,2) part in
@@ -169,28 +178,33 @@ def exterior_d(omega, N):
     h, b, every = slice(0, n), slice(n, 2 * n), slice(None)
     w = omega.reshape((-1, 2 * n, 2 * n))
     m = w.shape[0]
-    # the three blocks and, after them, room for two products: one n^4
-    # allocation, where one per product costs more in page faults than the
-    # products' sums take
-    out = np.empty((5, m, n, n, n), dtype=complex)
+    if work is None:
+        work = np.empty((2,) + omega.shape[:-2] + (n, n, n), dtype=complex)
+    out, tmp = work.reshape(2, m, n, n, n)
 
-    def Y(k, a, t, r, s):
-        # Y[r, s, t] over the generators a, into out[k] laid out [batch, t, r, s]
+    def Y(into, a, t, r, s):
+        # Y[r, s, t] over the generators a, into a slot laid out [batch, t, r, s]
         left = w[:, a, t].transpose(0, 2, 1).reshape(m * n, -1)
         right = N[a, r, s].reshape(left.shape[1], n * n)
-        np.matmul(left, right, out=out[k].reshape(m * n, n * n))
-        return out[k]
+        np.matmul(left, right, out=into.reshape(m * n, n * n))
+        return into
 
-    T = Y(3, h, h, h, h)  # T[m, z, x, y] = Y[x, y, z]
-    np.add(T, T.transpose(0, 2, 3, 1), out=out[0])
-    out[0] += T.transpose(0, 3, 1, 2)
-    Q = Y(3, every, h, h, b)  # Q[m, x, y, z] = Y[y, zbar, x] = -Y[zbar, y, x]
-    np.add(Q, Y(4, h, b, h, h).transpose(0, 2, 3, 1), out=out[1])
-    out[1] -= Q.transpose(0, 2, 1, 3)
-    S = Y(3, h, b, h, b)  # S[m, z, x, y] = Y[x, ybar, zbar] = -Y[ybar, x, zbar]
-    np.add(Y(4, b, h, b, b), S.transpose(0, 2, 3, 1), out=out[2])
-    out[2] -= S.transpose(0, 2, 1, 3)
-    return out[:3].reshape((3,) + omega.shape[:-2] + (n, n, n))
+    if q == 0:
+        T = Y(tmp, h, h, h, h)  # T[m, z, x, y] = Y[x, y, z]
+        np.add(T, T.transpose(0, 2, 3, 1), out=out)
+        out += T.transpose(0, 3, 1, 2)
+    elif q == 1:
+        # Q enters twice and the other product once, so Q - Q^T is summed
+        # first: two slots hold the block and one product at a time
+        Q = Y(tmp, every, h, h, b)  # Q[m, x, y, z] = Y[y, zbar, x] = -Y[zbar, y, x]
+        np.subtract(Q, Q.transpose(0, 2, 1, 3), out=out)
+        out += Y(tmp, h, b, h, h).transpose(0, 2, 3, 1)
+    else:
+        Y(out, b, h, b, b)
+        S = Y(tmp, h, b, h, b)  # S[m, z, x, y] = Y[x, ybar, zbar] = -Y[ybar, x, zbar]
+        out += S.transpose(0, 2, 3, 1)
+        out -= S.transpose(0, 2, 1, 3)
+    return work[0]
 
 
 def validate(sc):
@@ -200,15 +214,19 @@ def validate(sc):
     as the report writes it; ``ok`` says whether every row passed.
 
     The n rows of phi in the structure tensor N are the 2-forms d phi_j,
-    which have no (0,2) part (the structure is integrable), so their
-    :func:`exterior_d` holds the coefficients of every d(d phi_j).  The rows
-    of phibar are those of phi conjugated and relabelled, so d(d phibar_j),
-    the conjugate of d(d phi_j), needs no check of its own.
+    which have no (0,2) part (the structure is integrable), so the three
+    :func:`exterior_d` blocks hold the coefficients of every d(d phi_j).
+    They are checked in turn in one ``tensor_algebra.workspace``, each
+    ``max|.|`` reduced in its spent product slot, so the check holds one
+    n^4 buffer.  The rows of phibar are those of phi conjugated and
+    relabelled, so d(d phibar_j), the conjugate of d(d phi_j), needs no check
+    of its own.
     """
     n, tol = sc.n, ta.DEFAULT_TOL
     antisym = float(np.abs(sc.C + np.swapaxes(sc.C, 1, 2)).max())
     N = structure_tensor(sc)
-    dd = float(np.abs(exterior_d(N[:n], N)).max())
+    work = ta.workspace(n)
+    dd = max(ta.max_abs(exterior_d(N[:n], N, q, work), work) for q in range(3))
     checks = [
         {"name": "C_antisymmetry", "passed": antisym <= tol, "residual": antisym},
         {"name": "dd_phi", "passed": dd <= tol, "residual": dd},
@@ -217,9 +235,15 @@ def validate(sc):
 
 
 def unimodularity_residual(sc):
-    """max_r |tr ad e_r| over the 2n generators, which is max_r |sum_p N[p,r,p]|:
-    zero exactly on a unimodular algebra."""
-    return float(np.abs(np.einsum("prp->r", structure_tensor(sc))).max())
+    """max_r |tr ad e_r| over the 2n generators: zero exactly on a unimodular
+    algebra.
+
+    tr ad e_r = -sum_p N[p,r,p], which the structure equation gives as
+    -(sum_j D[j,j,r] - sum_j C[j,r,j]) for the generator phi_r and as its
+    conjugate for phibar_r, so n traces of C and D cost O(n^2) and no N is
+    built.
+    """
+    return float(np.abs(sc.D.trace(0, 0, 1) - sc.C.trace(0, 0, 2)).max())
 
 
 def require_unimodular(sc):

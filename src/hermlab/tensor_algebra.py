@@ -23,6 +23,22 @@ DEFAULT_TOL = 1e-9
 HERMITIAN_RTOL = 1e-12
 
 
+def workspace(n):
+    """The complex (2, n, n, n, n) buffer an n^5 contraction writes into: its
+    result in ``work[0]``, its products in ``work[1]``.  The d(d phi) check
+    and the classifiers allocate this one shape, so no stage of a report
+    holds more than one."""
+    return np.empty((2, n, n, n, n), dtype=complex)
+
+
+def max_abs(a, work):
+    """max |a| for an ``a`` of the shape of ``work[0]`` and not in ``work[1]``:
+    |a| goes into the first half of the spent ``work[1]``, so no temporary
+    of a's size is made."""
+    spent = work[1].view(float).reshape((2,) + a.shape)[0]
+    return float(np.abs(a, out=spent).max())
+
+
 def require_finite(a, what="array"):
     a = np.asarray(a)
     if not np.isfinite(a).all():

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lie_hermitian as lh
+from . import tensor_algebra as ta
 
 
 @dataclass(frozen=True)
@@ -62,25 +63,20 @@ def ab_tensors(T):
     return Tm @ Tm.conj().T, Tr.conj() @ Tr.T
 
 
-def workspace(n):
-    """The complex (2, n, n, n, n) buffer an n^5 template writes into."""
-    return np.empty((2, n, n, n, n), dtype=complex)
-
-
 def holomorphic_derivative_T(T, gamma, work=None):
     """T^j_{ik, l} (unbarred covariant derivative) for left-invariant data:
 
     out[j,i,k,l] = sum_r ( G^j_{rl} T^r_{ik} - T^j_{ir} G^r_{kl} - T^j_{rk} G^r_{il} ).
 
     Each term is one (n^2, n) @ (n, n^2) product written into ``work`` (a
-    :func:`workspace`, allocated when none is passed): the second and third
-    land in ``work[1]`` and are added into ``work[0]`` through a transposed
-    view.  Returns ``work[0]``, laid out as [j,i,k,l].
+    ``tensor_algebra.workspace``, allocated when none is passed): the second
+    and third land in ``work[1]`` and are added into ``work[0]`` through a
+    transposed view.  Returns ``work[0]``, laid out as [j,i,k,l].
     """
     n = T.shape[0]
     m = n * n
     if work is None:
-        work = workspace(n)
+        work = ta.workspace(n)
     out, tmp = work
     # sum_r T[j,i,r] G[r,k,l], laid out [j,i,k,l]
     np.matmul(T.reshape(m, n), gamma.reshape(n, m), out=out.reshape(m, m))

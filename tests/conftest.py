@@ -135,6 +135,22 @@ def random_two_step_structure(rng, n, m):
     return lh.StructureConstants(n, C, D)
 
 
+def upper_triangular_nilpotent(k):
+    """n(k, C), the strictly upper-triangular k x k matrices with basis E_ab
+    (a < b) in level order, as the benchmark's report ladder builds it."""
+    pairs = sorted(((a, b) for a in range(k) for b in range(a + 1, k)),
+                   key=lambda p: (p[1] - p[0], p[0]))
+    index = {p: m for m, p in enumerate(pairs)}
+    n = len(pairs)
+    C = np.zeros((n, n, n), dtype=complex)
+    for (a, b), i in index.items():
+        for (b2, c), j in index.items():
+            if b2 == b:  # [E_ab, E_bc] = E_ac
+                C[index[(a, c)], i, j] = -1.0
+                C[index[(a, c)], j, i] = 1.0
+    return lh.StructureConstants(n, C, np.zeros_like(C))
+
+
 def explicit_document(sc, H):
     """The CLI input document of ``sc`` under the metric ``H``: 1-based C/D
     term lists and the metric as [re, im] pairs."""

@@ -8,9 +8,11 @@ itself is written out term by term here (:func:`coframe_differential`),
 independently of the library's structure tensor, and :func:`exterior_d`
 differentiates the generators through it; :func:`dense_exterior_d` is the
 contraction over all 2n generators that the library's bidegree blocks
-replaced.  The constant builders at the end are the library's former scalar
-index loops, kept as they were; the library's whole-array builders must
-reproduce them bit for bit.
+replaced, and :func:`unimodularity_residual` the sum over the whole
+structure tensor that the library's traces of C and D replaced.  The
+constant builders at the end are the library's former scalar index loops,
+kept as they were; the library's whole-array builders must reproduce them
+bit for bit.
 :func:`real_jacobi_residual` is the Jacobi check of real structure
 constants that complexification left to validation, and
 :func:`stp_derived_identities` the identities parallel torsion implies,
@@ -292,8 +294,8 @@ def dense_exterior_d(omega, N):
 
 
 def bidegree_blocks(W):
-    """The (3,0), (2,1) and (1,2) blocks of a dense W, stacked as
-    ``lie_hermitian.exterior_d`` returns them."""
+    """The (3,0), (2,1) and (1,2) blocks of a dense W, stacked: block q is
+    what ``lie_hermitian.exterior_d(omega, N, q)`` returns."""
     n = W.shape[-1] // 2
     h, b = slice(0, n), slice(n, 2 * n)
     return np.stack([W[..., h, h, h], W[..., h, h, b], W[..., h, b, b]])
@@ -366,6 +368,13 @@ def dd_residuals(sc):
             dd_anti, exterior_d(coframe_differential(sc, j, True), sc).max_abs()
         )
     return dd_hol, dd_anti
+
+
+def unimodularity_residual(sc):
+    """max_r |tr ad e_r| = max_r |sum_p N[p,r,p]| over the 2n generators,
+    read off the whole structure tensor: the route the library's traces of
+    C and D replaced."""
+    return float(np.abs(np.einsum("prp->r", lh.structure_tensor(sc))).max())
 
 
 def gauduchon_residual(pkg):

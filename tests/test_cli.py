@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import hermlab
+import hermlab.classifiers as cl
 import hermlab.cli as cli
 import hermlab.functionals as fn
 import hermlab.lie_hermitian as lh
@@ -20,7 +22,7 @@ import hermlab.torsion_engine as te
 import oracles
 from conftest import (CATALOG_SAMPLE, OVERFLOWING_FRAME_DOC, explicit_document, hopf_real,
                       nakamura, random_gl, random_hpd, random_structure,
-                      random_two_step_structure, realified_so)
+                      random_two_step_structure, realified_so, upper_triangular_nilpotent)
 
 NAN = float("nan")
 KT_J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
@@ -353,6 +355,42 @@ def test_invalid_json_is_an_unreadable_document(tmp_path, capsys):
     assert (code, out) == (cli.EXIT_INVALID_INPUT, "")
     assert err == ("error: unreadable input document: Expecting property name enclosed "
                    "in double quotes: line 1 column 2 (char 1)\n")
+
+
+def _traced_peak(call):
+    """Bytes traced at call()'s peak above what was traced before it; the
+    tracer sees numpy's buffers."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("doc", [
+    {"catalog": "sokc-6"},
+    explicit_document(upper_triangular_nilpotent(6), random_hpd(np.random.default_rng(7), 15)),
+], ids=["sokc-6", "n6C"])
+def test_no_report_stage_holds_more_than_one_workspace(tmp_path, capsys, doc):
+    # the d(d phi) check and the n^5 classifiers each run in one complex
+    # (2, n, n, n, n) workspace of 32 n^4 bytes, the largest buffer a
+    # report needs; n = 15 here, where the workspace is 1.6 MB
+    hs = cli.parse_input(doc)
+    workspace = 32 * hs.n ** 4
+    assert hs.n == 15
+    pkg = te.analyze(hs)
+    assert _traced_peak(lambda: lh.validate(hs.sc)) <= 1.5 * workspace
+    assert _traced_peak(lambda: cl.classify(pkg, hs.sc)) <= 1.5 * workspace
+    path = _write(tmp_path, doc)
+    assert _traced_peak(lambda: cli.main(["analyze", path, "--format", "json"])) <= 2 * workspace
+    assert json.loads(capsys.readouterr().out)["validation"]["ok"]
+    assert ta.workspace(hs.n).nbytes == workspace
 
 
 # aff(C) and C x| C^2 with weights (1, 1): valid, but not unimodular

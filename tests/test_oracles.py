@@ -10,7 +10,11 @@ real Jacobi identity on the realifications of both kinds of input, as
 complexification leaves that identity to it.  The exterior derivative's
 (3,0), (2,1) and (1,2) blocks are also compared with the dense contraction
 over all 2n generators, on families where C = 0 or D = 0 leaves only some
-of them non-zero.  The BLAS-routed derivative templates, xi and the pluriclosed residual are also
+of them non-zero, and on structures with C and D both non-zero in general
+frames, where the order of the mixed blocks' sums differs from the dense
+one.  The unimodularity residual's traces of C and D are compared with the
+sum over the whole structure tensor, non-unimodular inputs included.  The
+BLAS-routed derivative templates, xi and the pluriclosed residual are also
 compared with the two-operand einsums they replaced.
 
 The whole-array constant builders (so(k) constants, so(3, C) as real data,
@@ -31,9 +35,10 @@ import hermlab.tensor_algebra as ta
 import hermlab.torsion_engine as te
 
 import oracles
-from conftest import (CATALOG_SAMPLE, kodaira_thurston_real, random_gl, random_hpd,
-                      random_real_basis_change, random_structure, random_two_step_structure,
-                      realified, realified_so, standard_J)
+from conftest import (CATALOG_SAMPLE, direct_sum, hopf, kodaira_thurston_real, nakamura,
+                      random_gl, random_hpd, random_real_basis_change, random_structure,
+                      random_two_step_structure, realified, realified_so, semidirect,
+                      standard_J, upper_triangular_nilpotent)
 
 REL_TOL = 1e-12
 
@@ -109,12 +114,12 @@ def test_validate_dd_matches_exterior_derivative():
             N = lh.structure_tensor(sc)
             dense = oracles.dense_exterior_d(N[:n], N)
             want = oracles.bidegree_blocks(dense)
-            got = lh.exterior_d(N[:n], N)
             for k in range(3):
+                got = lh.exterior_d(N[:n], N, k)
                 if k in live:
-                    assert _close(got[k], want[k]) and np.abs(want[k]).max() > 0.1
+                    assert _close(got, want[k]) and np.abs(want[k]).max() > 0.1
                 else:
-                    assert np.abs(got[k]).max() == 0.0 == np.abs(want[k]).max()
+                    assert np.abs(got).max() == 0.0 == np.abs(want[k]).max()
             residual = {c["name"]: c["residual"] for c in lh.validate(sc).checks}
             assert _close(residual["dd_phi"], np.abs(dense).max())
 
@@ -169,22 +174,6 @@ def test_stp_residuals_equal_written_out_contractions():
     assert nonzero >= 10
 
 
-def _upper_triangular_nilpotent(k):
-    """n(k, C), the strictly upper-triangular k x k matrices with basis E_ab
-    (a < b) in level order, as the benchmark's report ladder builds it."""
-    pairs = sorted(((a, b) for a in range(k) for b in range(a + 1, k)),
-                   key=lambda p: (p[1] - p[0], p[0]))
-    index = {p: m for m, p in enumerate(pairs)}
-    n = len(pairs)
-    C = np.zeros((n, n, n), dtype=complex)
-    for (a, b), i in index.items():
-        for (b2, c), j in index.items():
-            if b2 == b:  # [E_ab, E_bc] = E_ac
-                C[index[(a, c)], i, j] = -1.0
-                C[index[(a, c)], j, i] = 1.0
-    return lh.StructureConstants(n, C, np.zeros_like(C))
-
-
 def _kodaira_thurston_sum(copies):
     """The sum of Kodaira-Thurston copies, d phi_{2m+2} = phi_{2m+1} ^ phibar_{2m+1}."""
     n = 2 * copies
@@ -208,7 +197,7 @@ def test_stp_with_D_zero_reads_nabla_s_hol_from_quadratic_hol():
     # while the barred derivative does not
     rng = np.random.default_rng(113)
     bases = [lh.catalog(name).sc for name in ("sokc-4", "sokc-5", "iwasawa")]
-    bases += [_upper_triangular_nilpotent(k) for k in (4, 5)]
+    bases += [upper_triangular_nilpotent(k) for k in (4, 5)]
     for sc in bases:
         assert lh.validate(sc).ok
         for _ in range(2):
@@ -354,12 +343,55 @@ def test_exterior_d_matches_form_route():
             assert _close(oracles.dense_exterior_d(omega, N), want)
             # the library's blocks need a 2-form with no (0,2) part
             if p:
-                assert _close(lh.exterior_d(omega, N), oracles.bidegree_blocks(want))
+                for q, block in enumerate(oracles.bidegree_blocks(want)):
+                    assert _close(lh.exterior_d(omega, N, q), block)
         # the rows of phi are the 2-forms d phi_j: validate's d(d phi_j)
-        dd = lh.exterior_d(N[:n], N)
+        dd = np.stack([lh.exterior_d(N[:n], N, q) for q in range(3)])
         for j in range(n):
             want = oracles.exterior_d(oracles.coframe_differential(sc, j), sc)
             assert _close(dd[:, j], oracles.bidegree_blocks(oracles.three_form_coefficients(want)))
+
+
+def test_exterior_d_blocks_match_dense_contraction_in_general_frames():
+    # the mixed blocks are summed (Q - Q^T) + Y^T to fit two slots, not in
+    # the dense contraction's order: rounding-level, bounded by |N|^2, on
+    # structures whose C and D are both non-zero in a general frame
+    rng = np.random.default_rng(115)
+    so3c, kt, iwasawa = (lh.catalog(name).sc for name in ("so3c", "kodaira-thurston", "iwasawa"))
+    bases = [hopf(), nakamura(), direct_sum(so3c, kt), direct_sum(hopf(), iwasawa)]
+    structures = [lh.frame_change(sc, random_gl(rng, sc.n)) for sc in bases for _ in range(5)]
+    structures += [random_structure(rng, int(rng.integers(2, 5))) for _ in range(10)]
+    structures += [lh.frame_change(random_two_step_structure(rng, n, 2), random_gl(rng, n))
+                   for n in (3, 4, 5) for _ in range(3)]
+    mixed = 0
+    for sc in structures:
+        n = sc.n
+        N = lh.structure_tensor(sc)
+        want = oracles.bidegree_blocks(oracles.dense_exterior_d(N[:n], N))
+        bound = 1e-13 * max(1.0, float(np.abs(N).max()) ** 2)
+        work = ta.workspace(n)
+        for q in range(3):
+            assert float(np.abs(lh.exterior_d(N[:n], N, q, work) - want[q]).max()) <= bound
+        assert lh.validate(sc).ok
+        mixed += np.abs(sc.C).max() > 0 and np.abs(sc.D).max() > 0
+    assert mixed >= 20
+
+
+def test_unimodularity_residual_matches_structure_tensor_traces():
+    rng = np.random.default_rng(116)
+    structures = [lh.catalog(name).sc for name in CATALOG_SAMPLE]
+    structures += [nakamura(), hopf(), semidirect((1.0,)), semidirect((1.0, 1.0)),
+                   semidirect((2.0, -0.5, -1.5))]
+    structures += [lh.frame_change(semidirect((1.0, 0.5j)), random_gl(rng, 3)) for _ in range(5)]
+    structures += [random_structure(rng, int(rng.integers(2, 5))) for _ in range(10)]
+    structures += _non_jacobi_constants(117, count=20)
+    non_unimodular = 0
+    for sc in structures:
+        got = lh.unimodularity_residual(sc)
+        want = oracles.unimodularity_residual(sc)
+        assert _close(got, want)
+        non_unimodular += want > 0.1
+    assert non_unimodular >= 25
 
 
 # ---------------------------------------------------------------------------
