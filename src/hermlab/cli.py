@@ -8,8 +8,8 @@ or NaN/Infinity anywhere in the document, a metric not positive definite or
 with cond(H) above 1e13, failed structure validation, a structure that is
 not unimodular, unknown catalog name or one that is not a string, a
 structure too large to allocate, a numeric option out of its range, an
-optimize start metric or a variation-check finite-difference metric H +- s h
-(s up to ``functionals.RICHARDSON_STEP``) that cannot be analyzed, a usage
+optimize start metric or a variation-check metric H +- s L h L^H (s up to
+``functionals.RICHARDSON_STEP``) that cannot be analyzed, a usage
 error: an unknown option or command, a missing argument, a value argparse
 cannot convert);
 2 numerical failure, including a metric whose unitary frame overflows and a
@@ -418,8 +418,11 @@ def cmd_analyze(args, hs, doc, vrep):
 
 
 def cmd_check_critical(args, hs, doc, vrep):
-    report = build_report(hs.sc, te.analyze(hs), vrep, doc, args.tol)
-    norm = report["residuals"]["norm_Q_F" if args.functional == "torsion" else "norm_Q_G"]
+    pkg = te.analyze(hs)
+    report = build_report(hs.sc, pkg, vrep, doc, args.tol)
+    # V^(1/n) |Q|, the first variation's Riesz norm, unchanged under H -> cH
+    norm = pkg.volume ** (1.0 / pkg.n) * report["residuals"][
+        "norm_Q_F" if args.functional == "torsion" else "norm_Q_G"]
     critical = norm <= args.tol
     report["criticality"] = {
         "functional": args.functional,
@@ -442,12 +445,14 @@ _FD_ABS_TOL = 1e-9
 def cmd_variation_check(args, hs, doc, vrep):
     pkg = te.analyze(hs)
     floor = _FD_ABS_TOL * max(1.0, fn.torsion_functional(pkg))
+    # H +- s L h L^H = L (I +- s h) L^H stays in the cone at any metric H = L L^H
+    L = ta.cholesky(hs.H)
     rng = np.random.default_rng(args.seed)
     worst_rel = 0.0
     passed = True
     rows = []
     for _ in range(args.directions):
-        h = _random_hermitian(rng, hs.n)
+        h = L @ _random_hermitian(rng, hs.n) @ L.conj().T
         analytic = fn.first_variation(pkg, h)
         try:
             fd = fn.fd_first_variation(hs, h)
@@ -476,11 +481,7 @@ def cmd_variation_check(args, hs, doc, vrep):
 
 
 def cmd_optimize(args, hs, doc, vrep):
-    cfg = op.OptimConfig(
-        objective=args.objective,
-        max_iter=args.max_iter,
-        grad_tol=args.grad_tol,
-    )
+    cfg = op.OptimConfig(objective=args.objective, max_iter=args.max_iter)
     S0 = None
     if args.perturb > 0:
         S0 = _random_hermitian(np.random.default_rng(args.seed), hs.n)
@@ -568,7 +569,6 @@ def make_parser():
     _add_common(p)
     p.add_argument("--objective", choices=op.OBJECTIVES, default=op.OptimConfig.objective)
     p.add_argument("--max-iter", type=int, default=op.OptimConfig.max_iter)
-    p.add_argument("--grad-tol", type=float, default=op.OptimConfig.grad_tol)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--perturb", type=float, default=0.0, help="seeded random start size")
     p.set_defaults(func=cmd_optimize)
@@ -586,7 +586,6 @@ def make_parser():
 _OPTION_RANGES = (
     ("tol", lambda v: 0 <= v < math.inf, "non-negative and finite"),
     ("max_iter", lambda v: v >= 0, "non-negative"),
-    ("grad_tol", lambda v: 0 < v < math.inf, "positive and finite"),
     ("perturb", lambda v: 0 <= v < math.inf, "non-negative and finite"),
     ("directions", lambda v: v >= 1, "positive"),
     ("seed", lambda v: v >= 0, "non-negative"),

@@ -46,7 +46,8 @@ runs along -G.  Near a critical point the decrease falls below the
 rounding: a descent whose last search fails while the decrement
 min(|G|^2, -<G, d>) (|G|^2 when <G, d> >= 0) is at most
 ``PRECISION_FLOOR * eps * max(1, |f|)`` ends as converged with reason
-``precision_limit``, any other with reason ``stagnated``.
+``precision_limit``, the one converged stop (a gradient below 1e-8 puts
+|G|^2 below eps, so below the floor), any other with reason ``stagnated``.
 
 :func:`minimize` returns the descent as the report's ``optimization`` block,
 with the analysis of its final metric beside it.
@@ -87,13 +88,10 @@ _UNUSABLE = (NotPositiveDefinite, NumericalFailure, SingularFrame)
 class OptimConfig:
     objective: str = "torsion_functional"
     max_iter: int = 200
-    grad_tol: float = 1e-8
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if not 0 < self.grad_tol < np.inf:  # NaN fails both comparisons
-            raise ValueError("grad_tol must be positive and finite")
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)) \
                 or self.max_iter < 0:  # the start is always a trace row
             raise ValueError("max_iter must be a non-negative integer")
@@ -256,7 +254,8 @@ def minimize(hs0, cfg, S0=None):
     Returns ``(block, pkg_star)``: ``block`` is the report's ``optimization``
     block without the CLI's ``seed``, and ``pkg_star`` the analysis of its
     final metric ``H_star``.  The block holds ``objective``, ``converged``,
-    ``reason``, ``iterations`` (accepted steps), ``H_star`` and ``trace``:
+    ``reason`` (``precision_limit``, ``max_iterations`` or ``stagnated``),
+    ``iterations`` (accepted steps), ``H_star`` and ``trace``:
     one row ``{"iteration", "objective", "gradient_norm", "residual_norm"}``
     per iterate, the start included and the final metric last,
     ``residual_norm`` being |Q| of the functional the objective reads.
@@ -287,9 +286,6 @@ def minimize(hs0, cfg, S0=None):
         gnorm = float(np.linalg.norm(G))
         trace.append({"iteration": it, "objective": pt.value, "gradient_norm": gnorm,
                       "residual_norm": pt.norm_Q})
-        if gnorm <= cfg.grad_tol:
-            converged, reason = True, "gradient_tolerance"
-            break
         if it == cfg.max_iter:
             reason = "max_iterations"
             break

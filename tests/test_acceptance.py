@@ -110,7 +110,7 @@ def test_acceptance_05_first_variation_agreement():
 
 def test_acceptance_06_gauduchon_critical_points_are_balanced():
     ok = True
-    cfg = op.OptimConfig(objective="gauduchon_functional", max_iter=100, grad_tol=1e-9)
+    cfg = op.OptimConfig(objective="gauduchon_functional", max_iter=100)
     for name in ("abelian-3", "so3c", "iwasawa", "kodaira-thurston"):
         hs = lh.catalog(name)
         for seed in (0, 1):
@@ -200,7 +200,7 @@ def test_acceptance_10_optimizer_sanity():
     S0 = random_hermitian(rng, 3)
     S0 *= 0.1 / np.linalg.norm(S0)
     hs = lh.catalog("so3c")
-    cfg = op.OptimConfig(objective="residual_norm", max_iter=500, grad_tol=1e-10)
+    cfg = op.OptimConfig(objective="residual_norm", max_iter=500)
     opt, _ = op.minimize(hs, cfg, S0=S0)
     _, qnorm = fn.torsion_critical_residual(
         te.analyze(lh.HermitianStructure(hs.sc, opt["H_star"]))

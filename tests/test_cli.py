@@ -31,12 +31,19 @@ KT_REAL = {"real_algebra": {"dim": 4, "f": [{"up": 3, "lo": [1, 2], "val": 1.0}]
 SINGULAR_METRIC = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
                    [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
                    [[0.0, 0.0], [0.0, 0.0], [1e-14, 0.0]]]
-# iwasawa with diag(1, 1, 1e-6): cond(H) = 1e6 is within the limit, but a
-# finite-difference step of 1e-4 along a random direction leaves the cone
+# iwasawa with diag(1, 1, 1e-6): cond(H) = 1e6 is within the limit, and an
+# absolute finite-difference step of 1e-4 along a random direction would
+# leave the cone
 THIN_METRIC_DOC = {"catalog": "iwasawa",
                    "metric": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
                               [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
                               [[0.0, 0.0], [0.0, 0.0], [1e-6, 0.0]]]}
+# iwasawa with diag(1, 1, 1.00001e-13): cond(H) is just within the limit, and
+# a relative step of 1e-4 crosses it
+NEAR_LIMIT_METRIC_DOC = {"catalog": "iwasawa",
+                         "metric": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                                    [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+                                    [[0.0, 0.0], [0.0, 0.0], [1.00001e-13, 0.0]]]}
 # documents that parsed when every real-valued field took what float()
 # or complex() accepts: each reads as a usable structure, so only the
 # parser rejects it
@@ -456,8 +463,6 @@ def test_deeply_nested_input_is_echoed(tmp_path, fmt, opening, closing):
     ["analyze", "--tol", "nan"],
     ["analyze", "--tol", "-1"],
     ["optimize", "--max-iter", "-1"],
-    ["optimize", "--grad-tol", "0"],
-    ["optimize", "--grad-tol", "nan"],
     ["optimize", "--perturb", "nan"],
     ["optimize", "--perturb", "-0.5"],
     ["optimize", "--perturb", "0.1", "--seed", "-1"],
@@ -661,10 +666,11 @@ def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
     (["optimize", "in.json", "--max-iter", "abc"], cli.EXIT_INVALID_INPUT),
     (["optimize", "in.json", "--det-normalized"], cli.EXIT_INVALID_INPUT),
     (["optimize", "in.json", "--objective-tol", "1e-3"], cli.EXIT_INVALID_INPUT),
+    (["optimize", "in.json", "--grad-tol", "1e-8"], cli.EXIT_INVALID_INPUT),
     (["variation-check", "in.json", "--fd-step", "1e-4"], cli.EXIT_INVALID_INPUT),
     ([], cli.EXIT_INVALID_INPUT),
 ], ids=["version", "help", "unknown-flag", "bad-tol", "bad-choice", "bad-int", "removed-flag",
-        "removed-objective-tol", "removed-fd-step", "no-command"])
+        "removed-objective-tol", "removed-grad-tol", "removed-fd-step", "no-command"])
 def test_parser_works_after_system_exit(tmp_path, capsys, argv, code):
     # a usage error exits 1 with one "error:" line, not argparse's exit 2,
     # which would read as a numerical failure
@@ -857,6 +863,28 @@ def test_check_critical_exit_codes(tmp_path, capsys):
     assert rep["residual_norm"] == pytest.approx(np.sqrt(96.0) / 3)
 
 
+def _scaled_identity_doc(name, c):
+    n = lh.catalog(name).n
+    return {"catalog": name,
+            "metric": [[[c if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]}
+
+
+def test_check_critical_residual_does_not_change_with_scale(tmp_path, capsys):
+    # |Q_F| scales as 1/c under H -> cH, V^(1/n) |Q_F| does not: iwasawa,
+    # which has no F-critical metric, is not critical at any scale
+    norms = []
+    for c in (1e-10, 1.0, 1e10):
+        path = _write(tmp_path, _scaled_identity_doc("iwasawa", c))
+        code, out, _ = _run(capsys, "check-critical", path, "--format", "json")
+        assert code == cli.EXIT_NOT_SATISFIED, c
+        norms.append(json.loads(out)["criticality"]["residual_norm"])
+    assert norms == pytest.approx([np.sqrt(96.0) / 3] * 3, rel=1e-12)
+    path = _write(tmp_path, _scaled_identity_doc("so3c", 1e10))
+    code, out, _ = _run(capsys, "check-critical", path, "--format", "json")
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["criticality"]["critical"] is True
+
+
 @pytest.mark.parametrize("name, functional, critical", [
     ("so3c", "torsion", True), ("iwasawa", "torsion", False), ("iwasawa", "gauduchon", True),
 ])
@@ -952,9 +980,18 @@ def test_variation_check_fails_a_wrong_Q_F(tmp_path, capsys, monkeypatch):
     assert "passed=False" in out
 
 
+def test_variation_check_passes_at_a_thin_metric(tmp_path, capsys):
+    # the direction L h L^H, H = L L^H, keeps H +- s L h L^H = L (I +- s h) L^H
+    # in the cone: the step is relative to the metric
+    path = _write(tmp_path, THIN_METRIC_DOC)
+    code, out, err = _run(capsys, "variation-check", path, "--format", "json")
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert json.loads(out)["variation_check"]["max_relative_deviation"] <= 1e-8
+
+
 def test_variation_check_names_an_unusable_fd_step(tmp_path, capsys):
     # analyze accepts the metric; the error line names the metric the step left
-    path = _write(tmp_path, THIN_METRIC_DOC)
+    path = _write(tmp_path, NEAR_LIMIT_METRIC_DOC)
     assert _run(capsys, "analyze", path)[0] == cli.EXIT_OK
     code, out, err = _run(capsys, "variation-check", path)
     assert (code, out) == (cli.EXIT_INVALID_INPUT, "")
@@ -989,8 +1026,7 @@ def test_optimize_so3c_residual_norm(tmp_path, capsys):
     path = _write(tmp_path, {"catalog": "so3c"})
     code, out, _ = _run(
         capsys, "optimize", path, "--objective", "residual_norm",
-        "--perturb", "0.1", "--seed", "7", "--max-iter", "500",
-        "--grad-tol", "1e-10", "--format", "json",
+        "--perturb", "0.1", "--seed", "7", "--max-iter", "500", "--format", "json",
     )
     assert code == cli.EXIT_OK
     rep = json.loads(out)
@@ -1035,7 +1071,7 @@ def test_optimize_reaches_critical_value(tmp_path, name, perturb, seed, critical
     rep = json.loads(proc.stdout, parse_constant=_reject_constant)
     opt, res = rep["optimization"], rep["residuals"]
     assert opt["converged"] is True
-    assert opt["reason"] in ("gradient_tolerance", "precision_limit")
+    assert opt["reason"] == "precision_limit"
     objs = [row["objective"] for row in opt["trace"]]
     assert all(b <= a for a, b in zip(objs, objs[1:]))
     assert abs(res["F_value"] - critical) <= 1e-8 * critical
