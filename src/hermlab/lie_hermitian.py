@@ -332,15 +332,44 @@ def complexify(rl):
 # frames
 
 
+def _inverse_frame(F, power, message):
+    """The inverse of the frame F, after checking that cond(F)^power is at
+    most ``_COND_LIMIT``.
+
+    F is inverted first.  cond(F) <= |F|_F |F^-1|_F, so the bound
+    (|F|_F^2 |F^-1|_F^2)^(power/2), two inner products, decides every F it
+    puts at or under the limit; only when it does not (a non-finite bound, as
+    from an overflow, included) is cond(F) computed by an SVD, and that value
+    gives the verdict.  Raises :class:`SingularFrame` with ``message``
+    formatted with cond(F)^power when the limit is passed, and when F is
+    exactly singular.
+    """
+    try:
+        Finv = np.linalg.inv(F)
+    except np.linalg.LinAlgError as exc:  # a zero pivot: F is exactly singular
+        raise SingularFrame(message.format(np.linalg.cond(F) ** power)) from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = (np.vdot(F, F).real * np.vdot(Finv, Finv).real) ** (power / 2)
+    if not bound <= _COND_LIMIT:
+        cond = np.linalg.cond(F) ** power
+        if cond > _COND_LIMIT:
+            raise SingularFrame(message.format(cond))
+    return Finv
+
+
 def frame_change(sc, P):
-    """Structure constants of the frame ``etilde = e @ P``."""
+    """Structure constants of the frame ``etilde = e @ P``.
+
+    Raises :class:`SingularFrame` when cond(P) exceeds ``_COND_LIMIT``, an
+    exactly singular P included.  :func:`_inverse_frame` inverts P first; the
+    bound |P|_F |P^-1|_F decides a P it puts under the limit, and any other
+    has cond(P) computed by an SVD.
+    """
     P = np.asarray(P, dtype=complex)
     n = sc.n
     if P.shape != (n, n):
         raise DimensionMismatch(f"frame matrix must be {n}x{n}")
-    if np.linalg.cond(P) > _COND_LIMIT:
-        raise SingularFrame("frame-change matrix is numerically singular")
-    return _transform(sc, P, np.linalg.inv(P))
+    return _transform(sc, P, _inverse_frame(P, 1, "frame-change matrix is numerically singular"))
 
 
 def _transform(sc, P, Pinv):
@@ -363,14 +392,14 @@ def unitary_reduction(hs):
     once.
     Raises :class:`SingularFrame` when cond(H) exceeds ``_COND_LIMIT`` and
     :class:`NumericalFailure` when the unitary frame's C or D overflows.
+    cond(H) = cond(L)^2 = cond(P)^2, so :func:`_inverse_frame` guards both
+    while it inverts L^T: the bound |L|_F^2 |P|_F^2, at most n^2 cond(H),
+    decides every metric with cond(H) <= ``_COND_LIMIT`` / n^2, and only a
+    metric it cannot decide costs an SVD of L^T.
     Returns ``(P, sc_unitary)``.
     """
     L = ta.cholesky(hs.H)
-    # cond(H) = cond(L)^2 and cond(P) = cond(L): one evaluation guards both
-    cond = np.linalg.cond(L) ** 2
-    if cond > _COND_LIMIT:
-        raise SingularFrame(f"metric is numerically singular: cond(H) = {cond:.3e}")
-    P = np.linalg.inv(L.T)
+    P = _inverse_frame(L.T, 2, "metric is numerically singular: cond(H) = {:.3e}")
     try:
         # an overflow is reported once, as the NumericalFailure below
         with np.errstate(over="ignore", invalid="ignore"):

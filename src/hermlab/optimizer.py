@@ -4,9 +4,12 @@ The cone is parametrized through the chart H(S) = R exp(S) R with
 R = H0^(1/2) and S Hermitian, which is positive definite for every S and
 reduces to the anchor metric at S = 0.  :meth:`_Problem.point` evaluates a
 chart point once: one eigendecomposition of S builds H(S) and the divided
-differences of the gradient, one analysis of H(S) gives the objective, the
-residual and the functional's chart gradient, and the descent reads that
-:class:`_Point`.
+differences of the gradient, and one analysis of H(S) gives the objective.
+The functional's residual and its chart gradient are computed from that
+analysis when the descent first reads them from the :class:`_Point`, for
+the trace row and the gradient of an accepted point; a rejected
+line-search trial never computes them, unless the objective is
+``residual_norm``, whose value is the squared chart gradient.
 Every objective is unchanged under H -> cH, that is under S -> S + tI, so
 its chart gradient is trace-free and a descent keeps det H = det H0 exp(tr S0).
 Only the caller's S0 and the Daleckii-Krein product that ends the gradient
@@ -57,6 +60,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,20 +106,6 @@ def _project(S):
     return (S + S.conj().T) / 2
 
 
-@dataclass(frozen=True)
-class _Point:
-    """A chart point S evaluated once: its metric H = H(S), the analysis
-    ``pkg`` of H, the norm ``norm_Q`` of the functional's residual Q, the
-    functional's chart gradient ``G_F`` and the objective ``value``."""
-
-    S: np.ndarray
-    H: np.ndarray
-    pkg: te.TorsionPackage
-    norm_Q: float
-    G_F: np.ndarray
-    value: float
-
-
 class _Problem:
     """The objective of a descent from ``hs0`` as a function of the chart S."""
 
@@ -133,11 +123,12 @@ class _Problem:
 
     def point(self, S):
         """The :class:`_Point` at S, its metric H(S) = H0^(1/2) exp(S) H0^(1/2)
-        always positive definite.  A step can leave the numerically valid cone:
-        the chart overflows, H stops being positive definite in floats, cond(H)
-        passes the limit of the frame change to its unitary frame, det H is not
-        positive or the objective is not finite.  Each raises one of
-        ``_UNUSABLE``, not also a floating-point warning."""
+        always positive definite, with its objective evaluated.  A step can
+        leave the numerically valid cone: the chart overflows, H stops being
+        positive definite in floats, cond(H) passes the limit of the frame
+        change to its unitary frame, det H is not positive or the objective is
+        not finite.  Each raises one of ``_UNUSABLE``, not also a
+        floating-point warning."""
         with np.errstate(over="ignore", invalid="ignore"):
             lam, U = np.linalg.eigh(S)
             H = self.root @ ((U * np.exp(lam)) @ U.conj().T) @ self.root
@@ -146,11 +137,55 @@ class _Problem:
             pkg = te.analyze(HermitianStructure(self.sc, H))
             if pkg.volume <= 0:
                 raise NumericalFailure("metric has non-positive determinant")
+        pt = _Point(self, S, lam, U, H, pkg)
+        if not np.isfinite(pt.value):
+            raise NumericalFailure("objective evaluated to a non-finite value")
+        return pt
+
+
+@dataclass(frozen=True)
+class _Point:
+    """A chart point S of ``prob`` evaluated once: the eigenpairs ``lam``,
+    ``U`` of S, its metric H = H(S) and the analysis ``pkg`` of H.  The
+    objective ``value``, the norm ``norm_Q`` of the functional's residual Q
+    and the functional's chart gradient ``G_F`` are computed when first read
+    and kept.  :meth:`_Problem.point` reads ``value``; a trace row reads
+    ``norm_Q`` and :func:`gradient` ``G_F``, so a rejected line-search trial
+    costs its eigendecomposition and its analysis only, except under
+    ``residual_norm``, whose value |G_F|^2 reads G_F."""
+
+    prob: _Problem
+    S: np.ndarray
+    lam: np.ndarray
+    U: np.ndarray
+    H: np.ndarray
+    pkg: te.TorsionPackage
+
+    @cached_property
+    def value(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.prob.cfg.objective == "residual_norm":
+                return _inner(self.G_F, self.G_F)
+            return self.prob.value_of(self.pkg)
+
+    @cached_property
+    def _residual(self):
+        """``(Q, norm_Q)``, read once."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.prob.residual_of(self.pkg)
+
+    @property
+    def norm_Q(self):
+        return self._residual[1]
+
+    @cached_property
+    def G_F(self):
+        pkg, lam, U, root = self.pkg, self.lam, self.U, self.prob.root
+        with np.errstate(over="ignore", invalid="ignore"):
             # dH = R dexp_S(K) R and dF(dH) = Re tr(dH X), X = conj(P) M P^T with
             # M = V^(1/n) (-Q) the unitary-frame Riesz matrix: dF = Re tr(dexp_S(K) Y)
-            Q, norm_Q = self.residual_of(pkg)
-            M = pkg.volume ** (1.0 / pkg.n) * -Q
-            Y = self.root @ (pkg.P.conj() @ M @ pkg.P.T) @ self.root
+            M = pkg.volume ** (1.0 / pkg.n) * -self._residual[0]
+            Y = root @ (pkg.P.conj() @ M @ pkg.P.T) @ root
             # Daleckii-Krein, on the eigenpairs that built H: dexp_S(K) =
             # U (Gam o U^H K U) U^H, Gam_ij = (e^lam_i - e^lam_j) / (lam_i - lam_j)
             # written as e^max(lam_i, lam_j) (1 - e^-d) / d, d = |lam_i - lam_j|,
@@ -159,12 +194,7 @@ class _Problem:
             d = np.abs(lam[:, None] - lam[None, :])
             ratio = np.where(d > 0, -np.expm1(-d) / np.where(d > 0, d, 1.0), 1.0)
             Gam = np.exp(np.maximum.outer(lam, lam)) * ratio
-            G_F = _project(U @ (Gam * (U.conj().T @ Y @ U)) @ U.conj().T)
-            value = (_inner(G_F, G_F) if self.cfg.objective == "residual_norm"
-                     else self.value_of(pkg))
-        if not np.isfinite(value):
-            raise NumericalFailure("objective evaluated to a non-finite value")
-        return _Point(S, H, pkg, norm_Q, G_F, value)
+            return _project(U @ (Gam * (U.conj().T @ Y @ U)) @ U.conj().T)
 
 
 def gradient(prob, pt):

@@ -8,11 +8,13 @@ import pytest
 import hermlab.classifiers as cl
 import hermlab.cli as cli
 import hermlab.lie_hermitian as lh
+import hermlab.tensor_algebra as ta
 import hermlab.torsion_engine as te
 from hermlab.errors import (
     DimensionMismatch,
     NotIntegrable,
     NotUnimodular,
+    NumericalFailure,
     SingularFrame,
     UnknownCatalogEntry,
 )
@@ -404,6 +406,82 @@ def test_unitary_frame_invariant_under_unitary_rotation(rng):
     U = random_unitary(rng, 3)
     assert np.abs(oracles.gram_matrix(np.eye(3), U) - np.eye(3)).max() <= 1e-12
     assert lh.validate(lh.frame_change(sc_u, U)).ok
+
+
+def test_analysis_runs_no_svd_below_the_cond_limit(rng, monkeypatch):
+    # the norm bound cond(H) <= |L|_F^2 |P|_F^2 <= n^2 cond(H) decides every
+    # metric of cond(H) <= 1e13 / n^2: no SVD for the catalog or for metrics
+    # of cond <= 1e6
+    structures = [lh.catalog(name) for name in CATALOG_SAMPLE]
+    for _ in range(20):
+        n = int(rng.integers(2, 5))
+        U = random_unitary(rng, n)
+        H = (U * np.exp(rng.uniform(0.0, np.log(1e6), n))) @ U.conj().T
+        H = (H + H.conj().T) / 2
+        assert np.linalg.cond(H) <= 1e6 * (1 + 1e-9)
+        structures.append(lh.HermitianStructure(random_structure(rng, n), H))
+    calls = []
+    real = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda *a: calls.append(a) or real(*a))
+    for hs in structures:
+        te.analyze(hs)
+    assert calls == []
+
+
+def _singular_verdict(hs):
+    """The SingularFrame message :func:`lh.unitary_reduction` raises, None
+    when it raises none (an overflowing unitary frame is another failure),
+    and the same read off cond(H) = cond(L)^2 by an SVD."""
+    cond = np.linalg.cond(ta.cholesky(hs.H)) ** 2
+    expected = (f"metric is numerically singular: cond(H) = {cond:.3e}"
+                if cond > lh._COND_LIMIT else None)
+    try:
+        lh.unitary_reduction(hs)
+    except SingularFrame as exc:
+        return str(exc), expected
+    except NumericalFailure:
+        pass
+    return None, expected
+
+
+@pytest.mark.parametrize("name", ["so3c", "iwasawa"])
+@pytest.mark.parametrize("eps", [5e-14, 1e-13, 2e-13, 1e-14])
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e308, 1e-308])
+def test_unitary_reduction_cond_verdict_is_the_svds(name, eps, scale):
+    # near the limit the norm bound cannot decide, and the verdict and the
+    # message are those of cond(H) = cond(L)^2 by an SVD; at 1e-13 it is the
+    # rounding of that value that decides.  Scaled by 1e308, |L|_F^2
+    # overflows, and by 1e-308, |P|_F^2 does: a non-finite bound goes to the SVD
+    verdict, expected = _singular_verdict(lh.catalog(name, metric=scale * np.diag([1.0, 1.0, eps])))
+    assert verdict == expected
+
+
+def test_unitary_reduction_cond_verdict_off_the_diagonal(rng):
+    # the same verdict for a rotated metric, whose Cholesky factor is full
+    U = random_unitary(rng, 3)
+    for eps in (5e-14, 2e-13, 1e-14):
+        H = (U * [1.0, 1.0, eps]) @ U.conj().T
+        verdict, expected = _singular_verdict(lh.catalog("iwasawa", metric=(H + H.conj().T) / 2))
+        assert verdict == expected, eps
+
+
+def test_frame_change_rejects_a_frame_past_the_cond_limit(rng, monkeypatch):
+    sc = lh.catalog("iwasawa").sc
+    U, V = random_unitary(rng, 3), random_unitary(rng, 3)
+    ill = (U * [1.0, 1e-7, 1e-14]) @ V  # cond(P) = 1e14
+    for P in (ill, 1e200 * ill, 1e-200 * ill):
+        with pytest.raises(SingularFrame, match="frame-change matrix"):
+            lh.frame_change(sc, P)
+    # a frame of cond 5e12 passes; scaled by 1e200 its norm overflows and
+    # its inverse's underflows, so the non-finite bound leaves it to the SVD
+    calls = []
+    real = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda *a: calls.append(a) or real(*a))
+    fine = (U * [1.0, 1e-6, 2e-13]) @ V
+    big = 1e200 * fine
+    assert np.array_equal(lh._inverse_frame(big, 1, "x"), np.linalg.inv(big))
+    assert len(calls) == 1
+    assert lh.frame_change(sc, fine).n == 3
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 from collections import Counter, deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -226,12 +227,19 @@ def test_functional_calls_reach_the_functionals_module(monkeypatch):
                             calls.update([name]) or real(pkg))
     hs = lh.catalog("kodaira-thurston")
     S = np.zeros((2, 2), dtype=complex)
+    points = []
     for objective in op.OBJECTIVES:
         prob = op._Problem(hs, op.OptimConfig(objective=objective))
-        op.gradient(prob, prob.point(S))
-    # a point reads Q once, for its norm and its chart gradient G_F, whose
-    # |G_F|^2 is residual_norm's value; residual_norm's gradient evaluates
-    # the points S +- FD_STEP v
+        points.append((prob, prob.point(S)))
+    # a point evaluates its objective only; residual_norm's is |G_F|^2,
+    # which reads Q
+    assert calls == {"torsion_functional": 1, "gauduchon_functional": 1,
+                     "torsion_critical_residual": 1}
+    for prob, pt in points:
+        op.gradient(prob, pt)
+        assert pt.norm_Q >= 0
+    # a point reads Q once, for its norm and its chart gradient G_F;
+    # residual_norm's gradient evaluates the points S +- FD_STEP v
     assert calls == {"torsion_functional": 1, "torsion_critical_residual": 1 + 3,
                      "gauduchon_functional": 1, "gauduchon_critical_residual": 1}
 
@@ -275,6 +283,12 @@ def test_lbfgs_direction_matches_dense_bfgs(rng):
             assert np.abs(d - d.conj().T).max() == 0.0
 
 
+def _stand_in_point(S, value):
+    """A chart point as :func:`op.minimize` and :func:`op._line_search` read
+    it: S and its objective, a zero residual norm, no metric or analysis."""
+    return SimpleNamespace(S=S, H=None, pkg=None, norm_Q=0.0, value=value)
+
+
 def test_minimize_keeps_only_positive_curvature_pairs(monkeypatch):
     # a double well in every chart coordinate, f = sum (x^2 - 1)^2, is
     # concave near S = 0: a step taken there gives <s, y> < 0, and that pair
@@ -298,8 +312,8 @@ def test_minimize_keeps_only_positive_curvature_pairs(monkeypatch):
         seen.extend(op._inner(s, y) for s, y in memory)
         return lbfgs_direction(G, memory)
 
-    monkeypatch.setattr(op._Problem, "point", lambda self, S: op._Point(
-        S, None, None, 0.0, None, float(np.sum((coords(S) ** 2 - 1) ** 2))))
+    monkeypatch.setattr(op._Problem, "point", lambda self, S: _stand_in_point(
+        S, float(np.sum((coords(S) ** 2 - 1) ** 2))))
     monkeypatch.setattr(op, "gradient", gradient)
     monkeypatch.setattr(op, "_lbfgs_direction", direction)
     opt, _ = op.minimize(lh.catalog("kodaira-thurston"), op.OptimConfig(), S0=0.1 * sum(basis))
@@ -349,14 +363,14 @@ class _QuadraticAlongD:
         self.trials = []
 
     def search(self):
-        start = op._Point(0.0, None, None, 0.0, None, self.obj)
+        start = _stand_in_point(0.0, self.obj)
         return op._line_search(self, start, 1.0, self.slope)
 
     def point(self, S):
         self.trials.append(S)
         if S > self.usable:
             raise NumericalFailure("trial metric cannot be analyzed")
-        return op._Point(S, None, None, 0.0, None, self.value(S))
+        return _stand_in_point(S, self.value(S))
 
     def value(self, S):
         return self.obj + self.slope * S + self.c * S**2
@@ -644,10 +658,12 @@ def test_descents_converge_only_at_the_precision_limit():
 
 
 def test_descent_evaluates_each_point_once(monkeypatch):
-    # over the benchmark's descents, each chart point is diagonalised and
-    # its functional's residual read once: one eigh of S builds H(S) and the
-    # gradient's divided differences, one residual gives the gradient and
-    # the trace row, and each descent adds the eigh of its anchor's root
+    # over the benchmark's descents, each chart point is diagonalised once:
+    # one eigh of S builds H(S) and the gradient's divided differences, and
+    # each descent adds the eigh of its anchor's root.  The functional's
+    # residual is read once per accepted point, the start included, for its
+    # gradient and its trace row, and never at a rejected line-search trial;
+    # no analysis of these well-conditioned metrics runs an SVD for cond(H)
     calls = Counter()
 
     def count(module, name):
@@ -656,8 +672,9 @@ def test_descent_evaluates_each_point_once(monkeypatch):
 
     count(te, "analyze")
     count(np.linalg, "eigh")
+    count(np.linalg, "cond")
     count(fn, "torsion_critical_residual")
-    descents = 0
+    descents = accepted = 0
     for name, seed in [("sokc-4", 7)] + [("so3c", seed) for seed in range(16)]:
         hs = lh.catalog(name)
         S0 = random_hermitian(np.random.default_rng(seed), hs.n)  # as cmd_optimize builds it
@@ -665,6 +682,28 @@ def test_descent_evaluates_each_point_once(monkeypatch):
         opt, _ = op.minimize(hs, op.OptimConfig(max_iter=500), S0=S0)
         assert opt["reason"] == "precision_limit", (name, seed)
         descents += 1
+        accepted += opt["iterations"]
     assert calls["analyze"] > 2 * descents
     assert calls["eigh"] == calls["analyze"] + descents, calls
+    assert calls["torsion_critical_residual"] == descents + accepted < calls["analyze"], calls
+    assert calls["cond"] == 0, calls
+
+
+def test_residual_norm_descent_reads_the_gradient_at_every_trial(monkeypatch):
+    # residual_norm's value is |G_F|^2, so every analyzed point, a rejected
+    # trial and a Hessian-product point included, reads its residual once
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.update([name]) or real(*a))
+
+    count(te, "analyze")
+    count(fn, "torsion_critical_residual")
+    hs = lh.catalog("so3c")
+    S0 = random_hermitian(np.random.default_rng(3), hs.n)
+    S0 *= 0.1 / np.linalg.norm(S0)
+    opt, _ = op.minimize(hs, op.OptimConfig(objective="residual_norm", max_iter=40), S0=S0)
+    # each gradient analyzes the two points S +- FD_STEP v besides the iterate
+    assert calls["analyze"] > 3 * len(opt["trace"])
     assert calls["torsion_critical_residual"] == calls["analyze"], calls
