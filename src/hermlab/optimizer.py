@@ -5,11 +5,9 @@ R = H0^(1/2) and S Hermitian, which is positive definite for every S and
 reduces to the anchor metric at S = 0.  :meth:`_Problem.point` evaluates a
 chart point once: one eigendecomposition of S builds H(S) and the divided
 differences of the gradient, and one analysis of H(S) gives the objective.
-The functional's residual and its chart gradient are computed from that
-analysis when the descent first reads them from the :class:`_Point`, for
-the trace row and the gradient of an accepted point; a rejected
-line-search trial never computes them, unless the objective is
-``residual_norm``, whose value is the squared chart gradient.
+The functional's residual is computed from that analysis when the descent
+first reads it from the :class:`_Point`, for the trace row and the gradient
+of an accepted point; a rejected line-search trial never computes it.
 Every objective is unchanged under H -> cH, that is under S -> S + tI, so
 its chart gradient is trace-free and a descent keeps det H = det H0 exp(tr S0).
 Only the caller's S0 and the Daleckii-Krein product that ends the gradient
@@ -18,17 +16,11 @@ linear combination of exactly Hermitian matrices; floating point rounds an
 entry and its conjugate alike, so it is exactly Hermitian and (X + X^H) / 2
 would return it bit for bit.
 
-For the torsion and Gauduchon functionals the gradient is analytic and
-needs no further analysis: the first variation V^(1/n) Re tr(h_u @ -Q) of
-:func:`functionals.first_variation`, Q the functional's residual, is pulled
-back through the chart with the Daleckii-Krein divided differences of exp
-(Higham, *Functions of Matrices*, 2008, ch. 3).  ``residual_norm`` is |G_F|^2 = Re tr(G_F G_F),
-the squared chart gradient of the torsion functional: it vanishes exactly
-at the critical points of F and, like F, is invariant under S -> S + tI.
-Its gradient is 2 Hess_F G_F, where the Hessian product is one central
-difference of the analytic gradient of F of step ``FD_STEP`` along
-G_F / |G_F| (Pearlmutter, *Fast exact multiplication by the Hessian*,
-Neural Comput. 1994): two analyses per gradient.
+The gradient is analytic and needs no further analysis: the first variation
+V^(1/n) Re tr(h_u @ -Q) of :func:`functionals.first_variation`, Q the
+functional's residual, is pulled back through the chart with the
+Daleckii-Krein divided differences of exp (Higham, *Functions of
+Matrices*, 2008, ch. 3).
 
 The descent is L-BFGS in the chart (Nocedal and Wright, *Numerical
 Optimization*, 2006, ch. 7) under the inner product Re tr(X Y): the two-loop
@@ -70,9 +62,8 @@ from . import torsion_engine as te
 from .errors import InvalidStartPoint, NotPositiveDefinite, NumericalFailure, SingularFrame
 from .lie_hermitian import HermitianStructure, require_unimodular
 
-OBJECTIVES = (*fn.FUNCTIONALS, "residual_norm")
+OBJECTIVES = tuple(fn.FUNCTIONALS)
 
-FD_STEP = 1e-5
 INITIAL_STEP = 1.0
 SHRINK = 0.5
 # a backtrack cuts the step by at most this factor: a trial far past the
@@ -116,10 +107,7 @@ class _Problem:
         vals, vecs = np.linalg.eigh(np.asarray(hs0.H, dtype=complex))
         self.root = (vecs * np.sqrt(vals)) @ vecs.conj().T  # H0^(1/2)
         self.cfg = cfg
-        # the value and residual of the functional whose analytic gradient
-        # the objective reads
-        self.value_of, self.residual_of = fn.FUNCTIONALS[
-            "torsion_functional" if cfg.objective == "residual_norm" else cfg.objective]
+        self.value_of, self.residual_of = fn.FUNCTIONALS[cfg.objective]
 
     def point(self, S):
         """The :class:`_Point` at S, its metric H(S) = H0^(1/2) exp(S) H0^(1/2)
@@ -137,22 +125,20 @@ class _Problem:
             pkg = te.analyze(HermitianStructure(self.sc, H))
             if pkg.volume <= 0:
                 raise NumericalFailure("metric has non-positive determinant")
-        pt = _Point(self, S, lam, U, H, pkg)
-        if not np.isfinite(pt.value):
+            value = self.value_of(pkg)
+        if not np.isfinite(value):
             raise NumericalFailure("objective evaluated to a non-finite value")
-        return pt
+        return _Point(self, S, lam, U, H, pkg, value)
 
 
 @dataclass(frozen=True)
 class _Point:
     """A chart point S of ``prob`` evaluated once: the eigenpairs ``lam``,
-    ``U`` of S, its metric H = H(S) and the analysis ``pkg`` of H.  The
-    objective ``value``, the norm ``norm_Q`` of the functional's residual Q
-    and the functional's chart gradient ``G_F`` are computed when first read
-    and kept.  :meth:`_Problem.point` reads ``value``; a trace row reads
-    ``norm_Q`` and :func:`gradient` ``G_F``, so a rejected line-search trial
-    costs its eigendecomposition and its analysis only, except under
-    ``residual_norm``, whose value |G_F|^2 reads G_F."""
+    ``U`` of S, its metric H = H(S), the analysis ``pkg`` of H and the
+    objective ``value``.  The functional's residual Q and its norm
+    ``norm_Q`` are computed when a trace row or :func:`gradient` first reads
+    them and kept, so a rejected line-search trial costs its
+    eigendecomposition and its analysis only."""
 
     prob: _Problem
     S: np.ndarray
@@ -160,13 +146,7 @@ class _Point:
     U: np.ndarray
     H: np.ndarray
     pkg: te.TorsionPackage
-
-    @cached_property
-    def value(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.prob.cfg.objective == "residual_norm":
-                return _inner(self.G_F, self.G_F)
-            return self.prob.value_of(self.pkg)
+    value: float
 
     @cached_property
     def _residual(self):
@@ -178,40 +158,27 @@ class _Point:
     def norm_Q(self):
         return self._residual[1]
 
-    @cached_property
-    def G_F(self):
-        pkg, lam, U, root = self.pkg, self.lam, self.U, self.prob.root
-        with np.errstate(over="ignore", invalid="ignore"):
-            # dH = R dexp_S(K) R and dF(dH) = Re tr(dH X), X = conj(P) M P^T with
-            # M = V^(1/n) (-Q) the unitary-frame Riesz matrix: dF = Re tr(dexp_S(K) Y)
-            M = pkg.volume ** (1.0 / pkg.n) * -self._residual[0]
-            Y = root @ (pkg.P.conj() @ M @ pkg.P.T) @ root
-            # Daleckii-Krein, on the eigenpairs that built H: dexp_S(K) =
-            # U (Gam o U^H K U) U^H, Gam_ij = (e^lam_i - e^lam_j) / (lam_i - lam_j)
-            # written as e^max(lam_i, lam_j) (1 - e^-d) / d, d = |lam_i - lam_j|,
-            # so that equal and nearly equal eigenvalues lose no digits (Gam_ii =
-            # e^lam_i).  Gam is real symmetric: the pull-back of Y has this form.
-            d = np.abs(lam[:, None] - lam[None, :])
-            ratio = np.where(d > 0, -np.expm1(-d) / np.where(d > 0, d, 1.0), 1.0)
-            Gam = np.exp(np.maximum.outer(lam, lam)) * ratio
-            return _project(U @ (Gam * (U.conj().T @ Y @ U)) @ U.conj().T)
-
 
 def gradient(prob, pt):
     """Gradient of the objective of ``prob`` (a :class:`_Problem`) at its
     :class:`_Point` ``pt``: the Riesz representative G, for every Hermitian K
     d/dt objective(S + t K) at 0 equals Re tr(K @ G).
     """
-    G = pt.G_F
-    if prob.cfg.objective != "residual_norm" or not G.any():
-        return G
-    norm = float(np.linalg.norm(G))
-    # d/dt |G(S + tK)|^2 = 2 Re tr(K Hess G), the Hessian being symmetric;
-    # Hess G = |G| Hess v, the central difference of G along v = G / |G|
-    v = G / norm
-    hess_v = (prob.point(pt.S + FD_STEP * v).G_F
-              - prob.point(pt.S - FD_STEP * v).G_F) / (2 * FD_STEP)
-    return 2 * norm * hess_v
+    pkg, lam, U, root = pt.pkg, pt.lam, pt.U, prob.root
+    with np.errstate(over="ignore", invalid="ignore"):
+        # dH = R dexp_S(K) R and dF(dH) = Re tr(dH X), X = conj(P) M P^T with
+        # M = V^(1/n) (-Q) the unitary-frame Riesz matrix: dF = Re tr(dexp_S(K) Y)
+        M = pkg.volume ** (1.0 / pkg.n) * -pt._residual[0]
+        Y = root @ (pkg.P.conj() @ M @ pkg.P.T) @ root
+        # Daleckii-Krein, on the eigenpairs that built H: dexp_S(K) =
+        # U (Gam o U^H K U) U^H, Gam_ij = (e^lam_i - e^lam_j) / (lam_i - lam_j)
+        # written as e^max(lam_i, lam_j) (1 - e^-d) / d, d = |lam_i - lam_j|,
+        # so that equal and nearly equal eigenvalues lose no digits (Gam_ii =
+        # e^lam_i).  Gam is real symmetric: the pull-back of Y has this form.
+        d = np.abs(lam[:, None] - lam[None, :])
+        ratio = np.where(d > 0, -np.expm1(-d) / np.where(d > 0, d, 1.0), 1.0)
+        Gam = np.exp(np.maximum.outer(lam, lam)) * ratio
+        return _project(U @ (Gam * (U.conj().T @ Y @ U)) @ U.conj().T)
 
 
 def _inner(X, Y):
@@ -288,7 +255,7 @@ def minimize(hs0, cfg, S0=None):
     ``iterations`` (accepted steps), ``H_star`` and ``trace``:
     one row ``{"iteration", "objective", "gradient_norm", "residual_norm"}``
     per iterate, the start included and the final metric last,
-    ``residual_norm`` being |Q| of the functional the objective reads.
+    ``residual_norm`` being the norm |Q| of the objective's residual.
     Each iterate is evaluated once, as the :class:`_Point` its line search
     accepted: its trace row, its gradient and ``H_star`` read that record.
 

@@ -30,7 +30,6 @@ import scipy.linalg
 
 import hermlab.functionals as fn
 import hermlab.lie_hermitian as lh
-import hermlab.optimizer as op
 import hermlab.tensor_algebra as ta
 from hermlab.errors import DimensionMismatch, NotIntegrable, SingularFrame
 
@@ -510,10 +509,15 @@ def objective(prob, S):
     return prob.point(S).value
 
 
-def fd_gradient(prob, S, step=op.FD_STEP):
+# near eps^(1/3): a central difference's truncation, O(step^2), and its
+# rounding, O(eps / step), are then both about 1e-10 of an objective of order 1
+FD_STEP = 1e-5
+
+
+def fd_gradient(prob, S, step=FD_STEP):
     """Central finite-difference gradient of the objective of ``prob`` at S,
     one direction of :func:`hermitian_basis` at a time: 2 n^2 analyses, the
-    reference for the library's analytic and Hessian-product gradients."""
+    reference for the library's analytic gradient."""
     S = np.asarray(S, dtype=complex)
     return sum((objective(prob, S + step * K) - objective(prob, S - step * K)) / (2 * step) * K
                for K in hermitian_basis(S.shape[0]))

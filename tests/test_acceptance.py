@@ -200,7 +200,7 @@ def test_acceptance_10_optimizer_sanity():
     S0 = random_hermitian(rng, 3)
     S0 *= 0.1 / np.linalg.norm(S0)
     hs = lh.catalog("so3c")
-    cfg = op.OptimConfig(objective="residual_norm", max_iter=500)
+    cfg = op.OptimConfig(objective="torsion_functional", max_iter=500)
     opt, _ = op.minimize(hs, cfg, S0=S0)
     _, qnorm = fn.torsion_critical_residual(
         te.analyze(lh.HermitianStructure(hs.sc, opt["H_star"]))

@@ -20,8 +20,8 @@ import hermlab.tensor_algebra as ta
 import hermlab.torsion_engine as te
 
 import oracles
-from conftest import (CATALOG_SAMPLE, OVERFLOWING_FRAME_DOC, explicit_document, hopf_real,
-                      nakamura, random_gl, random_hpd, random_structure,
+from conftest import (CATALOG_SAMPLE, OVERFLOWING_FRAME_DOC, direct_sum, explicit_document,
+                      hopf_real, nakamura, random_gl, random_hpd, random_structure,
                       random_two_step_structure, realified_so, upper_triangular_nilpotent)
 
 NAN = float("nan")
@@ -1022,18 +1022,6 @@ def test_optimize_abelian_converges(tmp_path, capsys):
     assert rep["trace"][-1]["objective"] == 0.0
 
 
-def test_optimize_so3c_residual_norm(tmp_path, capsys):
-    path = _write(tmp_path, {"catalog": "so3c"})
-    code, out, _ = _run(
-        capsys, "optimize", path, "--objective", "residual_norm",
-        "--perturb", "0.1", "--seed", "7", "--max-iter", "500", "--format", "json",
-    )
-    assert code == cli.EXIT_OK
-    rep = json.loads(out)
-    assert rep["optimization"]["converged"] is True
-    assert rep["residuals"]["norm_Q_F"] <= 1e-6
-
-
 @pytest.mark.parametrize("perturb, seed", [("2.0", "2"), ("3.0", "0"), ("10.0", "0")])
 def test_optimize_far_start_rejects_invalid_trial_steps(tmp_path, perturb, seed):
     # long Armijo trials from these starts leave the numerically valid cone:
@@ -1139,7 +1127,6 @@ def test_optimize_not_converged_exit_3(tmp_path, capsys):
 @pytest.mark.parametrize("objective, value, norm", [
     ("torsion_functional", "F_value", "norm_Q_F"),
     ("gauduchon_functional", "G_value", "norm_Q_G"),
-    ("residual_norm", None, "norm_Q_F"),
 ])
 @pytest.mark.parametrize("name, seed", [("so3c", "2"), ("sokc-4", "7")])
 def test_optimization_block_is_consistent(tmp_path, capsys, name, seed, objective, value, norm):
@@ -1158,8 +1145,37 @@ def test_optimization_block_is_consistent(tmp_path, capsys, name, seed, objectiv
     assert [row["iteration"] for row in trace] == list(range(len(trace)))
     assert opt["iterations"] == len(trace) - 1
     assert trace[-1]["residual_norm"] == res[norm]
-    if value is not None:
-        assert trace[-1]["objective"] == res[value]
+    assert trace[-1]["objective"] == res[value]
+
+
+def test_optimize_residual_norm_is_a_usage_error(tmp_path, capsys):
+    # the objective |G_F|^2 is gone: argparse rejects it as an invalid choice
+    path = _write(tmp_path, {"catalog": "so3c"})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["optimize", path, "--objective", "residual_norm"])
+    assert exc.value.code == cli.EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument --objective: invalid choice: 'residual_norm'")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("objective, code", [
+    # F degenerates on so3c + C; eta = 0 for every metric, so G starts critical
+    ("torsion_functional", cli.EXIT_NOT_SATISFIED),
+    ("gauduchon_functional", cli.EXIT_OK),
+])
+def test_optimize_so3c_plus_abelian_is_valid_input(tmp_path, capsys, objective, code):
+    # so3c + C is valid input: a descent from a far start ends in one
+    # report, whether or not it converges, and never exits as invalid input
+    sc = direct_sum(lh.catalog("so3c").sc, lh.catalog("abelian-1").sc)
+    path = _write(tmp_path, explicit_document(sc, np.eye(4)))
+    for seed in ("0", "1", "2"):
+        got, out, err = _run(capsys, "optimize", path, "--objective", objective,
+                             "--perturb", "0.5", "--seed", seed, "--max-iter", "500",
+                             "--format", "json")
+        assert (got, err) == (code, ""), (seed, err)
+        assert json.loads(out)["optimization"]["objective"] == objective
 
 
 # ---------------------------------------------------------------------------

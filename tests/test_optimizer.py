@@ -77,6 +77,11 @@ def test_config_validation():
     assert op.OptimConfig(max_iter=np.int64(3)).max_iter == 3
     # no tolerance: a descent converges only through precision_limit
     assert [f.name for f in dataclasses.fields(op.OptimConfig)] == ["objective", "max_iter"]
+    # a descent minimizes F or G; |G_F|^2 is no objective, as its descent
+    # found no critical metric that the descent of F misses
+    assert op.OBJECTIVES == ("torsion_functional", "gauduchon_functional")
+    with pytest.raises(ValueError, match="unknown objective 'residual_norm'"):
+        op.OptimConfig(objective="residual_norm")
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +106,8 @@ def test_gradient_nonzero_off_critical():
     assert np.linalg.norm(G) > 0.1
 
 
-def _gradient_cases(rng, objectives=tuple(fn.FUNCTIONALS), two_step=0):
-    """(problem, S) over ``objectives`` and random anchors.
+def _gradient_cases(rng, two_step=0):
+    """(problem, S) over every objective and random anchors.
 
     S is zero, random, or has a repeated eigenvalue, and exactly Hermitian,
     as every S a descent analyzes is.  so3c, iwasawa and sokc-4 have eta = 0
@@ -120,7 +125,7 @@ def _gradient_cases(rng, objectives=tuple(fn.FUNCTIONALS), two_step=0):
         lam[1] = lam[0]
         U = random_unitary(rng, n)
         repeated = op._project(0.5 * (U * lam) @ U.conj().T)
-        for objective in objectives:
+        for objective in op.OBJECTIVES:
             prob = op._Problem(hs, op.OptimConfig(objective=objective))
             for S in (np.zeros((n, n), dtype=complex), 0.3 * random_hermitian(rng, n), repeated):
                 yield prob, S
@@ -142,10 +147,10 @@ def test_gradient_matches_analytic(rng):
 
 
 def test_gradient_matches_finite_differences(rng):
-    # every objective, residual_norm's Hessian-product gradient included,
-    # against central differences over the whole Hermitian basis
+    # every objective against central differences over the whole Hermitian
+    # basis, two-step structures with C != 0 and D != 0 included
     nonzero = Counter()
-    for prob, S in _gradient_cases(rng, op.OBJECTIVES, two_step=5):
+    for prob, S in _gradient_cases(rng, two_step=5):
         G = op.gradient(prob, prob.point(S))
         ref = oracles.fd_gradient(prob, S)
         assert _rel(G, ref) <= 1e-6, (prob.cfg, S)
@@ -154,64 +159,36 @@ def test_gradient_matches_finite_differences(rng):
 
 
 def test_gradient_makes_no_analysis(rng, monkeypatch):
-    # the functionals' gradients read the point's analysis; residual_norm's
-    # Hessian product analyzes two more metrics, at S +- FD_STEP v
+    # the gradient reads the point's analysis and analyzes nothing itself
     hs = lh.HermitianStructure(lh.catalog("kodaira-thurston").sc, random_hpd(rng, 2))
     S = 0.3 * random_hermitian(rng, 2)
     calls = []
     analyze = te.analyze
     monkeypatch.setattr(te, "analyze", lambda hs: calls.append(1) or analyze(hs))
-    for objective, analyses in (("torsion_functional", 0), ("gauduchon_functional", 0),
-                                ("residual_norm", 2)):
+    for objective in op.OBJECTIVES:
         prob = op._Problem(hs, op.OptimConfig(objective=objective))
         pt = prob.point(S)
         calls.clear()
         assert np.linalg.norm(op.gradient(prob, pt)) > 0.1
-        assert len(calls) == analyses, objective
-
-
-def test_residual_norm_is_scale_invariant(rng):
-    # |G_F|^2 is unchanged under S -> S + tI, that is H -> e^t H, as F is
-    for name in ("so3c", "iwasawa", "kodaira-thurston", "sokc-4"):
-        sc = lh.catalog(name).sc
-        hs = lh.HermitianStructure(sc, random_hpd(rng, sc.n))
-        prob = op._Problem(hs, op.OptimConfig(objective="residual_norm"))
-        S = 0.3 * random_hermitian(rng, sc.n)
-        f0 = oracles.objective(prob, S)
-        assert f0 > 1e-3, name
-        for t in (-1.0, 0.5, 2.0):
-            f = oracles.objective(prob, S + t * np.eye(sc.n))
-            assert abs(f - f0) <= 1e-12 * f0, (name, t)
+        assert not calls, objective
 
 
 def test_chart_gradient_is_trace_free(rng):
-    # every objective is invariant under S -> S + tI, so <I, G> = tr G = 0;
-    # residual_norm's gradient carries the Hessian product's rounding
+    # every objective is invariant under S -> S + tI, so <I, G> = tr G = 0
     checked = Counter()
     for name in ("so3c", "iwasawa", "kodaira-thurston", "sokc-4"):
         sc = lh.catalog(name).sc
         for _ in range(10):
             hs = lh.HermitianStructure(sc, random_hpd(rng, sc.n))
             S = 0.3 * random_hermitian(rng, sc.n)
-            for objective, tol in (("torsion_functional", 1e-12), ("gauduchon_functional", 1e-12),
-                                   ("residual_norm", 1e-8)):
+            for objective in op.OBJECTIVES:
                 prob = op._Problem(hs, op.OptimConfig(objective=objective))
                 G = op.gradient(prob, prob.point(S))
                 norm = np.linalg.norm(G)
                 if norm > 1e-12:  # G's gradient is rounding noise (1e-31) where eta = 0
-                    assert abs(np.trace(G)) <= tol * norm, (name, objective)
+                    assert abs(np.trace(G)) <= 1e-12 * norm, (name, objective)
                     checked[objective] += 1
-    assert checked == {"torsion_functional": 40, "gauduchon_functional": 10, "residual_norm": 40}
-
-
-def test_residual_norm_is_squared_residual_at_identity_anchor():
-    # at S = 0 of an identity anchor the chart gradient of F is -Q_F
-    for name in ("iwasawa", "kodaira-thurston"):
-        hs = lh.catalog(name)
-        prob = op._Problem(hs, op.OptimConfig(objective="residual_norm"))
-        S = np.zeros((hs.n, hs.n), dtype=complex)
-        pt = prob.point(S)
-        assert pt.value == pytest.approx(pt.norm_Q ** 2, rel=1e-12)
+    assert checked == {"torsion_functional": 40, "gauduchon_functional": 10}
 
 
 def test_functional_calls_reach_the_functionals_module(monkeypatch):
@@ -231,16 +208,13 @@ def test_functional_calls_reach_the_functionals_module(monkeypatch):
     for objective in op.OBJECTIVES:
         prob = op._Problem(hs, op.OptimConfig(objective=objective))
         points.append((prob, prob.point(S)))
-    # a point evaluates its objective only; residual_norm's is |G_F|^2,
-    # which reads Q
-    assert calls == {"torsion_functional": 1, "gauduchon_functional": 1,
-                     "torsion_critical_residual": 1}
+    # a point evaluates its objective only
+    assert calls == {"torsion_functional": 1, "gauduchon_functional": 1}
     for prob, pt in points:
         op.gradient(prob, pt)
         assert pt.norm_Q >= 0
-    # a point reads Q once, for its norm and its chart gradient G_F;
-    # residual_norm's gradient evaluates the points S +- FD_STEP v
-    assert calls == {"torsion_functional": 1, "torsion_critical_residual": 1 + 3,
+    # a point reads Q once, for its norm and its chart gradient
+    assert calls == {"torsion_functional": 1, "torsion_critical_residual": 1,
                      "gauduchon_functional": 1, "gauduchon_critical_residual": 1}
 
 
@@ -436,33 +410,13 @@ def test_minimize_recovers_so3c_critical_point(rng):
     hs = lh.catalog("so3c")
     S0 = random_hermitian(rng, 3)
     S0 *= 0.1 / np.linalg.norm(S0)
-    cfg = op.OptimConfig(objective="residual_norm", max_iter=500)
+    cfg = op.OptimConfig(objective="torsion_functional", max_iter=500)
     opt, _ = op.minimize(hs, cfg, S0=S0)
     assert opt["converged"], opt["reason"]
     _, qnorm = fn.torsion_critical_residual(
         te.analyze(lh.HermitianStructure(hs.sc, opt["H_star"]))
     )
     assert qnorm <= 1e-6
-
-
-@pytest.mark.parametrize("name, perturb, seed, critical", [
-    ("so3c", 3.0, 2, 6.0),
-    ("sokc-4", 0.1, 0, 24.0),
-    ("sokc-4", 0.1, 7, 24.0),
-])
-def test_residual_norm_descent_reaches_critical_metric(name, perturb, seed, critical):
-    # the descent of |G_F|^2 from the start cmd_optimize builds ends at a
-    # critical metric of F, scale-free residual included, and, as the
-    # objective is scale-invariant, keeps the volume of its start
-    hs = lh.catalog(name)
-    S0 = random_hermitian(np.random.default_rng(seed), hs.n)
-    S0 *= perturb / np.linalg.norm(S0)
-    opt, pkg = op.minimize(hs, op.OptimConfig(objective="residual_norm"), S0=S0)
-    assert opt["converged"], opt["reason"]
-    assert abs(fn.torsion_functional(pkg) - critical) <= 1e-8 * critical
-    _, qnorm = fn.torsion_critical_residual(pkg)
-    assert pkg.volume ** (1.0 / hs.n) * qnorm <= 1e-8
-    assert abs(np.log(pkg.volume) - np.trace(S0).real) <= 1e-6
 
 
 def test_minimize_returns_analysis_of_final_metric(rng):
@@ -568,7 +522,7 @@ def test_descent_analyzes_only_exactly_hermitian_charts(rng, monkeypatch):
     point = op._Problem.point
     monkeypatch.setattr(op._Problem, "point", lambda self, S: seen.append(S) or point(self, S))
     for name, objective in (("kodaira-thurston", "gauduchon_functional"),
-                            ("iwasawa", "torsion_functional"), ("so3c", "residual_norm")):
+                            ("iwasawa", "torsion_functional"), ("sokc-4", "torsion_functional")):
         hs = lh.catalog(name)
         S0 = 0.3 * (rng.standard_normal((hs.n, hs.n)) + 1j * rng.standard_normal((hs.n, hs.n)))
         seen.clear()
@@ -687,23 +641,3 @@ def test_descent_evaluates_each_point_once(monkeypatch):
     assert calls["eigh"] == calls["analyze"] + descents, calls
     assert calls["torsion_critical_residual"] == descents + accepted < calls["analyze"], calls
     assert calls["cond"] == 0, calls
-
-
-def test_residual_norm_descent_reads_the_gradient_at_every_trial(monkeypatch):
-    # residual_norm's value is |G_F|^2, so every analyzed point, a rejected
-    # trial and a Hessian-product point included, reads its residual once
-    calls = Counter()
-
-    def count(module, name):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a: calls.update([name]) or real(*a))
-
-    count(te, "analyze")
-    count(fn, "torsion_critical_residual")
-    hs = lh.catalog("so3c")
-    S0 = random_hermitian(np.random.default_rng(3), hs.n)
-    S0 *= 0.1 / np.linalg.norm(S0)
-    opt, _ = op.minimize(hs, op.OptimConfig(objective="residual_norm", max_iter=40), S0=S0)
-    # each gradient analyzes the two points S +- FD_STEP v besides the iterate
-    assert calls["analyze"] > 3 * len(opt["trace"])
-    assert calls["torsion_critical_residual"] == calls["analyze"], calls
